@@ -1,0 +1,78 @@
+#!/usr/bin/env python3
+"""Check every compiled resolvent against the recursive reference formulas.
+
+Usage: python scripts/check_compile.py
+Compiles both operators of every registry scenario and every operator of the
+test zoo (dims 2 and 3), prints each compiled form and the largest deviation
+|compiled - reference| over 100 seeded points, and exits 1 if any deviation
+exceeds 1e-12. The reference is the tree walk in tests/reference.py.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import numpy as np  # noqa: E402
+
+from normsplit import compile_resolvent, resolvent  # noqa: E402
+from normsplit.operators import ProjectionForm  # noqa: E402
+from normsplit.scenarios import build_registry, get_scenario  # noqa: E402
+from reference import reference_resolvent  # noqa: E402
+from zoo import operator_zoo  # noqa: E402
+
+TOL = 1e-12
+POINTS = 100
+SEED = 20240901
+
+
+def _vec(v) -> str:
+    return np.array2string(np.asarray(v), precision=4, separator=", ")
+
+
+def describe(form) -> str:
+    if isinstance(form, ProjectionForm):
+        proj = f"P_{type(form.region).__name__}({'' if form.sigma > 0 else '-'}x + a)"
+        if form.alpha:
+            proj = f"x {'+' if form.beta > 0 else '-'} {proj}"
+        elif form.beta < 0:
+            proj = "-" + proj
+        return f"J(x) = {proj} + b  a={_vec(form.a)} b={_vec(form.b)}"
+    m = f"{form.m:g}" if isinstance(form.m, float) else _vec(form.m).replace("\n", "")
+    return f"J(x) = M x + c  M={m} c={_vec(form.c)}"
+
+
+def deviation(op) -> float:
+    gen = np.random.default_rng(SEED + op.dim)
+    points = gen.normal(scale=4.0, size=(POINTS, op.dim))
+    return max(
+        float(np.linalg.norm(resolvent(op, x) - reference_resolvent(op, x))) for x in points
+    )
+
+
+def main() -> int:
+    cases = []
+    for name in sorted(build_registry()):
+        pair = get_scenario(name).pair
+        cases += [(f"{name}.A", pair.A), (f"{name}.B", pair.B)]
+    for dim in (2, 3):
+        cases += [(f"zoo{dim}:{name}", op) for name, op in operator_zoo(dim)]
+    worst = 0.0
+    failures = []
+    for label, op in cases:
+        dev = deviation(op)
+        worst = max(worst, dev)
+        flag = "" if dev <= TOL else "  FAIL"
+        print(f"{label:<36} dev {dev:.2e}{flag}\n    {describe(compile_resolvent(op))}")
+        if dev > TOL:
+            failures.append(label)
+    print(f"{len(cases)} operators, largest deviation {worst:.2e} (tolerance {TOL:g})")
+    if failures:
+        print("FAILED:", ", ".join(failures))
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

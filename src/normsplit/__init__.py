@@ -9,6 +9,7 @@ duality available as first-class operations.
 from .errors import (
     DimensionMismatchError,
     InconsistentSystemError,
+    NonFiniteIterateError,
     PreconditionError,
     ProblemFormatError,
     SingularSystemError,
@@ -29,6 +30,7 @@ from .operators import (
     OuterShift,
     ProjectableSet,
     Zero,
+    compile_resolvent,
     membership,
     project,
     reflected_resolvent,

@@ -8,8 +8,8 @@ import sys
 import numpy as np
 
 from .duality import dual_pair, psi, psi_inv
-from .errors import ProblemFormatError
-from .problemio import Problem, load_problem, write_report
+from .errors import NonFiniteIterateError, ProblemFormatError
+from .problemio import Problem, checked_options, load_problem, write_report
 from .scenarios import Scenario, build_registry, get_scenario
 from .splitting import (
     CONVERGED,
@@ -46,10 +46,11 @@ def _fmt_vec(v) -> str:
 
 def _merged_options(problem: Problem, args) -> SolveOptions:
     base = problem.options
-    return SolveOptions(
-        max_iter=args.max_iter if args.max_iter is not None else base.max_iter,
-        tol_v=args.tol_v if args.tol_v is not None else base.tol_v,
-        tol_fix=args.tol_fix if args.tol_fix is not None else base.tol_fix,
+    return checked_options(
+        args.max_iter if args.max_iter is not None else base.max_iter,
+        args.tol_v if args.tol_v is not None else base.tol_v,
+        args.tol_fix if args.tol_fix is not None else base.tol_fix,
+        paths=("--max-iter", "--tol-v", "--tol-fix"),
     )
 
 
@@ -71,10 +72,10 @@ def cmd_solve(args) -> int:
         problem = load_problem(args.problem)
         w = _parse_vector_flag(args.w, "--w") if args.w is not None else problem.w
         x0 = _parse_vector_flag(args.x0, "--x0") if args.x0 is not None else problem.x0
+        opts = _merged_options(problem, args)
     except (ProblemFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    opts = _merged_options(problem, args)
     pair = OperatorPair(problem.a, problem.b)
     if w is not None:
         report = solve_perturbed(pair, w, x0, opts)
@@ -144,6 +145,7 @@ def cmd_duality_check(args) -> int:
     try:
         problem = load_problem(args.problem)
         w = _parse_vector_flag(args.w, "--w") if args.w is not None else problem.w
+        opts = _merged_options(problem, args)
     except (ProblemFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -158,7 +160,6 @@ def cmd_duality_check(args) -> int:
         )
     print(f"max |T x - T_dual x| over {args.samples} samples: {dev_pointwise:.3e}")
 
-    opts = _merged_options(problem, args)
     if w is not None:
         report = solve_perturbed(pair, w, problem.x0, opts)
         w_eff = np.asarray(w, dtype=float)
@@ -222,7 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except NonFiniteIterateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

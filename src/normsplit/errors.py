@@ -23,3 +23,13 @@ class ProblemFormatError(ValueError):
     def __init__(self, path: str, message: str):
         self.path = path
         super().__init__(f"{path}: {message}")
+
+
+class NonFiniteIterateError(ValueError):
+    """An iterate of the splitting orbit overflowed to inf or nan."""
+
+    def __init__(self, step: int):
+        self.step = step
+        super().__init__(
+            f"iterate x_{step + 1} is not finite: the orbit overflowed float64"
+        )

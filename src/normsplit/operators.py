@@ -5,19 +5,23 @@ projectable convex sets, monotone affine maps, constant-valued maps, the zero
 operator) composed by wrappers (inverse, flip-both conjugation x -> -A(-x),
 inner and outer shifts). Set-valued operators are never evaluated pointwise;
 the only handle is the resolvent (Id + A)^-1, which is total, single valued
-and firmly nonexpansive for every node, and evaluates recursively:
+and firmly nonexpansive for every node. Per wrapper it satisfies
 
     Inverse(A)        J(x) = x - J_A(x)
     FlipBoth(A)       J(x) = -J_A(-x)
     InnerShift(A, w)  J(x) = J_A(x - w) + w      (A composed with x -> x - w)
     OuterShift(A, w)  J(x) = J_A(x + w)          (x -> A(x) - w)
+
+and compile_resolvent folds a whole wrapper stack, once per operator object,
+into one of two closed forms (ProjectionForm over normal-cone leaves,
+AffineForm over affine, constant and zero leaves).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, Union
 
 import numpy as np
 from scipy.linalg import lu_solve
@@ -98,6 +102,7 @@ class AffineSubspace:
                 raise ValueError("basis rows must be orthonormal")
         object.__setattr__(self, "anchor", _frozen(anchor))
         object.__setattr__(self, "basis", _frozen(basis))
+        object.__setattr__(self, "_basis_t", self.basis.T)
 
     @property
     def dim(self) -> int:
@@ -117,6 +122,7 @@ class Halfspace:
             raise ValueError("halfspace normal must be nonzero")
         object.__setattr__(self, "normal", _frozen(normal))
         object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "_normal_sq", float(normal @ normal))
 
     @property
     def dim(self) -> int:
@@ -149,32 +155,40 @@ ProjectableSet = Union[Box, Ball, AffineSubspace, Halfspace, EpigraphExp]
 def project(region: ProjectableSet, x: np.ndarray) -> np.ndarray:
     """Nearest point of the set; unique since every region is closed convex."""
     x = as_vector(x, dim=region.dim)
-    return _project(region, x)
+    return _projector(region)(region, x)
 
 
-def _project(region, x: np.ndarray) -> np.ndarray:
-    if isinstance(region, Box):
-        return np.clip(x, region.lo, region.hi)
-    if isinstance(region, Ball):
-        d = x - region.center
-        dist = np.linalg.norm(d)
-        if dist <= region.radius:
-            return x.copy()
-        return region.center + (region.radius / dist) * d
-    if isinstance(region, AffineSubspace):
-        if region.basis.shape[0] == 0:
-            return region.anchor.copy()
-        rel = x - region.anchor
-        return region.anchor + region.basis.T @ (region.basis @ rel)
-    if isinstance(region, Halfspace):
-        n = region.normal
-        excess = float(n @ x) - region.offset
-        if excess <= 0:
-            return x.copy()
-        return x - (excess / float(n @ n)) * n
-    if isinstance(region, EpigraphExp):
-        return _project_epigraph_exp(region.beta, x)
-    raise TypeError(f"unknown set variant {type(region).__name__}")
+def _projector(region):
+    try:
+        return _PROJECTORS[type(region)]
+    except KeyError:
+        raise TypeError(f"unknown set variant {type(region).__name__}") from None
+
+
+def _project_box(box: Box, x: np.ndarray) -> np.ndarray:
+    # np.clip's result, without the Python-level wrapper around it
+    return np.minimum(np.maximum(x, box.lo), box.hi)
+
+
+def _project_ball(ball: Ball, x: np.ndarray) -> np.ndarray:
+    d = x - ball.center
+    dist = math.sqrt(d.dot(d))
+    if dist <= ball.radius:
+        return x.copy()
+    return ball.center + (ball.radius / dist) * d
+
+
+def _project_affine_subspace(sub: AffineSubspace, x: np.ndarray) -> np.ndarray:
+    if sub.basis.shape[0] == 0:
+        return sub.anchor.copy()
+    return sub.anchor + sub._basis_t.dot(sub.basis.dot(x - sub.anchor))
+
+
+def _project_halfspace(half: Halfspace, x: np.ndarray) -> np.ndarray:
+    excess = float(half.normal.dot(x)) - half.offset
+    if excess <= 0:
+        return x.copy()
+    return x - (excess / half._normal_sq) * half.normal
 
 
 def _exp(t: float) -> float:
@@ -184,7 +198,7 @@ def _exp(t: float) -> float:
         return math.inf
 
 
-def _project_epigraph_exp(beta: float, x: np.ndarray) -> np.ndarray:
+def _project_epigraph_exp(epi: EpigraphExp, x: np.ndarray) -> np.ndarray:
     """Project onto {(t, y) : beta + exp(t) <= y}.
 
     For an outside point (p, q) the nearest point sits on the boundary curve
@@ -195,6 +209,7 @@ def _project_epigraph_exp(beta: float, x: np.ndarray) -> np.ndarray:
     Solved by safeguarded Newton inside a sign-change bracket (bisection
     fallback keeps the bracket valid), to residual 1e-12.
     """
+    beta = epi.beta
     p, q = float(x[0]), float(x[1])
     if beta + _exp(p) <= q:
         return x.copy()
@@ -232,6 +247,16 @@ def _project_epigraph_exp(beta: float, x: np.ndarray) -> np.ndarray:
         if hi - lo <= 1e-16 * max(1.0, abs(t)):
             break
     return np.array([t, beta + _exp(t)])
+
+
+# the one place that maps a set variant to its projector P(region, x)
+_PROJECTORS: dict[type, Callable[..., np.ndarray]] = {
+    Box: _project_box,
+    Ball: _project_ball,
+    AffineSubspace: _project_affine_subspace,
+    Halfspace: _project_halfspace,
+    EpigraphExp: _project_epigraph_exp,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -375,36 +400,159 @@ OperatorSpec = Union[
 # evaluation
 # ---------------------------------------------------------------------------
 
+_WRAPPERS = (Inverse, FlipBoth, InnerShift, OuterShift)
+
+
+class _ClosedForm:
+    """Builds `apply` from the form's fields, and rebuilds rather than pickles it."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "apply", self._evaluator())
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+
+
+@dataclass(frozen=True, eq=False)
+class ProjectionForm(_ClosedForm):
+    """Resolvent J(x) = alpha x + beta P(sigma x + a) + b of a normal-cone stack.
+
+    P projects onto `region`; alpha is 0 or 1, beta and sigma are +1 or -1.
+    The form is closed under all four wrappers, so a stack of any depth
+    costs one projection plus at most three vector operations.
+    """
+
+    region: ProjectableSet
+    alpha: int
+    beta: int
+    sigma: int
+    a: np.ndarray
+    b: np.ndarray
+    apply: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+
+    def wrap(self, op) -> "ProjectionForm":
+        """The form of `op`, a wrapper whose inner operator has this form."""
+        alpha, beta, sigma, a, b = self.alpha, self.beta, self.sigma, self.a, self.b
+        if isinstance(op, Inverse):
+            return ProjectionForm(self.region, 1 - alpha, -beta, sigma, a, -b)
+        if isinstance(op, FlipBoth):
+            return ProjectionForm(self.region, alpha, -beta, -sigma, a, -b)
+        w = op.shift
+        if isinstance(op, InnerShift):  # b + w - alpha w, with alpha in {0, 1}
+            return ProjectionForm(self.region, alpha, beta, sigma, a - sigma * w,
+                                  b if alpha else b + w)
+        # OuterShift: b + alpha w
+        return ProjectionForm(self.region, alpha, beta, sigma, a + sigma * w,
+                              b + w if alpha else b)
+
+    def _evaluator(self):
+        project_onto = _projector(self.region)
+        region, alpha, beta, sigma = self.region, self.alpha, self.beta, self.sigma
+        a = self.a if self.a.any() else None
+        b = self.b if self.b.any() else None
+
+        def apply(x):
+            if sigma > 0:
+                y = x if a is None else x + a
+            else:
+                y = -x if a is None else a - x
+            p = project_onto(region, y)
+            if alpha:
+                p = x + p if beta > 0 else x - p
+                return p if b is None else p + b
+            if beta > 0:
+                return p if b is None else p + b
+            return -p if b is None else b - p
+
+        return apply
+
+
+@dataclass(frozen=True, eq=False)
+class AffineForm(_ClosedForm):
+    """Resolvent J(x) = M x + c of a stack over an affine, constant or zero leaf.
+
+    M is a float when it is a multiple of the identity, so that no
+    matrix-vector product is done for it.
+    """
+
+    m: Union[float, np.ndarray]
+    c: np.ndarray
+    apply: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
+
+    def wrap(self, op) -> "AffineForm":
+        """The form of `op`, a wrapper whose inner operator has this form."""
+        m, c = self.m, self.c
+        if isinstance(op, Inverse):
+            return AffineForm(1.0 - m if isinstance(m, float) else np.eye(c.size) - m, -c)
+        if isinstance(op, FlipBoth):
+            return AffineForm(m, -c)
+        w = op.shift
+        mw = m * w if isinstance(m, float) else m @ w
+        if isinstance(op, InnerShift):
+            return AffineForm(m, c + (w - mw))
+        return AffineForm(m, c + mw)  # OuterShift
+
+    def _evaluator(self):
+        m, c = self.m, self.c
+        if not isinstance(m, float):
+            return lambda x: m.dot(x) + c
+        if m == 0.0:
+            return lambda x: c.copy()
+        if m == 1.0:
+            return lambda x: x + c
+        return lambda x: m * x + c
+
+
+def _affine_leaf_form(op: AffineMonotone) -> AffineForm:
+    # (Id + L)^-1 from the checked LU; nonexpansive since L is monotone
+    m = lu_solve(op._lu, np.eye(op.dim))
+    c = -lu_solve(op._lu, op.offset)
+    if np.array_equal(m, m[0, 0] * np.eye(op.dim)):
+        return AffineForm(float(m[0, 0]), c)
+    return AffineForm(m, c)
+
+
+_LEAF_FORMS = {
+    NormalCone: lambda op: ProjectionForm(
+        op.region, 0, 1, 1, np.zeros(op.dim), np.zeros(op.dim)
+    ),
+    AffineMonotone: _affine_leaf_form,
+    ConstantValued: lambda op: AffineForm(1.0, -op.value),
+    Zero: lambda op: AffineForm(1.0, np.zeros(op.dim)),
+}
+
+
+def compile_resolvent(op: OperatorSpec) -> Union[ProjectionForm, AffineForm]:
+    """Fold op's wrapper stack into one closed-form resolvent.
+
+    The form is cached on the (immutable) operator object, so each operator
+    is compiled once; `form.apply(x)` evaluates J_op at a float64 vector x of
+    the operator's dimension and returns a new array.
+    """
+    form = getattr(op, "_form", None)
+    if form is None:
+        if isinstance(op, _WRAPPERS):
+            form = compile_resolvent(op.inner).wrap(op)
+        else:
+            try:
+                leaf = _LEAF_FORMS[type(op)]
+            except KeyError:
+                raise TypeError(f"unknown operator variant {type(op).__name__}") from None
+            form = leaf(op)
+        object.__setattr__(op, "_form", form)
+    return form
+
+
 def resolvent(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
     """Evaluate J_op(x) = (Id + op)^-1 x; firmly nonexpansive in x."""
     x = as_vector(x, dim=op.dim)
-    return _resolvent(op, x)
-
-
-def _resolvent(op, x: np.ndarray) -> np.ndarray:
-    if isinstance(op, NormalCone):
-        return _project(op.region, x)
-    if isinstance(op, AffineMonotone):
-        return lu_solve(op._lu, x - op.offset)
-    if isinstance(op, ConstantValued):
-        return x - op.value
-    if isinstance(op, Zero):
-        return x.copy()
-    if isinstance(op, Inverse):
-        return x - _resolvent(op.inner, x)
-    if isinstance(op, FlipBoth):
-        return -_resolvent(op.inner, -x)
-    if isinstance(op, InnerShift):
-        return _resolvent(op.inner, x - op.shift) + op.shift
-    if isinstance(op, OuterShift):
-        return _resolvent(op.inner, x + op.shift)
-    raise TypeError(f"unknown operator variant {type(op).__name__}")
+    return compile_resolvent(op).apply(x)
 
 
 def reflected_resolvent(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
     """2 J_op - Id; nonexpansive."""
     x = as_vector(x, dim=op.dim)
-    return 2.0 * _resolvent(op, x) - x
+    return 2.0 * compile_resolvent(op).apply(x) - x
 
 
 def resolvent_skew_formula(alpha: float, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -428,5 +576,5 @@ def membership(op: OperatorSpec, x: np.ndarray, xstar: np.ndarray,
     """Certify xstar in op(x) through the resolvent: J_op(x + xstar) == x."""
     x = as_vector(x, dim=op.dim)
     xstar = as_vector(xstar, dim=op.dim)
-    gap = np.linalg.norm(_resolvent(op, x + xstar) - x)
-    return bool(gap <= tol * (1.0 + np.linalg.norm(x)))
+    d = compile_resolvent(op).apply(x + xstar) - x
+    return bool(math.sqrt(d.dot(d)) <= tol * (1.0 + math.sqrt(x.dot(x))))

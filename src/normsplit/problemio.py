@@ -8,6 +8,7 @@ shortest round-trip repr, so parse(serialize(x)) is bit-faithful.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -140,6 +141,39 @@ def _number(obj, path: str) -> float:
     return float(obj)
 
 
+def _count(obj, path: str, least: int) -> int:
+    if not isinstance(obj, int) or isinstance(obj, bool) or obj < least:
+        raise ProblemFormatError(path, f"expected an integer >= {least}")
+    return obj
+
+
+def checked_options(max_iter, tol_v, tol_fix, paths=(
+        "problem.options.max_iter", "problem.options.tol_v", "problem.options.tol_fix"),
+) -> SolveOptions:
+    """Solve options from outside input: max_iter >= 1 and finite tolerances >= 0.
+
+    `paths` names the three fields in complaints. The Python API itself
+    accepts any tolerance (a negative one forces the whole budget).
+    """
+    tols = []
+    for value, path in zip((tol_v, tol_fix), paths[1:]):
+        tol = _number(value, path)
+        if not (math.isfinite(tol) and tol >= 0.0):
+            raise ProblemFormatError(path, f"expected a finite tolerance >= 0, got {tol!r}")
+        tols.append(tol)
+    return SolveOptions(max_iter=_count(max_iter, paths[0], 1), tol_v=tols[0], tol_fix=tols[1])
+
+
+def _loaded_json(path, label: str):
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ProblemFormatError(
+                label, f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from None
+
+
 def set_from_jsonable(obj, path: str) -> ProjectableSet:
     tag = _require(obj, "type", path)
     try:
@@ -241,26 +275,16 @@ def parse_problem(obj: dict) -> Problem:
         x0 = _vector(raw["x0"], "problem.options.x0")
         if x0.size != dim:
             raise ProblemFormatError("problem.options.x0", f"expected dimension {dim}")
-    max_iter = raw.get("max_iter", defaults.max_iter)
-    if not isinstance(max_iter, int) or isinstance(max_iter, bool) or max_iter < 1:
-        raise ProblemFormatError("problem.options.max_iter", "expected a positive integer")
-    options = SolveOptions(
-        max_iter=max_iter,
-        tol_v=_number(raw.get("tol_v", defaults.tol_v), "problem.options.tol_v"),
-        tol_fix=_number(raw.get("tol_fix", defaults.tol_fix), "problem.options.tol_fix"),
+    options = checked_options(
+        raw.get("max_iter", defaults.max_iter),
+        raw.get("tol_v", defaults.tol_v),
+        raw.get("tol_fix", defaults.tol_fix),
     )
     return Problem(dim=dim, a=a, b=b, w=w, x0=x0, options=options)
 
 
 def load_problem(path) -> Problem:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError(
-                "problem", f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-            ) from None
-    return parse_problem(obj)
+    return parse_problem(_loaded_json(path, "problem"))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +316,10 @@ def report_from_jsonable(obj: dict) -> SolveReport:
     status = _require(obj, "status", "report")
     if status not in ("converged", "no_fixed_point_detected", "max_iter"):
         raise ProblemFormatError("report.status", f"unknown status {status!r}")
+    certificates = _require(obj, "certificates", "report")
+    if not isinstance(certificates, dict) or not all(
+            isinstance(v, bool) for v in certificates.values()):
+        raise ProblemFormatError("report.certificates", "expected an object of booleans")
     return SolveReport(
         v_estimate=_vector(_require(obj, "v_estimate", "report"), "report.v_estimate"),
         v_residual=_number(_require(obj, "v_residual", "report"), "report.v_residual"),
@@ -299,8 +327,10 @@ def report_from_jsonable(obj: dict) -> SolveReport:
         normal_solution=opt_vec("normal_solution"),
         governing_point=opt_vec("governing_point"),
         dual_solution=opt_vec("dual_solution"),
-        certificates=dict(_require(obj, "certificates", "report")),
-        iterations_used=int(_require(obj, "iterations_used", "report")),
+        certificates=dict(certificates),
+        iterations_used=_count(
+            _require(obj, "iterations_used", "report"), "report.iterations_used", 0
+        ),
     )
 
 
@@ -314,6 +344,5 @@ def write_report(path, report: SolveReport, metadata: Optional[dict] = None) -> 
 
 
 def read_report(path) -> SolveReport:
-    with open(path) as fh:
-        payload = json.load(fh)
+    payload = _loaded_json(path, "report_file")
     return report_from_jsonable(_require(payload, "report", "report_file"))

@@ -23,17 +23,19 @@ estimate v along the plain orbit, then iterate the v-shifted map.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import NonFiniteIterateError, PreconditionError
 from .operators import (
     Inverse,
     OperatorSpec,
+    compile_resolvent,
     membership,
-    _resolvent,
+    resolvent,
 )
 from .vecspace import as_vector
 
@@ -43,6 +45,8 @@ MAX_ITER = "max_iter"
 
 # tail fraction that must be straight-line drift to count as divergence evidence
 _DRIFT_RATIO = 0.9
+# trace rows allocated up front; the arrays double when full
+_FIRST_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,53 +158,6 @@ class IterationTrace:
                 )
 
 
-class _TraceBuilder:
-    def __init__(self, dim: int, capacity: int = 256):
-        self._dim = dim
-        self._cap = capacity
-        self._n = 0
-        self._xs = np.empty((capacity, dim))
-        self._shadows = np.empty((capacity, dim))
-        self._disps = np.empty((capacity, dim))
-        self._ces = np.empty((capacity, dim))
-
-    def add(self, x, shadow, disp, ces) -> None:
-        if self._n == self._cap:
-            self._cap *= 2
-            for name in ("_xs", "_shadows", "_disps", "_ces"):
-                old = getattr(self, name)
-                grown = np.empty((self._cap, self._dim))
-                grown[: self._n] = old
-                setattr(self, name, grown)
-        i = self._n
-        self._xs[i] = x
-        self._shadows[i] = shadow
-        self._disps[i] = disp
-        self._ces[i] = ces
-        self._n += 1
-
-    def displacement(self, i: int) -> np.ndarray:
-        return self._disps[i]
-
-    def iterate(self, i: int) -> np.ndarray:
-        return self._xs[i]
-
-    def displacement_norm_sum(self, start: int, stop: int) -> float:
-        return float(np.sum(np.linalg.norm(self._disps[start:stop], axis=1)))
-
-    def __len__(self) -> int:
-        return self._n
-
-    def build(self) -> IterationTrace:
-        n = self._n
-        return IterationTrace(
-            self._xs[:n].copy(),
-            self._shadows[:n].copy(),
-            self._disps[:n].copy(),
-            self._ces[:n].copy(),
-        )
-
-
 @dataclass(eq=False)
 class SolveReport:
     """Outcome of a perturbed or normal solve, with membership certificates."""
@@ -241,15 +198,11 @@ class SolveReport:
 # the splitting operator
 # ---------------------------------------------------------------------------
 
-def _dr_step(pair: OperatorPair, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    jb = _resolvent(pair.B, y)
-    return _resolvent(pair.A, 2.0 * jb - y) + y - jb, jb
-
-
 def dr_apply(pair: OperatorPair, x: np.ndarray) -> np.ndarray:
     """One application of T = J_A R_B + Id - J_B; firmly nonexpansive."""
     x = as_vector(x, dim=pair.dim)
-    return _dr_step(pair, x)[0]
+    jb = compile_resolvent(pair.B).apply(x)
+    return compile_resolvent(pair.A).apply(2.0 * jb - x) + x - jb
 
 
 def dr_map_shifted(pair: OperatorPair, w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -257,14 +210,107 @@ def dr_map_shifted(pair: OperatorPair, w: np.ndarray, x: np.ndarray) -> np.ndarr
 
     Pointwise equal to dr_apply on the pair (<w>A, B<w>).
     """
-    x = as_vector(x, dim=pair.dim)
-    w = as_vector(w, dim=pair.dim)
-    return _dr_step(pair, x + w)[0]
+    return dr_apply(pair, as_vector(x, dim=pair.dim) + as_vector(w, dim=pair.dim))
 
 
 def complement_is_dr(pair: OperatorPair, x: np.ndarray) -> np.ndarray:
     """Id - T realized as the splitting operator of (A^-1, B)."""
     return dr_apply(OperatorPair(Inverse(pair.A), pair.B), x)
+
+
+# ---------------------------------------------------------------------------
+# the iteration loop shared by both solve phases
+# ---------------------------------------------------------------------------
+
+def _grown(rows: np.ndarray, capacity: int) -> np.ndarray:
+    out = np.empty((capacity, rows.shape[1]))
+    out[: rows.shape[0]] = rows
+    return out
+
+
+def _check_finite(x_next: np.ndarray, n: int) -> None:
+    if not np.all(np.isfinite(x_next)):
+        raise NonFiniteIterateError(n)
+
+
+# the loop reports a non-finite iterate itself, as NonFiniteIterateError
+@np.errstate(over="ignore", invalid="ignore")
+def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
+           tol: float, window: int = 0, r_max: float = math.inf):
+    """Iterate x -> T(x + w), or plain T when w is None, recording every step.
+
+    With w None (phase 1) the loop stops once the displacement x_n - x_{n+1}
+    moved at most `tol` over the trailing `window` steps. Otherwise (phase 2)
+    it stops at the first certified fixed point, |x - T(x + w)| <= tol with
+    both membership certificates, or when |T(x + w)| exceeds r_max. A
+    non-finite iterate raises NonFiniteIterateError. The checks that catch
+    it reuse the norms the stop rules take anyway; only phase 1's first
+    `window` steps, which have no window norm yet, take one extra dot
+    product each.
+
+    Returns (trace, status, certificates, solution). status is CONVERGED or
+    NO_FIXED_POINT (blow-up) when phase 2 stops early, else MAX_ITER;
+    certificates are the last ones checked, and solution is the certified
+    (x, z, k) or None.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    estimating = w is None
+    if estimating and window < 1:
+        raise ValueError("window must be at least 1")
+    dim = pair.dim
+    apply_a = compile_resolvent(pair.A).apply
+    apply_b = compile_resolvent(pair.B).apply
+    x = np.zeros(dim) if x0 is None else as_vector(x0, dim=dim).copy()
+    sqrt, inf = math.sqrt, math.inf
+    capacity = min(max_iter, _FIRST_ROWS)
+    xs, shadows, disps = (np.empty((capacity, dim)) for _ in range(3))
+    status, certificates, solution = MAX_ITER, {}, None
+    for n in range(max_iter):
+        if n == capacity:
+            capacity = min(2 * capacity, max_iter)
+            xs, shadows, disps = (_grown(a, capacity) for a in (xs, shadows, disps))
+        y = x if estimating else x + w
+        jb = apply_b(y)
+        x_next = apply_a(jb + jb - y) + y - jb  # jb + jb is 2 jb exactly
+        disp = x - x_next
+        xs[n] = x
+        shadows[n] = jb
+        disps[n] = disp
+        if estimating:
+            if n >= window:
+                d = disp - disps[n - window]
+                size = sqrt(d.dot(d))
+                if size <= tol:
+                    break
+            else:
+                size = disp.dot(disp)
+            if not size < inf:
+                _check_finite(x_next, n)
+        else:
+            if sqrt(disp.dot(disp)) <= tol:
+                k = x - jb
+                certificates = {
+                    "b_side": membership(pair.B, jb, k + w),
+                    "a_side": membership(pair.A, jb - w, -k),
+                }
+                if all(certificates.values()):
+                    status, solution = CONVERGED, (x, jb, k)
+                    break
+            if not sqrt(x_next.dot(x_next)) <= r_max:
+                _check_finite(x_next, n)
+                status = NO_FIXED_POINT
+                break
+        x = x_next
+
+    rows = n + 1
+    xs, shadows, disps = xs[:rows], shadows[:rows], disps[:rows]
+    # Cesaro estimates -x_n / n; row 0 seeds them with -x_1
+    cesaros = np.empty_like(xs)
+    np.negative(xs[1] if rows > 1 else x_next, out=cesaros[0])
+    np.divide(xs[1:], -np.arange(1, rows)[:, None], out=cesaros[1:])
+    trace = IterationTrace(xs, shadows, disps, cesaros)
+    return trace, status, certificates, solution
 
 
 # ---------------------------------------------------------------------------
@@ -280,21 +326,9 @@ def estimate_v(pair: OperatorPair, x0=None, max_iter: int = 200_000,
     non-increasing and it converges to v in norm. Iteration stops once the
     estimator has moved less than tol_v over the trailing window, else at
     max_iter; the returned trace carries the Cesaro estimator -x_n / n as a
-    cross-check.
+    cross-check. Raises NonFiniteIterateError if the orbit overflows.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
-    x = np.zeros(pair.dim) if x0 is None else as_vector(x0, dim=pair.dim).copy()
-    tb = _TraceBuilder(pair.dim)
-    for n in range(max_iter):
-        x_next, jb = _dr_step(pair, x)
-        disp = x - x_next
-        ces = (-x / n) if n >= 1 else -x_next
-        tb.add(x, jb, disp, ces)
-        if n >= window and np.linalg.norm(disp - tb.displacement(n - window)) <= tol_v:
-            break
-        x = x_next
-    trace = tb.build()
+    trace = _orbit(pair, x0, None, max_iter, tol_v, window=window)[0]
     return trace.displacements[-1].copy(), trace
 
 
@@ -316,7 +350,7 @@ def range_witness(pair: OperatorPair, z: np.ndarray) -> np.ndarray:
     z = as_vector(z, dim=pair.dim)
     if not membership(pair.B, z, np.zeros(pair.dim)):
         raise PreconditionError("range_witness needs 0 in B(z); membership check failed")
-    return z - _resolvent(pair.A, z)
+    return z - resolvent(pair.A, z)
 
 
 # ---------------------------------------------------------------------------
@@ -337,40 +371,12 @@ def solve_perturbed(pair: OperatorPair, w: np.ndarray, x0=None,
     """
     opts = opts or SolveOptions()
     w = as_vector(w, dim=pair.dim)
-    x = np.zeros(pair.dim) if x0 is None else as_vector(x0, dim=pair.dim).copy()
-    tb = _TraceBuilder(pair.dim)
-
-    status = MAX_ITER
-    governing = None
-    z = None
-    k = None
-    certificates: dict = {}
-    for n in range(opts.max_iter):
-        x_next, jb = _dr_step(pair, x + w)
-        disp = x - x_next
-        ces = (-x / n) if n >= 1 else -x_next
-        tb.add(x, jb, disp, ces)
-        if np.linalg.norm(disp) <= opts.tol_fix:
-            z_try = jb
-            k_try = x - z_try
-            certs = {
-                "b_side": membership(pair.B, z_try, k_try + w),
-                "a_side": membership(pair.A, z_try - w, -k_try),
-            }
-            if all(certs.values()):
-                status = CONVERGED
-                governing, z, k, certificates = x, z_try, k_try, certs
-                break
-            certificates = certs
-        if np.linalg.norm(x_next) > opts.r_max:
-            status = NO_FIXED_POINT
-            break
-        x = x_next
-    else:
-        if _drifting_tail(tb, opts.tol_fix):
-            status = NO_FIXED_POINT
-
-    trace = tb.build()
+    trace, status, certificates, solution = _orbit(
+        pair, x0, w, opts.max_iter, opts.tol_fix, r_max=opts.r_max
+    )
+    if status == MAX_ITER and _drifting_tail(trace, opts.tol_fix):
+        status = NO_FIXED_POINT
+    governing, z, k = solution or (None, None, None)
     return SolveReport(
         v_estimate=w.copy(),
         v_residual=0.0,
@@ -400,17 +406,17 @@ def solve_normal(pair: OperatorPair, x0=None,
     return report
 
 
-def _drifting_tail(tb: _TraceBuilder, tol_fix: float) -> bool:
+def _drifting_tail(trace: IterationTrace, tol_fix: float) -> bool:
     """Divergence evidence: the trailing orbit moved in a near-straight line
     while the fixed-point residual stayed above tolerance."""
-    n = len(tb)
+    n = len(trace)
     if n < 100:
         return False
-    if np.linalg.norm(tb.displacement(n - 1)) <= tol_fix:
+    if np.linalg.norm(trace.displacements[n - 1]) <= tol_fix:
         return False
     k = min(1000, n // 4)
-    path = tb.displacement_norm_sum(n - 1 - k, n - 1)
+    path = float(np.sum(np.linalg.norm(trace.displacements[n - 1 - k:n - 1], axis=1)))
     if path <= 0.0:
         return False
-    net = float(np.linalg.norm(tb.iterate(n - 1) - tb.iterate(n - 1 - k)))
+    net = float(np.linalg.norm(trace.xs[n - 1] - trace.xs[n - 1 - k]))
     return net / path >= _DRIFT_RATIO

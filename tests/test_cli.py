@@ -3,9 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from normsplit import resolvent, solve_normal, solve_perturbed
+from normsplit import (
+    ConstantValued,
+    OperatorPair,
+    estimate_v,
+    resolvent,
+    solve_normal,
+    solve_perturbed,
+)
 from normsplit.cli import main
-from normsplit.errors import ProblemFormatError
+from normsplit.errors import NonFiniteIterateError, ProblemFormatError
 from normsplit.problemio import (
     operator_from_jsonable,
     operator_to_jsonable,
@@ -227,3 +234,89 @@ class TestReportRoundTrip:
                     "options": {"naptime": 5},
                 }
             )
+
+
+OVERFLOWING = {"type": "constant", "value": [1e308, 0.0]}
+
+
+class TestNonFiniteOrbit:
+    """A = B = constant 1e308 e_1 overflows on the first step."""
+
+    def test_estimate_v_raises_within_three_steps(self):
+        pair = OperatorPair(ConstantValued([1e308, 0.0]), ConstantValued([1e308, 0.0]))
+        with pytest.raises(NonFiniteIterateError) as info:
+            estimate_v(pair)
+        assert info.value.step < 3
+
+    def test_perturbed_solve_raises_within_three_steps(self):
+        pair = OperatorPair(ConstantValued([1e308, 0.0]), ConstantValued([1e308, 0.0]))
+        with pytest.raises(NonFiniteIterateError) as info:
+            solve_perturbed(pair, np.zeros(2))
+        assert info.value.step < 3
+
+    @pytest.mark.parametrize("command", ["solve", "duality-check"])
+    def test_cli_exits_1_without_traceback(self, tmp_path, capsys, command):
+        path = write_problem(tmp_path, {"dim": 2, "A": OVERFLOWING, "B": OVERFLOWING})
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not finite" in err
+        assert "Traceback" not in err
+
+
+class TestOptionBounds:
+    @pytest.mark.parametrize(
+        "options, field",
+        [
+            ({"tol_v": float("nan")}, "options.tol_v"),
+            ({"tol_fix": -1.0}, "options.tol_fix"),
+            ({"tol_fix": float("inf")}, "options.tol_fix"),
+            ({"max_iter": 0}, "options.max_iter"),
+        ],
+    )
+    def test_problem_file_rejects(self, options, field):
+        payload = {"dim": 2, "A": BALL_A, "B": BALL_B, "options": options}
+        with pytest.raises(ProblemFormatError, match=field):
+            parse_problem(json.loads(json.dumps(payload)))
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--max-iter", "0"], "--max-iter"),
+            (["--tol-fix", "nan"], "--tol-fix"),
+            (["--tol-v", "-1"], "--tol-v"),
+            (["--tol-v", "inf"], "--tol-v"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["solve", "duality-check"])
+    def test_cli_flags_exit_1(self, tmp_path, capsys, command, flags, name):
+        path = write_problem(tmp_path, {"dim": 2, "A": BALL_A, "B": BALL_B})
+        assert main([command, path, *flags]) == 1
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+
+class TestReadReportValidation:
+    @staticmethod
+    def _written(tmp_path, **changes):
+        report = report_to_jsonable(solve_perturbed(get_scenario("disjoint-balls").pair, [1.0, 0.0]))
+        report.update(changes)
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"report": report}))
+        return path
+
+    def test_malformed_json(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text('{"report": {')
+        with pytest.raises(ProblemFormatError, match="line 1 column"):
+            read_report(path)
+
+    def test_certificates_must_be_booleans(self, tmp_path):
+        with pytest.raises(ProblemFormatError, match="report.certificates"):
+            read_report(self._written(tmp_path, certificates="yes"))
+        with pytest.raises(ProblemFormatError, match="report.certificates"):
+            read_report(self._written(tmp_path, certificates={"b_side": 1}))
+
+    @pytest.mark.parametrize("value", [3.7, True, -1, "3"])
+    def test_iterations_used_must_be_a_count(self, tmp_path, value):
+        with pytest.raises(ProblemFormatError, match="report.iterations_used"):
+            read_report(self._written(tmp_path, iterations_used=value))

@@ -167,6 +167,12 @@ class TestEstimateV:
         with pytest.raises(ValueError):
             estimate_v(lines_pair(), max_iter=0)
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_requires_positive_window(self, window):
+        # 0 would compare a row with itself, -1 a row not yet computed
+        with pytest.raises(ValueError, match="window"):
+            estimate_v(lines_pair(), window=window)
+
     def test_both_estimators_agree_on_closed_forms(self):
         # translation-type orbits from x0 = 0 make both estimators exact
         for name in ("disjoint-balls", "two-lines", "constants-default",
