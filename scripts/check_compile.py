@@ -17,7 +17,6 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 import numpy as np  # noqa: E402
 
 from normsplit import compile_resolvent, resolvent  # noqa: E402
-from normsplit.operators import ProjectionForm  # noqa: E402
 from normsplit.scenarios import build_registry, get_scenario  # noqa: E402
 from reference import reference_resolvent  # noqa: E402
 from zoo import operator_zoo  # noqa: E402
@@ -32,15 +31,12 @@ def _vec(v) -> str:
 
 
 def describe(form) -> str:
-    if isinstance(form, ProjectionForm):
-        proj = f"P_{type(form.region).__name__}({'' if form.sigma > 0 else '-'}x + a)"
-        if form.alpha:
-            proj = f"x {'+' if form.beta > 0 else '-'} {proj}"
-        elif form.beta < 0:
-            proj = "-" + proj
-        return f"J(x) = {proj} + b  a={_vec(form.a)} b={_vec(form.b)}"
     m = f"{form.m:g}" if isinstance(form.m, float) else _vec(form.m).replace("\n", "")
-    return f"J(x) = M x + c  M={m} c={_vec(form.c)}"
+    if form.region is None:
+        return f"J(x) = M x + c  M={m} c={_vec(form.c)}"
+    proj = f"P_{type(form.region).__name__}({'' if form.sigma > 0 else '-'}x + a)"
+    return (f"J(x) = {m} x {'+' if form.beta > 0 else '-'} {proj} + c"
+            f"  a={_vec(form.a)} c={_vec(form.c)}")
 
 
 def deviation(op) -> float:

@@ -31,11 +31,17 @@ EXIT_MAX_ITER = 3
 _STATUS_EXIT = {CONVERGED: EXIT_OK, NO_FIXED_POINT: EXIT_NO_FIXED_POINT, MAX_ITER: EXIT_MAX_ITER}
 
 
-def _parse_vector_flag(text: str, name: str) -> np.ndarray:
+def _vector_flag(text, name: str, dim: int, default):
+    """The finite dim-vector given to flag `name`, or `default` if it is absent."""
+    if text is None:
+        return default
     try:
-        return np.array([float(part) for part in text.split(",")])
+        v = np.array([float(part) for part in text.split(",")])
     except ValueError:
         raise ProblemFormatError(name, f"could not parse {text!r} as comma-separated floats") from None
+    if v.size != dim or not np.all(np.isfinite(v)):
+        raise ProblemFormatError(name, f"expected {dim} finite comma-separated floats, got {text!r}")
+    return v
 
 
 def _fmt_vec(v) -> str:
@@ -67,11 +73,21 @@ def _print_report(report: SolveReport) -> None:
         print(f"certificates:    {certs}")
 
 
+def _write_files(args, report: SolveReport, metadata: dict) -> None:
+    if args.json:
+        write_report(args.json, report, metadata=metadata)
+        print(f"report written to {args.json}")
+    if args.trace:
+        trace = report.trace if report.trace is not None else report.v_trace
+        trace.to_csv(args.trace)
+        print(f"trace written to {args.trace}")
+
+
 def cmd_solve(args) -> int:
     try:
         problem = load_problem(args.problem)
-        w = _parse_vector_flag(args.w, "--w") if args.w is not None else problem.w
-        x0 = _parse_vector_flag(args.x0, "--x0") if args.x0 is not None else problem.x0
+        w = _vector_flag(args.w, "--w", problem.dim, problem.w)
+        x0 = _vector_flag(args.x0, "--x0", problem.dim, problem.x0)
         opts = _merged_options(problem, args)
     except (ProblemFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -82,13 +98,7 @@ def cmd_solve(args) -> int:
     else:
         report = solve_normal(pair, x0, opts)
     _print_report(report)
-    if args.json:
-        write_report(args.json, report, metadata={"problem": str(args.problem)})
-        print(f"report written to {args.json}")
-    if args.trace:
-        trace = report.trace if report.trace is not None else report.v_trace
-        trace.to_csv(args.trace)
-        print(f"trace written to {args.trace}")
+    _write_files(args, report, {"problem": str(args.problem)})
     return _STATUS_EXIT[report.status]
 
 
@@ -124,18 +134,11 @@ def cmd_scenario(args) -> int:
         return EXIT_INPUT_ERROR
     ok, report, lines = run_scenario(scenario)
     print("\n".join(lines))
-    if args.json:
-        metadata = {
-            "scenario": scenario.name,
-            "expected_v": None if scenario.expected_v is None else scenario.expected_v.tolist(),
-            "expected_v_note": scenario.expected_v_note,
-        }
-        write_report(args.json, report, metadata=metadata)
-        print(f"report written to {args.json}")
-    if args.trace:
-        trace = report.trace if report.trace is not None else report.v_trace
-        trace.to_csv(args.trace)
-        print(f"trace written to {args.trace}")
+    _write_files(args, report, {
+        "scenario": scenario.name,
+        "expected_v": None if scenario.expected_v is None else scenario.expected_v.tolist(),
+        "expected_v_note": scenario.expected_v_note,
+    })
     if ok:
         return EXIT_OK
     return EXIT_MAX_ITER if report.status == CONVERGED else _STATUS_EXIT[report.status]
@@ -144,8 +147,10 @@ def cmd_scenario(args) -> int:
 def cmd_duality_check(args) -> int:
     try:
         problem = load_problem(args.problem)
-        w = _parse_vector_flag(args.w, "--w") if args.w is not None else problem.w
+        w = _vector_flag(args.w, "--w", problem.dim, problem.w)
         opts = _merged_options(problem, args)
+        if args.samples < 1:
+            raise ProblemFormatError("--samples", f"expected an integer >= 1, got {args.samples}")
     except (ProblemFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -162,7 +167,7 @@ def cmd_duality_check(args) -> int:
 
     if w is not None:
         report = solve_perturbed(pair, w, problem.x0, opts)
-        w_eff = np.asarray(w, dtype=float)
+        w_eff = w
     else:
         report = solve_normal(pair, problem.x0, opts)
         w_eff = report.v_estimate
@@ -192,31 +197,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_problem(p):
+        p.add_argument("problem")
         p.add_argument("--max-iter", type=int, default=None)
         p.add_argument("--tol-v", type=float, default=None)
         p.add_argument("--tol-fix", type=float, default=None)
-        p.add_argument("--x0", type=str, default=None, help="comma-separated start point")
         p.add_argument("--w", type=str, default=None, help="comma-separated perturbation")
+
+    def add_outputs(p):
         p.add_argument("--trace", type=str, default=None, help="write iteration trace CSV")
         p.add_argument("--json", type=str, default=None, help="write report JSON")
-        p.add_argument("--seed", type=int, default=20240901)
 
     p_solve = sub.add_parser("solve", help="solve a JSON problem file")
-    p_solve.add_argument("problem")
-    add_common(p_solve)
+    add_problem(p_solve)
+    p_solve.add_argument("--x0", type=str, default=None, help="comma-separated start point")
+    add_outputs(p_solve)
     p_solve.set_defaults(func=cmd_solve)
 
     names = ", ".join(sorted(build_registry()))
     p_scen = sub.add_parser("scenario", help=f"run a named scenario ({names})")
     p_scen.add_argument("name")
-    add_common(p_scen)
+    add_outputs(p_scen)
     p_scen.set_defaults(func=cmd_scenario)
 
     p_dual = sub.add_parser("duality-check", help="pointwise and roundtrip duality checks")
-    p_dual.add_argument("problem")
+    add_problem(p_dual)
     p_dual.add_argument("--samples", type=int, default=100)
-    add_common(p_dual)
+    p_dual.add_argument("--seed", type=int, default=20240901)
     p_dual.set_defaults(func=cmd_duality_check)
     return parser
 

@@ -13,15 +13,14 @@ and firmly nonexpansive for every node. Per wrapper it satisfies
     OuterShift(A, w)  J(x) = J_A(x + w)          (x -> A(x) - w)
 
 and compile_resolvent folds a whole wrapper stack, once per operator object,
-into one of two closed forms (ProjectionForm over normal-cone leaves,
-AffineForm over affine, constant and zero leaves).
+into one closed form, ResolventForm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import Callable, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.linalg import lu_solve
@@ -86,14 +85,18 @@ class Ball:
 
 @dataclass(frozen=True, eq=False)
 class AffineSubspace:
-    """Affine subspace through `anchor` spanned by orthonormal basis rows."""
+    """Affine subspace through `anchor` spanned by orthonormal basis rows.
+
+    An empty basis, such as [], has no direction rows: the set is the point anchor.
+    """
 
     anchor: np.ndarray
     basis: np.ndarray
 
     def __post_init__(self):
         anchor = as_vector(self.anchor)
-        basis = as_matrix(self.basis)
+        basis = np.asarray(self.basis, dtype=float)
+        basis = as_matrix(np.zeros((0, anchor.size)) if basis.size == 0 else basis)
         if basis.shape[1] != anchor.size:
             raise DimensionMismatchError("basis rows must match anchor dimension")
         if basis.shape[0] > 0:
@@ -400,56 +403,49 @@ OperatorSpec = Union[
 # evaluation
 # ---------------------------------------------------------------------------
 
-_WRAPPERS = (Inverse, FlipBoth, InnerShift, OuterShift)
+@dataclass(frozen=True, eq=False)
+class ResolventForm:
+    """Resolvent J(x) = m x + beta P(sigma x + a) + c of a whole wrapper stack.
 
+    P projects onto `region`; region None means there is no projection term
+    (affine, constant and zero leaves), and then beta, sigma and a are unused.
+    Over a normal-cone leaf m is 0.0 or 1.0 and beta, sigma are +1 or -1, so a
+    stack of any depth costs one projection plus at most three vector
+    operations. Otherwise m is a float when it is a multiple of the identity,
+    so that no matrix-vector product is done for it. The form is closed under
+    all four wrappers; _FOLDS holds the rule for each.
+    """
 
-class _ClosedForm:
-    """Builds `apply` from the form's fields, and rebuilds rather than pickles it."""
+    m: Union[float, np.ndarray]
+    c: np.ndarray
+    region: Optional[ProjectableSet] = None
+    beta: int = 1
+    sigma: int = 1
+    a: Union[float, np.ndarray] = 0.0
+    apply: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "apply", self._evaluator())
 
     def __reduce__(self):
+        # rebuild `apply` rather than pickle the closure
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
-
-@dataclass(frozen=True, eq=False)
-class ProjectionForm(_ClosedForm):
-    """Resolvent J(x) = alpha x + beta P(sigma x + a) + b of a normal-cone stack.
-
-    P projects onto `region`; alpha is 0 or 1, beta and sigma are +1 or -1.
-    The form is closed under all four wrappers, so a stack of any depth
-    costs one projection plus at most three vector operations.
-    """
-
-    region: ProjectableSet
-    alpha: int
-    beta: int
-    sigma: int
-    a: np.ndarray
-    b: np.ndarray
-    apply: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
-
-    def wrap(self, op) -> "ProjectionForm":
-        """The form of `op`, a wrapper whose inner operator has this form."""
-        alpha, beta, sigma, a, b = self.alpha, self.beta, self.sigma, self.a, self.b
-        if isinstance(op, Inverse):
-            return ProjectionForm(self.region, 1 - alpha, -beta, sigma, a, -b)
-        if isinstance(op, FlipBoth):
-            return ProjectionForm(self.region, alpha, -beta, -sigma, a, -b)
-        w = op.shift
-        if isinstance(op, InnerShift):  # b + w - alpha w, with alpha in {0, 1}
-            return ProjectionForm(self.region, alpha, beta, sigma, a - sigma * w,
-                                  b if alpha else b + w)
-        # OuterShift: b + alpha w
-        return ProjectionForm(self.region, alpha, beta, sigma, a + sigma * w,
-                              b + w if alpha else b)
-
     def _evaluator(self):
+        m, c = self.m, self.c
+        if self.region is None:
+            if not isinstance(m, float):
+                return lambda x: m.dot(x) + c
+            if m == 0.0:
+                return lambda x: c.copy()
+            if m == 1.0:
+                return lambda x: x + c
+            return lambda x: m * x + c
+
         project_onto = _projector(self.region)
-        region, alpha, beta, sigma = self.region, self.alpha, self.beta, self.sigma
-        a = self.a if self.a.any() else None
-        b = self.b if self.b.any() else None
+        region, alpha, beta, sigma = self.region, m, self.beta, self.sigma
+        a = self.a if np.any(self.a) else None
+        b = c if c.any() else None
 
         def apply(x):
             if sigma > 0:
@@ -467,62 +463,43 @@ class ProjectionForm(_ClosedForm):
         return apply
 
 
-@dataclass(frozen=True, eq=False)
-class AffineForm(_ClosedForm):
-    """Resolvent J(x) = M x + c of a stack over an affine, constant or zero leaf.
-
-    M is a float when it is a multiple of the identity, so that no
-    matrix-vector product is done for it.
-    """
-
-    m: Union[float, np.ndarray]
-    c: np.ndarray
-    apply: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
-
-    def wrap(self, op) -> "AffineForm":
-        """The form of `op`, a wrapper whose inner operator has this form."""
-        m, c = self.m, self.c
-        if isinstance(op, Inverse):
-            return AffineForm(1.0 - m if isinstance(m, float) else np.eye(c.size) - m, -c)
-        if isinstance(op, FlipBoth):
-            return AffineForm(m, -c)
-        w = op.shift
-        mw = m * w if isinstance(m, float) else m @ w
-        if isinstance(op, InnerShift):
-            return AffineForm(m, c + (w - mw))
-        return AffineForm(m, c + mw)  # OuterShift
-
-    def _evaluator(self):
-        m, c = self.m, self.c
-        if not isinstance(m, float):
-            return lambda x: m.dot(x) + c
-        if m == 0.0:
-            return lambda x: c.copy()
-        if m == 1.0:
-            return lambda x: x + c
-        return lambda x: m * x + c
+def _times(m, w: np.ndarray) -> np.ndarray:
+    return m * w if isinstance(m, float) else m @ w
 
 
-def _affine_leaf_form(op: AffineMonotone) -> AffineForm:
+def _identity_minus(m):
+    return 1.0 - m if isinstance(m, float) else np.eye(m.shape[0]) - m
+
+
+# the one place that maps a wrapper to its rule on the form of its inner operator
+_FOLDS: dict[type, Callable[[ResolventForm, OperatorSpec], ResolventForm]] = {
+    Inverse: lambda f, op: replace(f, m=_identity_minus(f.m), beta=-f.beta, c=-f.c),
+    FlipBoth: lambda f, op: replace(f, beta=-f.beta, sigma=-f.sigma, c=-f.c),
+    InnerShift: lambda f, op: replace(
+        f, a=f.a - f.sigma * op.shift, c=f.c + (op.shift - _times(f.m, op.shift))),
+    OuterShift: lambda f, op: replace(
+        f, a=f.a + f.sigma * op.shift, c=f.c + _times(f.m, op.shift)),
+}
+
+
+def _affine_leaf_form(op: AffineMonotone) -> ResolventForm:
     # (Id + L)^-1 from the checked LU; nonexpansive since L is monotone
     m = lu_solve(op._lu, np.eye(op.dim))
     c = -lu_solve(op._lu, op.offset)
     if np.array_equal(m, m[0, 0] * np.eye(op.dim)):
-        return AffineForm(float(m[0, 0]), c)
-    return AffineForm(m, c)
+        return ResolventForm(float(m[0, 0]), c)
+    return ResolventForm(m, c)
 
 
 _LEAF_FORMS = {
-    NormalCone: lambda op: ProjectionForm(
-        op.region, 0, 1, 1, np.zeros(op.dim), np.zeros(op.dim)
-    ),
+    NormalCone: lambda op: ResolventForm(0.0, np.zeros(op.dim), op.region),
     AffineMonotone: _affine_leaf_form,
-    ConstantValued: lambda op: AffineForm(1.0, -op.value),
-    Zero: lambda op: AffineForm(1.0, np.zeros(op.dim)),
+    ConstantValued: lambda op: ResolventForm(1.0, -op.value),
+    Zero: lambda op: ResolventForm(1.0, np.zeros(op.dim)),
 }
 
 
-def compile_resolvent(op: OperatorSpec) -> Union[ProjectionForm, AffineForm]:
+def compile_resolvent(op: OperatorSpec) -> ResolventForm:
     """Fold op's wrapper stack into one closed-form resolvent.
 
     The form is cached on the (immutable) operator object, so each operator
@@ -531,8 +508,9 @@ def compile_resolvent(op: OperatorSpec) -> Union[ProjectionForm, AffineForm]:
     """
     form = getattr(op, "_form", None)
     if form is None:
-        if isinstance(op, _WRAPPERS):
-            form = compile_resolvent(op.inner).wrap(op)
+        fold = _FOLDS.get(type(op))
+        if fold is not None:
+            form = fold(compile_resolvent(op.inner), op)
         else:
             try:
                 leaf = _LEAF_FORMS[type(op)]

@@ -1,7 +1,8 @@
 """JSON schemas for problem files, solve reports, and the operator AST.
 
-Operators serialize as tagged records mirroring the AST one to one; matrices
-are row-major nested lists, vectors flat lists. Floats rely on Python's
+Operators and sets serialize as tagged records mirroring the AST one to one;
+matrices are row-major nested lists, vectors flat lists. One table entry per
+variant (_SETS, _OPERATORS) drives both directions. Floats rely on Python's
 shortest round-trip repr, so parse(serialize(x)) is bit-faithful.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -46,65 +47,7 @@ class Problem:
 
 
 # ---------------------------------------------------------------------------
-# encoding
-# ---------------------------------------------------------------------------
-
-def set_to_jsonable(region: ProjectableSet) -> dict:
-    if isinstance(region, Box):
-        return {"type": "box", "lo": region.lo.tolist(), "hi": region.hi.tolist()}
-    if isinstance(region, Ball):
-        return {"type": "ball", "center": region.center.tolist(), "radius": region.radius}
-    if isinstance(region, AffineSubspace):
-        return {
-            "type": "affine_subspace",
-            "anchor": region.anchor.tolist(),
-            "basis": region.basis.tolist(),
-        }
-    if isinstance(region, Halfspace):
-        return {
-            "type": "halfspace",
-            "normal": region.normal.tolist(),
-            "offset": region.offset,
-        }
-    if isinstance(region, EpigraphExp):
-        return {"type": "epigraph_exp", "beta": region.beta}
-    raise TypeError(f"unknown set variant {type(region).__name__}")
-
-
-def operator_to_jsonable(op: OperatorSpec) -> dict:
-    if isinstance(op, NormalCone):
-        return {"type": "normal_cone", "set": set_to_jsonable(op.region)}
-    if isinstance(op, AffineMonotone):
-        return {
-            "type": "affine",
-            "matrix": op.matrix.tolist(),
-            "offset": op.offset.tolist(),
-        }
-    if isinstance(op, ConstantValued):
-        return {"type": "constant", "value": op.value.tolist()}
-    if isinstance(op, Zero):
-        return {"type": "zero", "dim": op.dim}
-    if isinstance(op, Inverse):
-        return {"type": "inverse", "inner": operator_to_jsonable(op.inner)}
-    if isinstance(op, FlipBoth):
-        return {"type": "flip_both", "inner": operator_to_jsonable(op.inner)}
-    if isinstance(op, InnerShift):
-        return {
-            "type": "inner_shift",
-            "inner": operator_to_jsonable(op.inner),
-            "shift": op.shift.tolist(),
-        }
-    if isinstance(op, OuterShift):
-        return {
-            "type": "outer_shift",
-            "inner": operator_to_jsonable(op.inner),
-            "shift": op.shift.tolist(),
-        }
-    raise TypeError(f"unknown operator variant {type(op).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# decoding, with field paths in every complaint
+# field decoders, with field paths in every complaint
 # ---------------------------------------------------------------------------
 
 def _require(obj: dict, key: str, path: str):
@@ -126,11 +69,12 @@ def _vector(obj, path: str) -> np.ndarray:
 
 
 def _matrix(obj, path: str) -> np.ndarray:
+    """A finite matrix as a list of rows; [], a list of no rows, passes as is."""
     try:
         m = np.asarray(obj, dtype=float)
     except (TypeError, ValueError):
         raise ProblemFormatError(path, "expected a row-major list of rows") from None
-    if m.ndim != 2 or not np.all(np.isfinite(m)):
+    if (m.ndim != 2 and m.size) or not np.all(np.isfinite(m)):
         raise ProblemFormatError(path, "expected a finite matrix as list of rows")
     return m
 
@@ -145,6 +89,78 @@ def _count(obj, path: str, least: int) -> int:
     if not isinstance(obj, int) or isinstance(obj, bool) or obj < least:
         raise ProblemFormatError(path, f"expected an integer >= {least}")
     return obj
+
+
+def _dim(obj, path: str) -> int:
+    return _count(obj, path, 1)
+
+
+def _set(obj, path: str) -> ProjectableSet:
+    return _decode(_SETS, "set", obj, path)
+
+
+def operator_from_jsonable(obj, path: str) -> OperatorSpec:
+    """Decode a tagged operator record; complaints name the field path under `path`."""
+    return _decode(_OPERATORS, "operator", obj, path)
+
+
+# ---------------------------------------------------------------------------
+# the codec: one entry per variant, tag -> (class, ((json key, decoder), ...))
+# with the fields in constructor order
+# ---------------------------------------------------------------------------
+
+_SETS = {
+    "box": (Box, (("lo", _vector), ("hi", _vector))),
+    "ball": (Ball, (("center", _vector), ("radius", _number))),
+    "affine_subspace": (AffineSubspace, (("anchor", _vector), ("basis", _matrix))),
+    "halfspace": (Halfspace, (("normal", _vector), ("offset", _number))),
+    "epigraph_exp": (EpigraphExp, (("beta", _number),)),
+}
+
+_OPERATORS = {
+    "normal_cone": (NormalCone, (("set", _set),)),
+    "affine": (AffineMonotone, (("matrix", _matrix), ("offset", _vector))),
+    "constant": (ConstantValued, (("value", _vector),)),
+    "zero": (Zero, (("dim", _dim),)),
+    "inverse": (Inverse, (("inner", operator_from_jsonable),)),
+    "flip_both": (FlipBoth, (("inner", operator_from_jsonable),)),
+    "inner_shift": (InnerShift, (("inner", operator_from_jsonable), ("shift", _vector))),
+    "outer_shift": (OuterShift, (("inner", operator_from_jsonable), ("shift", _vector))),
+}
+
+_TAGS = {cls: (tag, tuple(key for key, _ in spec))
+         for table in (_SETS, _OPERATORS) for tag, (cls, spec) in table.items()}
+
+
+def _decode(table: dict, kind: str, obj, path: str):
+    tag = _require(obj, "type", path)
+    try:
+        cls, spec = table[tag]
+    except (KeyError, TypeError):  # TypeError: an unhashable tag
+        raise ProblemFormatError(f"{path}.type", f"unknown {kind} tag {tag!r}") from None
+    args = [decode(_require(obj, key, path), f"{path}.{key}") for key, decode in spec]
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise ProblemFormatError(path, str(exc)) from None
+
+
+def _jsonable(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if type(value) in _TAGS:
+        return operator_to_jsonable(value)
+    return value
+
+
+def operator_to_jsonable(op) -> dict:
+    """The tagged record of an operator or set, fields in constructor order."""
+    try:
+        tag, keys = _TAGS[type(op)]
+    except KeyError:
+        raise TypeError(f"unknown variant {type(op).__name__}") from None
+    values = (getattr(op, f.name) for f in fields(op) if f.init)
+    return {"type": tag, **{key: _jsonable(v) for key, v in zip(keys, values)}}
 
 
 def checked_options(max_iter, tol_v, tol_fix, paths=(
@@ -174,81 +190,8 @@ def _loaded_json(path, label: str):
             ) from None
 
 
-def set_from_jsonable(obj, path: str) -> ProjectableSet:
-    tag = _require(obj, "type", path)
-    try:
-        if tag == "box":
-            return Box(_vector(_require(obj, "lo", path), f"{path}.lo"),
-                       _vector(_require(obj, "hi", path), f"{path}.hi"))
-        if tag == "ball":
-            return Ball(
-                _vector(_require(obj, "center", path), f"{path}.center"),
-                _number(_require(obj, "radius", path), f"{path}.radius"),
-            )
-        if tag == "affine_subspace":
-            anchor = _vector(_require(obj, "anchor", path), f"{path}.anchor")
-            raw_basis = _require(obj, "basis", path)
-            if raw_basis == []:  # a single point: zero direction rows
-                basis = np.zeros((0, anchor.size))
-            else:
-                basis = _matrix(raw_basis, f"{path}.basis")
-            return AffineSubspace(anchor, basis)
-        if tag == "halfspace":
-            return Halfspace(
-                _vector(_require(obj, "normal", path), f"{path}.normal"),
-                _number(_require(obj, "offset", path), f"{path}.offset"),
-            )
-        if tag == "epigraph_exp":
-            return EpigraphExp(_number(_require(obj, "beta", path), f"{path}.beta"))
-    except ProblemFormatError:
-        raise
-    except ValueError as exc:
-        raise ProblemFormatError(path, str(exc)) from None
-    raise ProblemFormatError(f"{path}.type", f"unknown set tag {tag!r}")
-
-
-def operator_from_jsonable(obj, path: str) -> OperatorSpec:
-    tag = _require(obj, "type", path)
-    try:
-        if tag == "normal_cone":
-            return NormalCone(set_from_jsonable(_require(obj, "set", path), f"{path}.set"))
-        if tag == "affine":
-            return AffineMonotone(
-                _matrix(_require(obj, "matrix", path), f"{path}.matrix"),
-                _vector(_require(obj, "offset", path), f"{path}.offset"),
-            )
-        if tag == "constant":
-            return ConstantValued(_vector(_require(obj, "value", path), f"{path}.value"))
-        if tag == "zero":
-            dim = _require(obj, "dim", path)
-            if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-                raise ProblemFormatError(f"{path}.dim", "expected a positive integer")
-            return Zero(dim)
-        if tag == "inverse":
-            return Inverse(operator_from_jsonable(_require(obj, "inner", path), f"{path}.inner"))
-        if tag == "flip_both":
-            return FlipBoth(operator_from_jsonable(_require(obj, "inner", path), f"{path}.inner"))
-        if tag == "inner_shift":
-            return InnerShift(
-                operator_from_jsonable(_require(obj, "inner", path), f"{path}.inner"),
-                _vector(_require(obj, "shift", path), f"{path}.shift"),
-            )
-        if tag == "outer_shift":
-            return OuterShift(
-                operator_from_jsonable(_require(obj, "inner", path), f"{path}.inner"),
-                _vector(_require(obj, "shift", path), f"{path}.shift"),
-            )
-    except ProblemFormatError:
-        raise
-    except ValueError as exc:
-        raise ProblemFormatError(path, str(exc)) from None
-    raise ProblemFormatError(f"{path}.type", f"unknown operator tag {tag!r}")
-
-
 def parse_problem(obj: dict) -> Problem:
-    dim = _require(obj, "dim", "problem")
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ProblemFormatError("problem.dim", "expected a positive integer")
+    dim = _dim(_require(obj, "dim", "problem"), "problem.dim")
     a = operator_from_jsonable(_require(obj, "A", "problem"), "A")
     b = operator_from_jsonable(_require(obj, "B", "problem"), "B")
     for label, op in (("A", a), ("B", b)):

@@ -77,19 +77,8 @@ class SolveOptions:
     max_iter: int = 200_000
     tol_v: float = 1e-8
     tol_fix: float = 1e-9
-    tol_sym: float = 1e-5
     window: int = 50
     r_max: float = 1e8
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    n: int
-    x: np.ndarray
-    shadow: np.ndarray
-    displacement: np.ndarray
-    v_diff: np.ndarray
-    v_cesaro: np.ndarray
 
 
 class IterationTrace:
@@ -114,21 +103,6 @@ class IterationTrace:
     @property
     def v_diffs(self) -> np.ndarray:
         return self.displacements
-
-    def step(self, i: int) -> TraceStep:
-        i = range(len(self))[i]
-        return TraceStep(
-            n=i,
-            x=self.xs[i],
-            shadow=self.shadows[i],
-            displacement=self.displacements[i],
-            v_diff=self.displacements[i],
-            v_cesaro=self.v_cesaros[i],
-        )
-
-    @property
-    def steps(self) -> list[TraceStep]:
-        return [self.step(i) for i in range(len(self))]
 
     def displacement_norms(self) -> np.ndarray:
         return np.linalg.norm(self.displacements, axis=1)
@@ -334,7 +308,7 @@ def estimate_v(pair: OperatorPair, x0=None, max_iter: int = 200_000,
 
 def norm_symmetry_check(pair: OperatorPair, x0=None,
                         opts: SolveOptions | None = None) -> tuple[float, float]:
-    """Norms of the v estimates for (A, B) and (B, A); they agree up to tol_sym."""
+    """Norms of the v estimates for (A, B) and (B, A); the exact v's have equal norms."""
     opts = opts or SolveOptions()
     v_ab, _ = estimate_v(pair, x0, opts.max_iter, opts.tol_v, opts.window)
     v_ba, _ = estimate_v(pair.swapped(), x0, opts.max_iter, opts.tol_v, opts.window)

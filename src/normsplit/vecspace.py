@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor
 
 from .errors import (
     DimensionMismatchError,
@@ -53,16 +53,6 @@ def as_matrix(m, square: bool = False) -> Matrix:
     return a
 
 
-def dot(x: Vector, y: Vector) -> float:
-    x = as_vector(x)
-    y = as_vector(y, dim=x.size)
-    return float(np.dot(x, y))
-
-
-def norm(x: Vector) -> float:
-    return float(np.linalg.norm(as_vector(x)))
-
-
 def lu_factor_checked(m: Matrix):
     """Partial-pivot LU of a square matrix; raises if any pivot is negligible."""
     a = as_matrix(m, square=True)
@@ -80,20 +70,6 @@ def lu_factor_checked(m: Matrix):
             f"below {PIVOT_REL:.0e} * scale {scale:.3e}"
         )
     return lu, piv
-
-
-def solve_linear(m: Matrix, b: Vector) -> Vector:
-    """Solve the square system m x = b by partial-pivot LU."""
-    a = as_matrix(m, square=True)
-    rhs = as_vector(b, dim=a.shape[0])
-    factor = lu_factor_checked(a)
-    x = lu_solve(factor, rhs)
-    residual = np.linalg.norm(a @ x - rhs)
-    if residual > TOL_LIN * (1.0 + np.linalg.norm(rhs)):
-        raise SingularSystemError(
-            f"solve residual {residual:.3e} exceeds tolerance; system too ill-conditioned"
-        )
-    return x
 
 
 def least_norm(c: Matrix, d: Vector) -> Vector:

@@ -1,4 +1,5 @@
 import json
+import typing
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ import pytest
 from normsplit import (
     ConstantValued,
     OperatorPair,
+    OperatorSpec,
+    ProjectableSet,
     estimate_v,
     resolvent,
     solve_normal,
@@ -13,6 +16,7 @@ from normsplit import (
 )
 from normsplit.cli import main
 from normsplit.errors import NonFiniteIterateError, ProblemFormatError
+from normsplit import problemio
 from normsplit.problemio import (
     operator_from_jsonable,
     operator_to_jsonable,
@@ -199,6 +203,15 @@ class TestOperatorRoundTrip:
         with pytest.raises(ProblemFormatError, match="B.set.type"):
             operator_from_jsonable({"type": "normal_cone", "set": {"type": "cube"}}, "B")
 
+    def test_every_variant_has_one_codec_entry(self):
+        assert set(typing.get_args(OperatorSpec)) == {cls for cls, _ in problemio._OPERATORS.values()}
+        assert set(typing.get_args(ProjectableSet)) == {cls for cls, _ in problemio._SETS.values()}
+
+    def test_set_record_in_operator_position(self):
+        box = {"type": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
+        with pytest.raises(ProblemFormatError, match="A.type"):
+            operator_from_jsonable(box, "A")
+
 
 class TestReportRoundTrip:
     def test_every_emitted_report_roundtrips(self):
@@ -285,6 +298,8 @@ class TestOptionBounds:
             (["--tol-fix", "nan"], "--tol-fix"),
             (["--tol-v", "-1"], "--tol-v"),
             (["--tol-v", "inf"], "--tol-v"),
+            (["--w=1,nan"], "--w"),
+            (["--w=1,2,3"], "--w"),
         ],
     )
     @pytest.mark.parametrize("command", ["solve", "duality-check"])
@@ -293,6 +308,38 @@ class TestOptionBounds:
         assert main([command, path, *flags]) == 1
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flags, name",
+        [
+            ("solve", ["--x0=1e400,0"], "--x0"),
+            ("solve", ["--x0=1"], "--x0"),
+            ("duality-check", ["--samples", "-5"], "--samples"),
+            ("duality-check", ["--samples", "0"], "--samples"),
+        ],
+    )
+    def test_command_flags_exit_1(self, tmp_path, capsys, command, flags, name):
+        path = write_problem(tmp_path, {"dim": 2, "A": BALL_A, "B": BALL_B})
+        assert main([command, path, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scenario", "two-lines", "--max-iter", "0"],
+            ["scenario", "two-lines", "--w=1,0"],
+            ["solve", "PROBLEM", "--seed", "1"],
+            ["duality-check", "PROBLEM", "--json", "report.json"],
+            ["duality-check", "PROBLEM", "--x0=0,0"],
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_refused(self, tmp_path, capsys, argv):
+        path = write_problem(tmp_path, {"dim": 2, "A": BALL_A, "B": BALL_B})
+        with pytest.raises(SystemExit) as info:
+            main([path if arg == "PROBLEM" else arg for arg in argv])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestReadReportValidation:

@@ -75,6 +75,10 @@ def test_every_stack_projects_once_per_resolvent(monkeypatch, dim):
                 assert len(calls) == 1, (name, depth)
 
 
+def test_folds_cover_exactly_the_wrappers():
+    assert set(operators._FOLDS) == {Inverse, FlipBoth, InnerShift, OuterShift}
+
+
 def test_compilation_is_cached_per_operator():
     op = InnerShift(Inverse(ConstantValued([1.0, 2.0])), [0.5, -0.5])
     form = compile_resolvent(op)

@@ -361,7 +361,8 @@ class TestTraceExport:
     def test_steps_view(self):
         pair = lines_pair()
         _, trace = estimate_v(pair, max_iter=3, tol_v=0.0)
-        steps = trace.steps
-        assert [s.n for s in steps] == [0, 1, 2]
-        np.testing.assert_array_equal(steps[1].v_diff, steps[1].displacement)
-        np.testing.assert_allclose(steps[2].v_cesaro, -steps[2].x / 2.0)
+        assert len(trace) == 3
+        np.testing.assert_array_equal(trace.v_diffs, trace.displacements)
+        # row n of the Cesaro column is -x_n / n; row 0 is seeded with -x_1
+        np.testing.assert_allclose(trace.v_cesaros[1:], -trace.xs[1:] / [[1.0], [2.0]])
+        np.testing.assert_array_equal(trace.v_cesaros[0], -trace.xs[1])
