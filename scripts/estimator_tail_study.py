@@ -27,7 +27,7 @@ def main(argv) -> int:
     print(f"oracle gap vector ~ {oracle.v.round(6).tolist()} "
           f"(attained: {oracle.attained})")
 
-    v, trace = estimate_v(scenario.pair, max_iter=budget, tol_v=-1.0)
+    v, trace = estimate_v(scenario.pair, max_iter=budget, tol_v=-1.0, record=True)
     checkpoints = [10, 100, 1000, 10_000, budget - 1]
     print(f"{'n':>8} {'|v_diff - g|':>14} {'|v_cesaro - g|':>15}")
     for n in checkpoints:

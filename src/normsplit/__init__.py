@@ -45,6 +45,7 @@ from .perturb import (
 )
 from .splitting import (
     IterationTrace,
+    OrbitEnd,
     OperatorPair,
     SolveOptions,
     SolveReport,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -78,8 +79,7 @@ def _write_files(args, report: SolveReport, metadata: dict) -> None:
         write_report(args.json, report, metadata=metadata)
         print(f"report written to {args.json}")
     if args.trace:
-        trace = report.trace if report.trace is not None else report.v_trace
-        trace.to_csv(args.trace)
+        report.trace.to_csv(args.trace)
         print(f"trace written to {args.trace}")
 
 
@@ -93,18 +93,22 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     pair = OperatorPair(problem.a, problem.b)
+    record = args.trace is not None
     if w is not None:
-        report = solve_perturbed(pair, w, x0, opts)
+        report = solve_perturbed(pair, w, x0, opts, record=record)
     else:
-        report = solve_normal(pair, x0, opts)
+        report = solve_normal(pair, x0, opts, record=record)
     _print_report(report)
     _write_files(args, report, {"problem": str(args.problem)})
     return _STATUS_EXIT[report.status]
 
 
-def run_scenario(scenario: Scenario) -> tuple[bool, SolveReport, list[str]]:
-    """Solve a scenario, compare against its oracle, and render a table."""
-    report = solve_normal(scenario.pair, opts=scenario.solve_opts)
+def run_scenario(scenario: Scenario, record: bool = False) -> tuple[bool, SolveReport, list[str]]:
+    """Solve a scenario, compare against its oracle, and render a table.
+
+    With `record` the report keeps both phases' iteration traces.
+    """
+    report = solve_normal(scenario.pair, opts=scenario.solve_opts, record=record)
     expected = scenario.oracle()
     v_gap = float(np.linalg.norm(report.v_estimate - expected.v))
     lines = [
@@ -132,7 +136,7 @@ def cmd_scenario(args) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    ok, report, lines = run_scenario(scenario)
+    ok, report, lines = run_scenario(scenario, record=args.trace is not None)
     print("\n".join(lines))
     _write_files(args, report, {
         "scenario": scenario.name,
@@ -158,11 +162,16 @@ def cmd_duality_check(args) -> int:
     dual = dual_pair(pair)
     rng = np.random.default_rng(args.seed)
     dev_pointwise = 0.0
-    for _ in range(args.samples):
-        x = rng.normal(scale=5.0, size=problem.dim)
-        dev_pointwise = max(
-            dev_pointwise, float(np.linalg.norm(dr_apply(pair, x) - dr_apply(dual, x)))
-        )
+    # an overflow shows as a non-finite deviation, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(args.samples):
+            x = rng.normal(scale=5.0, size=problem.dim)
+            dev = float(np.linalg.norm(dr_apply(pair, x) - dr_apply(dual, x)))
+            if not math.isfinite(dev):
+                print(f"error: |T x - T_dual x| is not finite at sample {i}: "
+                      "the splitting operator overflowed float64", file=sys.stderr)
+                return EXIT_INPUT_ERROR
+            dev_pointwise = max(dev_pointwise, dev)
     print(f"max |T x - T_dual x| over {args.samples} samples: {dev_pointwise:.3e}")
 
     if w is not None:

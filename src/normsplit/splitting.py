@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -69,6 +70,11 @@ class OperatorPair:
     def swapped(self) -> "OperatorPair":
         return OperatorPair(self.B, self.A)
 
+    @cached_property
+    def _complement(self) -> "OperatorPair":
+        # (A^-1, B), built once so that complement_is_dr reuses its compiled form
+        return OperatorPair(Inverse(self.A), self.B)
+
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -81,8 +87,25 @@ class SolveOptions:
     r_max: float = 1e8
 
 
-class IterationTrace:
-    """Per-step orbit record, stored column-wise.
+class OrbitEnd:
+    """Where an orbit stopped: its row count and both v estimators there.
+
+    v_diff is the last displacement x_{N-1} - x_N and v_cesaro the last
+    Cesaro estimate -x_{N-1} / (N - 1), or -x_1 when N = 1. A solve run
+    without a trace keeps only this of each phase; len() is N.
+    """
+
+    def __init__(self, rows: int, v_diff: np.ndarray, v_cesaro: np.ndarray):
+        self.rows = rows
+        self.v_diff = v_diff
+        self.v_cesaro = v_cesaro
+
+    def __len__(self) -> int:
+        return self.rows
+
+
+class IterationTrace(OrbitEnd):
+    """Per-step orbit record, stored column-wise; its last row is its OrbitEnd.
 
     Row n describes the governing iterate x_n: the shadow J_B(x_n + w), the
     displacement x_n - T(x_n + w), and both v estimators. Along an orbit the
@@ -92,13 +115,11 @@ class IterationTrace:
     """
 
     def __init__(self, xs, shadows, displacements, v_cesaros):
+        super().__init__(xs.shape[0], displacements[-1], v_cesaros[-1])
         self.xs = xs
         self.shadows = shadows
         self.displacements = displacements
         self.v_cesaros = v_cesaros
-
-    def __len__(self) -> int:
-        return self.xs.shape[0]
 
     @property
     def v_diffs(self) -> np.ndarray:
@@ -189,7 +210,7 @@ def dr_map_shifted(pair: OperatorPair, w: np.ndarray, x: np.ndarray) -> np.ndarr
 
 def complement_is_dr(pair: OperatorPair, x: np.ndarray) -> np.ndarray:
     """Id - T realized as the splitting operator of (A^-1, B)."""
-    return dr_apply(OperatorPair(Inverse(pair.A), pair.B), x)
+    return dr_apply(pair._complement, x)
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +231,31 @@ def _check_finite(x_next: np.ndarray, n: int) -> None:
 # the loop reports a non-finite iterate itself, as NonFiniteIterateError
 @np.errstate(over="ignore", invalid="ignore")
 def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
-           tol: float, window: int = 0, r_max: float = math.inf):
-    """Iterate x -> T(x + w), or plain T when w is None, recording every step.
+           tol: float, window: int = 0, r_max: float = math.inf,
+           record: bool = False):
+    """Iterate x -> T(x + w), or plain T when w is None.
 
     With w None (phase 1) the loop stops once the displacement x_n - x_{n+1}
     moved at most `tol` over the trailing `window` steps. Otherwise (phase 2)
     it stops at the first certified fixed point, |x - T(x + w)| <= tol with
-    both membership certificates, or when |T(x + w)| exceeds r_max. A
-    non-finite iterate raises NonFiniteIterateError. The checks that catch
+    both membership certificates, or when |T(x + w)| exceeds r_max; an orbit
+    that spends the budget N = max_iter is declared drifting when
+    |x_{N-1} - x_{N-1-k}| is at least _DRIFT_RATIO times the path length
+    |x_{N-1-k} - x_{N-k}| + ... + |x_{N-2} - x_{N-1}|, k = min(1000, N // 4),
+    while |x_{N-1} - x_N| > tol; N < 100 steps are too few for that verdict.
+    A non-finite iterate raises NonFiniteIterateError. The checks that catch
     it reuse the norms the stop rules take anyway; only phase 1's first
     `window` steps, which have no window norm yet, take one extra dot
     product each.
 
-    Returns (trace, status, certificates, solution). status is CONVERGED or
-    NO_FIXED_POINT (blow-up) when phase 2 stops early, else MAX_ITER;
+    Only what the stop rules read is kept: phase 1 a ring of the last
+    `window` displacements, phase 2 the iterate x_{N-1-k} and a running sum
+    of displacement norms. With `record` every row also goes into an
+    IterationTrace.
+
+    Returns (end, status, certificates, solution). end is an OrbitEnd, the
+    IterationTrace itself when recording; status is CONVERGED or
+    NO_FIXED_POINT (blow-up or drift) when phase 2 stops so, else MAX_ITER;
     certificates are the last ones checked, and solution is the certified
     (x, z, k) or None.
     """
@@ -235,34 +267,46 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     dim = pair.dim
     apply_a = compile_resolvent(pair.A).apply
     apply_b = compile_resolvent(pair.B).apply
-    x = np.zeros(dim) if x0 is None else as_vector(x0, dim=dim).copy()
+    x_next = np.zeros(dim) if x0 is None else as_vector(x0, dim=dim).copy()
     sqrt, inf = math.sqrt, math.inf
-    capacity = min(max_iter, _FIRST_ROWS)
-    xs, shadows, disps = (np.empty((capacity, dim)) for _ in range(3))
+    # displacement n - window sits at n % window; n never reaches max_iter
+    ring = [None] * min(window, max_iter)
+    # the drift verdict reads x_{N-1-k} and the norms of rows N-1-k .. N-2
+    last = max_iter - 1
+    drift_from = last - min(1000, max_iter // 4) if max_iter >= 100 else max_iter
+    path = 0.0
+    if record:
+        capacity = min(max_iter, _FIRST_ROWS)
+        xs, shadows, disps = (np.empty((capacity, dim)) for _ in range(3))
     status, certificates, solution = MAX_ITER, {}, None
     for n in range(max_iter):
-        if n == capacity:
-            capacity = min(2 * capacity, max_iter)
-            xs, shadows, disps = (_grown(a, capacity) for a in (xs, shadows, disps))
+        x = x_next
         y = x if estimating else x + w
         jb = apply_b(y)
         x_next = apply_a(jb + jb - y) + y - jb  # jb + jb is 2 jb exactly
         disp = x - x_next
-        xs[n] = x
-        shadows[n] = jb
-        disps[n] = disp
+        if record:
+            if n == capacity:
+                capacity = min(2 * capacity, max_iter)
+                xs, shadows, disps = (_grown(a, capacity) for a in (xs, shadows, disps))
+            xs[n] = x
+            shadows[n] = jb
+            disps[n] = disp
         if estimating:
+            slot = n % window
             if n >= window:
-                d = disp - disps[n - window]
+                d = disp - ring[slot]
                 size = sqrt(d.dot(d))
                 if size <= tol:
                     break
             else:
                 size = disp.dot(disp)
+            ring[slot] = disp
             if not size < inf:
                 _check_finite(x_next, n)
         else:
-            if sqrt(disp.dot(disp)) <= tol:
+            size = sqrt(disp.dot(disp))
+            if size <= tol:
                 k = x - jb
                 certificates = {
                     "b_side": membership(pair.B, jb, k + w),
@@ -275,16 +319,27 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
                 _check_finite(x_next, n)
                 status = NO_FIXED_POINT
                 break
-        x = x_next
+            if n >= drift_from:
+                if n == drift_from:
+                    x_from = x
+                if n < last:
+                    path += size
+    else:  # the budget is spent: phase 2 takes the drift verdict
+        if path > 0.0 and size > tol:
+            net = x - x_from
+            if sqrt(net.dot(net)) / path >= _DRIFT_RATIO:
+                status = NO_FIXED_POINT
 
     rows = n + 1
+    if not record:
+        cesaro = x / -(rows - 1) if rows > 1 else -x_next
+        return OrbitEnd(rows, disp, cesaro), status, certificates, solution
     xs, shadows, disps = xs[:rows], shadows[:rows], disps[:rows]
     # Cesaro estimates -x_n / n; row 0 seeds them with -x_1
     cesaros = np.empty_like(xs)
     np.negative(xs[1] if rows > 1 else x_next, out=cesaros[0])
     np.divide(xs[1:], -np.arange(1, rows)[:, None], out=cesaros[1:])
-    trace = IterationTrace(xs, shadows, disps, cesaros)
-    return trace, status, certificates, solution
+    return IterationTrace(xs, shadows, disps, cesaros), status, certificates, solution
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +347,20 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
 # ---------------------------------------------------------------------------
 
 def estimate_v(pair: OperatorPair, x0=None, max_iter: int = 200_000,
-               tol_v: float = 1e-8, window: int = 50,
-               ) -> tuple[np.ndarray, IterationTrace]:
+               tol_v: float = 1e-8, window: int = 50, record: bool = False,
+               ) -> tuple[np.ndarray, OrbitEnd]:
     """Estimate v along the orbit x_{n+1} = T x_n.
 
     The difference estimator x_n - x_{n+1} is primary: its norm is
     non-increasing and it converges to v in norm. Iteration stops once the
     estimator has moved less than tol_v over the trailing window, else at
-    max_iter; the returned trace carries the Cesaro estimator -x_n / n as a
-    cross-check. Raises NonFiniteIterateError if the orbit overflows.
+    max_iter. The returned OrbitEnd has the row count and the Cesaro
+    estimator -x_n / n as a cross-check; with `record` it is the full
+    IterationTrace. Without it, memory is O(window * dim) whatever max_iter
+    is. Raises NonFiniteIterateError if the orbit overflows.
     """
-    trace = _orbit(pair, x0, None, max_iter, tol_v, window=window)[0]
-    return trace.displacements[-1].copy(), trace
+    end = _orbit(pair, x0, None, max_iter, tol_v, window=window, record=record)[0]
+    return end.v_diff.copy(), end
 
 
 def norm_symmetry_check(pair: OperatorPair, x0=None,
@@ -332,7 +389,8 @@ def range_witness(pair: OperatorPair, z: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def solve_perturbed(pair: OperatorPair, w: np.ndarray, x0=None,
-                    opts: SolveOptions | None = None) -> SolveReport:
+                    opts: SolveOptions | None = None,
+                    record: bool = False) -> SolveReport:
     """Iterate x -> T(x + w) and extract a solution of w in A(. - w) + B(.).
 
     On convergence the report carries the governing fixed point x, the
@@ -341,15 +399,14 @@ def solve_perturbed(pair: OperatorPair, w: np.ndarray, x0=None,
     point is reported as evidence only: iterate blow-up past r_max, or a
     straight-line drifting tail with residual still above tol_fix at the
     iteration budget. The v_estimate field echoes the perturbation solved
-    for; solve_normal overwrites it with the phase-1 estimate.
+    for; solve_normal overwrites it with the phase-1 estimate. The report's
+    trace is the IterationTrace with `record`, else None.
     """
     opts = opts or SolveOptions()
     w = as_vector(w, dim=pair.dim)
-    trace, status, certificates, solution = _orbit(
-        pair, x0, w, opts.max_iter, opts.tol_fix, r_max=opts.r_max
+    end, status, certificates, solution = _orbit(
+        pair, x0, w, opts.max_iter, opts.tol_fix, r_max=opts.r_max, record=record
     )
-    if status == MAX_ITER and _drifting_tail(trace, opts.tol_fix):
-        status = NO_FIXED_POINT
     governing, z, k = solution or (None, None, None)
     return SolveReport(
         v_estimate=w.copy(),
@@ -359,38 +416,25 @@ def solve_perturbed(pair: OperatorPair, w: np.ndarray, x0=None,
         governing_point=governing,
         dual_solution=k,
         certificates=certificates,
-        iterations_used=len(trace),
-        trace=trace,
+        iterations_used=len(end),
+        trace=end if record else None,
     )
 
 
 def solve_normal(pair: OperatorPair, x0=None,
-                 opts: SolveOptions | None = None) -> SolveReport:
+                 opts: SolveOptions | None = None,
+                 record: bool = False) -> SolveReport:
     """Two-phase normal solve: estimate v, then solve the v-perturbed problem.
 
     opts.max_iter budgets each phase separately; iterations_used totals both.
+    With `record` the report carries both phases' IterationTraces (trace and
+    v_trace); without, neither is kept.
     """
     opts = opts or SolveOptions()
-    v, v_trace = estimate_v(pair, x0, opts.max_iter, opts.tol_v, opts.window)
-    report = solve_perturbed(pair, v, x0, opts)
+    v, v_end = estimate_v(pair, x0, opts.max_iter, opts.tol_v, opts.window, record=record)
+    report = solve_perturbed(pair, v, x0, opts, record=record)
     report.v_estimate = v
-    report.v_residual = float(np.linalg.norm(v - v_trace.v_cesaros[-1]))
-    report.iterations_used += len(v_trace)
-    report.v_trace = v_trace
+    report.v_residual = float(np.linalg.norm(v - v_end.v_cesaro))
+    report.iterations_used += len(v_end)
+    report.v_trace = v_end if record else None
     return report
-
-
-def _drifting_tail(trace: IterationTrace, tol_fix: float) -> bool:
-    """Divergence evidence: the trailing orbit moved in a near-straight line
-    while the fixed-point residual stayed above tolerance."""
-    n = len(trace)
-    if n < 100:
-        return False
-    if np.linalg.norm(trace.displacements[n - 1]) <= tol_fix:
-        return False
-    k = min(1000, n // 4)
-    path = float(np.sum(np.linalg.norm(trace.displacements[n - 1 - k:n - 1], axis=1)))
-    if path <= 0.0:
-        return False
-    net = float(np.linalg.norm(trace.xs[n - 1] - trace.xs[n - 1 - k]))
-    return net / path >= _DRIFT_RATIO

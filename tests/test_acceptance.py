@@ -268,7 +268,7 @@ class TestCriterion9PropertySuites:
         gen = np.random.default_rng(SEED + 6)
         for name, pair in self._pairs():
             x0 = gen.uniform(-8.0, 8.0, size=pair.dim)
-            _, trace = estimate_v(pair, x0=x0, max_iter=250, tol_v=-1.0)
+            _, trace = estimate_v(pair, x0=x0, max_iter=250, tol_v=-1.0, record=True)
             norms = trace.displacement_norms()
             assert np.all(np.diff(norms) <= 1e-12), name
         _line(9, "PASS", "displacement norms non-increasing (slack 1e-12)")

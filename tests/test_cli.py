@@ -1,5 +1,6 @@
 import json
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,16 @@ class TestNonFiniteOrbit:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not finite" in err
         assert "Traceback" not in err
+
+    def test_duality_check_reports_the_overflow_not_a_zero(self, tmp_path, capsys):
+        path = write_problem(tmp_path, {"dim": 2, "A": OVERFLOWING, "B": OVERFLOWING})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would reach stderr uncaptured
+            assert main(["duality-check", path, "--samples", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert "0.000e+00" not in out
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "not finite" in lines[0]
 
 
 class TestOptionBounds:

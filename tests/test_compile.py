@@ -119,5 +119,5 @@ def test_pinned_counts_cover_the_registry():
 def test_registry_iteration_counts_are_pinned(name):
     sc = get_scenario(name)
     opts = SolveOptions(max_iter=4000) if name == "epigraph" else sc.solve_opts
-    report = solve_normal(sc.pair, opts=opts)
+    report = solve_normal(sc.pair, opts=opts, record=True)
     assert (report.iterations_used, len(report.v_trace)) == PINNED_COUNTS[name]

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from normsplit import operators
 from normsplit import (
     AffineMonotone,
     AffineSubspace,
@@ -9,6 +12,7 @@ from normsplit import (
     NormalCone,
     OperatorPair,
     SolveOptions,
+    Inverse,
     Zero,
     complement_is_dr,
     dr_apply,
@@ -25,8 +29,10 @@ from normsplit import (
     solve_perturbed,
 )
 from normsplit.errors import PreconditionError
-from normsplit.scenarios import get_scenario
+from normsplit.scenarios import build_registry, get_scenario
+from normsplit.splitting import CONVERGED, NO_FIXED_POINT
 
+from reference import drifting_tail
 from zoo import operator_pairs, rng, sample_points
 
 
@@ -115,6 +121,22 @@ class TestComplement:
                     gap = dr_apply(pair, x) + complement_is_dr(pair, x) - x
                     assert np.linalg.norm(gap) <= 1e-10, name
 
+    def test_second_call_reuses_the_compiled_inverse(self, monkeypatch):
+        folds = []
+        fold = operators._FOLDS[Inverse]
+
+        def counting(inner, op):
+            folds.append(op)
+            return fold(inner, op)
+
+        monkeypatch.setitem(operators._FOLDS, Inverse, counting)
+        pair = get_scenario("disjoint-balls").pair
+        x = np.array([0.3, -1.7])
+        first = complement_is_dr(pair, x)
+        assert len(folds) == 1
+        np.testing.assert_array_equal(complement_is_dr(pair, x), first)
+        assert len(folds) == 1
+
 
 class TestEcksteinSelfDuality:
     def test_dual_pair_has_same_splitting_operator(self):
@@ -141,14 +163,14 @@ class TestEstimateV:
 
     def test_constant_pair(self):
         pair = OperatorPair(ConstantValued([1.0, 2.0]), ConstantValued([3.0, 4.0]))
-        v, trace = estimate_v(pair)
+        v, trace = estimate_v(pair, record=True)
         np.testing.assert_allclose(v, [4.0, 6.0], atol=1e-12)
         np.testing.assert_allclose(trace.v_cesaros[-1], [4.0, 6.0], atol=1e-12)
 
     def test_displacement_norms_non_increasing(self):
         for name in ("disjoint-balls", "overlapping-balls", "rotators-default"):
             pair = get_scenario(name).pair
-            _, trace = estimate_v(pair, x0=[3.0, -2.0], max_iter=400, tol_v=0.0)
+            _, trace = estimate_v(pair, x0=[3.0, -2.0], max_iter=400, tol_v=0.0, record=True)
             norms = trace.displacement_norms()
             assert np.all(np.diff(norms) <= 1e-12), name
 
@@ -173,12 +195,18 @@ class TestEstimateV:
         with pytest.raises(ValueError, match="window"):
             estimate_v(lines_pair(), window=window)
 
+    def test_window_beyond_the_budget_holds_no_more_than_the_budget(self):
+        # the stagnation ring is never larger than the rows the orbit can have
+        pair = get_scenario("overlapping-balls").pair
+        _, end = estimate_v(pair, max_iter=300, window=10**12)
+        assert len(end) == 300
+
     def test_both_estimators_agree_on_closed_forms(self):
         # translation-type orbits from x0 = 0 make both estimators exact
         for name in ("disjoint-balls", "two-lines", "constants-default",
                      "rotators-default"):
             sc = get_scenario(name)
-            v, trace = estimate_v(sc.pair)
+            v, trace = estimate_v(sc.pair, record=True)
             assert np.linalg.norm(v - sc.expected_v) <= sc.tolerance, name
             assert (
                 np.linalg.norm(trace.v_cesaros[-1] - sc.expected_v) <= sc.tolerance
@@ -188,7 +216,7 @@ class TestEstimateV:
         # for a consistent pair the Cesaro estimate decays like |x_hat| / n;
         # check the rate rather than an absolute tolerance
         sc = get_scenario("overlapping-balls")
-        v, trace = estimate_v(sc.pair)
+        v, trace = estimate_v(sc.pair, record=True)
         assert np.linalg.norm(v) <= 1e-6
         n = len(trace)
         x_hat = trace.xs[-1]
@@ -272,7 +300,7 @@ class TestSolveNormal:
 
     def test_epigraph_reports_no_fixed_point(self):
         pair = get_scenario("epigraph").pair
-        report = solve_normal(pair, opts=SolveOptions(max_iter=4000))
+        report = solve_normal(pair, opts=SolveOptions(max_iter=4000), record=True)
         assert report.status == "no_fixed_point_detected"
         assert report.normal_solution is None
         assert abs(np.linalg.norm(report.v_estimate) - 1.0) <= 0.1
@@ -344,7 +372,7 @@ class TestRangeWitness:
 class TestTraceExport:
     def test_csv_roundtrip(self, tmp_path):
         pair = get_scenario("disjoint-balls").pair
-        _, trace = estimate_v(pair, max_iter=60, tol_v=-1.0)
+        _, trace = estimate_v(pair, max_iter=60, tol_v=-1.0, record=True)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
@@ -360,9 +388,95 @@ class TestTraceExport:
 
     def test_steps_view(self):
         pair = lines_pair()
-        _, trace = estimate_v(pair, max_iter=3, tol_v=0.0)
+        _, trace = estimate_v(pair, max_iter=3, tol_v=0.0, record=True)
         assert len(trace) == 3
         np.testing.assert_array_equal(trace.v_diffs, trace.displacements)
         # row n of the Cesaro column is -x_n / n; row 0 is seeded with -x_1
         np.testing.assert_allclose(trace.v_cesaros[1:], -trace.xs[1:] / [[1.0], [2.0]])
         np.testing.assert_array_equal(trace.v_cesaros[0], -trace.xs[1])
+
+
+def lines_at_angle(dim: int, angle: float) -> OperatorPair:
+    """Two lines through 0 in R^dim; DR on them contracts at rate cos(angle)."""
+    u = np.zeros((1, dim))
+    u[0, 0] = 1.0
+    v = np.zeros((1, dim))
+    v[0, 0], v[0, 1] = np.cos(angle), np.sin(angle)
+    origin = np.zeros(dim)
+    return OperatorPair(NormalCone(AffineSubspace(origin, u)),
+                        NormalCone(AffineSubspace(origin, v)))
+
+
+def constant_pair() -> OperatorPair:
+    return OperatorPair(ConstantValued([1.0, 2.0]), ConstantValued([3.0, 4.0]))
+
+
+def normal_cases():
+    for name in sorted(build_registry()):
+        sc = get_scenario(name)
+        opts = SolveOptions(max_iter=4000) if name == "epigraph" else sc.solve_opts
+        yield name, sc.pair, opts
+    for dim in (2, 3):
+        for name, pair in operator_pairs(dim):
+            yield name, pair, SolveOptions(max_iter=1000)
+
+
+class TestStreamedOrbit:
+    """A solve without a trace keeps only the rows its stop tests read."""
+
+    @pytest.mark.parametrize("name, pair, opts", list(normal_cases()))
+    def test_normal_solve_ignores_record(self, name, pair, opts):
+        streamed = solve_normal(pair, opts=opts)
+        recorded = solve_normal(pair, opts=opts, record=True)
+        assert streamed == recorded
+        assert streamed.trace is None and streamed.v_trace is None
+        assert (len(recorded.v_trace) + len(recorded.trace)
+                == recorded.iterations_used)
+
+    def test_drift_case_ignores_record(self):
+        opts = SolveOptions(max_iter=400)
+        streamed = solve_perturbed(constant_pair(), np.zeros(2), opts=opts)
+        recorded = solve_perturbed(constant_pair(), np.zeros(2), opts=opts, record=True)
+        assert streamed == recorded
+        assert streamed.status == NO_FIXED_POINT
+
+    def test_estimate_v_ends_agree(self):
+        pair = get_scenario("affine-default").pair
+        v, end = estimate_v(pair)
+        v_rec, trace = estimate_v(pair, record=True)
+        np.testing.assert_array_equal(v, v_rec)
+        assert len(end) == len(trace)
+        np.testing.assert_array_equal(end.v_cesaro, trace.v_cesaros[-1])
+        np.testing.assert_array_equal(end.v_diff, trace.displacements[-1])
+
+    @pytest.mark.parametrize("pair, w, x0, max_iter", [
+        (get_scenario("epigraph").pair, [0.0, 1.0], None, 4000),
+        (constant_pair(), [0.0, 0.0], None, 400),
+        (constant_pair(), [0.0, 0.0], None, 99),
+        (lines_at_angle(2, 0.05), [0.0, 0.0], [3.0, -2.0], 400),
+        (lines_at_angle(3, 0.01), [0.0, 0.0, 0.0], [3.0, -2.0, 1.0], 1000),
+    ])
+    def test_streamed_drift_verdict_matches_the_trace(self, pair, w, x0, max_iter):
+        opts = SolveOptions(max_iter=max_iter)
+        report = solve_perturbed(pair, w, x0=x0, opts=opts, record=True)
+        assert report.status != CONVERGED and len(report.trace) == max_iter
+        expected = drifting_tail(report.trace, opts.tol_fix)
+        assert (report.status == NO_FIXED_POINT) == expected
+
+    def test_memory_does_not_grow_with_the_budget(self):
+        pair = lines_at_angle(100, 0.01)  # too slow to converge within 20k steps
+        x0 = np.linspace(-1.0, 1.0, 100)
+        dr_apply(pair, x0)  # compile both resolvents before measuring
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for max_iter in (2_000, 20_000):
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                report = solve_normal(pair, x0, SolveOptions(max_iter=max_iter))
+                peaks[max_iter] = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+                assert report.iterations_used == 2 * max_iter
+        finally:
+            tracemalloc.stop()
+        assert peaks[20_000] < 1.0
+        assert abs(peaks[20_000] - peaks[2_000]) < 0.1
