@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Check every compiled resolvent against the recursive reference formulas.
+"""Check every compiled resolvent and fused DR step against its reference.
 
 Usage: python scripts/check_compile.py
 Compiles both operators of every registry scenario and every operator of the
 test zoo (dims 2 and 3), prints each compiled form and the largest deviation
-|compiled - reference| over 100 seeded points, and exits 1 if any deviation
-exceeds 1e-12. The reference is the tree walk in tests/reference.py.
+|compiled - reference| over 100 seeded points; the reference is the tree
+walk in tests/reference.py. Then, for every registry pair and zoo pair
+(dims 2 and 3) whose DR step fuses into one affine map x -> M_T x + t, it
+prints the largest relative deviation |M_T x + t - dr_apply(x)| / (1 + |x|)
+over 100 seeded points, and how many pairs fuse. Exits 1 if any deviation
+exceeds 1e-12.
 """
 
 import sys
@@ -16,10 +20,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 import numpy as np  # noqa: E402
 
-from normsplit import compile_resolvent, resolvent  # noqa: E402
+from normsplit import compile_resolvent, dr_apply, resolvent  # noqa: E402
 from normsplit.scenarios import build_registry, get_scenario  # noqa: E402
 from reference import reference_resolvent  # noqa: E402
-from zoo import operator_zoo  # noqa: E402
+from zoo import operator_pairs, operator_zoo  # noqa: E402
 
 TOL = 1e-12
 POINTS = 100
@@ -47,6 +51,35 @@ def deviation(op) -> float:
     )
 
 
+def step_deviation(pair) -> float:
+    m_t, t = pair.affine_step
+    gen = np.random.default_rng(SEED + pair.dim)
+    points = gen.normal(scale=4.0, size=(POINTS, pair.dim))
+    return max(
+        float(np.linalg.norm(m_t.dot(x) + t - dr_apply(pair, x)) / (1.0 + np.linalg.norm(x)))
+        for x in points
+    )
+
+
+def check_steps() -> list:
+    pairs = [(name, get_scenario(name).pair) for name in sorted(build_registry())]
+    for dim in (2, 3):
+        pairs += [(f"zoo{dim}:{name}", pair) for name, pair in operator_pairs(dim)]
+    fused = [(label, pair) for label, pair in pairs if pair.affine_step is not None]
+    worst = 0.0
+    failures = []
+    for label, pair in fused:
+        dev = step_deviation(pair)
+        worst = max(worst, dev)
+        flag = "" if dev <= TOL else "  FAIL"
+        print(f"step {label:<56} rel dev {dev:.2e}{flag}")
+        if dev > TOL:
+            failures.append(label)
+    print(f"{len(fused)} of {len(pairs)} pairs fuse, largest relative step deviation "
+          f"{worst:.2e} (tolerance {TOL:g})")
+    return failures
+
+
 def main() -> int:
     cases = []
     for name in sorted(build_registry()):
@@ -64,6 +97,7 @@ def main() -> int:
         if dev > TOL:
             failures.append(label)
     print(f"{len(cases)} operators, largest deviation {worst:.2e} (tolerance {TOL:g})")
+    failures += check_steps()
     if failures:
         print("FAILED:", ", ".join(failures))
         return 1

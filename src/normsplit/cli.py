@@ -106,7 +106,8 @@ def cmd_solve(args) -> int:
 def run_scenario(scenario: Scenario, record: bool = False) -> tuple[bool, SolveReport, list[str]]:
     """Solve a scenario, compare against its oracle, and render a table.
 
-    With `record` the report keeps both phases' iteration traces.
+    With `record` the report keeps phase 2's iteration trace, the one that
+    --trace writes.
     """
     report = solve_normal(scenario.pair, opts=scenario.solve_opts, record=record)
     expected = scenario.oracle()

@@ -262,6 +262,17 @@ _PROJECTORS: dict[type, Callable[..., np.ndarray]] = {
 }
 
 
+def _affine_subspace_map(sub: AffineSubspace) -> tuple[np.ndarray, np.ndarray]:
+    q = sub._basis_t.dot(sub.basis)
+    return q, sub.anchor - q.dot(sub.anchor)
+
+
+# the projectors that are affine, P(y) = Q y + q, as dense (Q, q)
+_AFFINE_PROJECTORS: dict[type, Callable[..., tuple[np.ndarray, np.ndarray]]] = {
+    AffineSubspace: _affine_subspace_map,
+}
+
+
 # ---------------------------------------------------------------------------
 # operator AST
 # ---------------------------------------------------------------------------
@@ -497,6 +508,26 @@ _LEAF_FORMS = {
     ConstantValued: lambda op: ResolventForm(1.0, -op.value),
     Zero: lambda op: ResolventForm(1.0, np.zeros(op.dim)),
 }
+
+
+def dense_affine(form: ResolventForm) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """(M, c) with J(x) = M x + c as a dense matrix and vector, or None.
+
+    J is affine when the form has no projection term, or when its projector
+    is affine, P(y) = Q y + q: then m x + beta P(sigma x + a) + c is
+    (m + beta sigma Q) x + beta (Q a + q) + c.
+    """
+    dim = form.c.size
+    if form.region is None:
+        m = form.m
+        return (m * np.eye(dim) if isinstance(m, float) else m), form.c
+    affine_map = _AFFINE_PROJECTORS.get(type(form.region))
+    if affine_map is None:
+        return None
+    q_mat, q = affine_map(form.region)
+    beta = form.beta
+    m = _times(form.m, np.eye(dim)) + (beta * form.sigma) * q_mat
+    return m, beta * (q_mat.dot(form.a + np.zeros(dim)) + q) + form.c
 
 
 def compile_resolvent(op: OperatorSpec) -> ResolventForm:

@@ -35,6 +35,7 @@ from .operators import (
     Inverse,
     OperatorSpec,
     compile_resolvent,
+    dense_affine,
     membership,
     resolvent,
 )
@@ -48,6 +49,8 @@ MAX_ITER = "max_iter"
 _DRIFT_RATIO = 0.9
 # trace rows allocated up front; the arrays double when full
 _FIRST_ROWS = 256
+# above this dimension a dense dim x dim step costs more than two resolvents
+_FUSED_MAX_DIM = 200
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +77,32 @@ class OperatorPair:
     def _complement(self) -> "OperatorPair":
         # (A^-1, B), built once so that complement_is_dr reuses its compiled form
         return OperatorPair(Inverse(self.A), self.B)
+
+    @cached_property
+    def affine_step(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """(M_T, t) with T x = M_T x + t when both resolvents are affine, else None.
+
+        From J_A x = M_A x + c_A and J_B x = M_B x + c_B,
+        M_T = M_A (2 M_B - I) + I - M_B and t = 2 M_A c_B + c_A - c_B; built
+        once per pair, at the cost of one dim x dim matrix product. Pairs
+        above _FUSED_MAX_DIM get None, and so does a pair whose M_T or t
+        overflows, so that its orbit overflows step by step as the two
+        resolvents do.
+        """
+        if self.dim > _FUSED_MAX_DIM:
+            return None
+        parts_a = dense_affine(compile_resolvent(self.A))
+        parts_b = dense_affine(compile_resolvent(self.B))
+        if parts_a is None or parts_b is None:
+            return None
+        (m_a, c_a), (m_b, c_b) = parts_a, parts_b
+        eye = np.eye(self.dim)
+        with np.errstate(over="ignore", invalid="ignore"):
+            m_t = m_a.dot(2.0 * m_b - eye) + (eye - m_b)
+            t = 2.0 * m_a.dot(c_b) + c_a - c_b
+        if not (np.isfinite(m_t).all() and np.isfinite(t).all()):
+            return None
+        return m_t, t
 
 
 @dataclass(frozen=True)
@@ -132,6 +161,9 @@ class IterationTrace(OrbitEnd):
         dim = self.xs.shape[1]
         d_norms = self.displacement_norms()
         c_norms = np.linalg.norm(self.v_cesaros, axis=1)
+        # csv writes a Python float as its repr, the shortest exact form
+        rows = np.column_stack(
+            (self.xs, self.shadows, d_norms, d_norms, c_norms)).tolist()
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -140,17 +172,7 @@ class IterationTrace(OrbitEnd):
                 + [f"shadow_{j}" for j in range(dim)]
                 + ["displacement_norm", "v_diff_norm", "v_cesaro_norm"]
             )
-            for i in range(len(self)):
-                writer.writerow(
-                    [i]
-                    + [repr(float(v)) for v in self.xs[i]]
-                    + [repr(float(v)) for v in self.shadows[i]]
-                    + [
-                        repr(float(d_norms[i])),
-                        repr(float(d_norms[i])),
-                        repr(float(c_norms[i])),
-                    ]
-                )
+            writer.writerows([n] + row for n, row in enumerate(rows))
 
 
 @dataclass(eq=False)
@@ -166,7 +188,7 @@ class SolveReport:
     certificates: dict
     iterations_used: int
     trace: Optional[IterationTrace] = field(default=None, repr=False)
-    v_trace: Optional[IterationTrace] = field(default=None, repr=False)
+    v_trace: Optional[OrbitEnd] = field(default=None, repr=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SolveReport):
@@ -228,6 +250,16 @@ def _check_finite(x_next: np.ndarray, n: int) -> None:
         raise NonFiniteIterateError(n)
 
 
+def _fused_step(pair: OperatorPair, w: Optional[np.ndarray]):
+    # (M_T, M_T w + t): x -> T(x + w) as one matrix-vector product, or None
+    step = pair.affine_step
+    if step is None or w is None:
+        return step
+    m_t, t = step
+    t_w = m_t.dot(w) + t
+    return (m_t, t_w) if np.isfinite(t_w).all() else None
+
+
 # the loop reports a non-finite iterate itself, as NonFiniteIterateError
 @np.errstate(over="ignore", invalid="ignore")
 def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
@@ -252,6 +284,12 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     `window` displacements, phase 2 the iterate x_{N-1-k} and a running sum
     of displacement norms. With `record` every row also goes into an
     IterationTrace.
+
+    When the pair has an affine_step, T(x + w) = M_T x + t_w with
+    t_w = M_T w + t folded once per call, so a step is one matrix-vector
+    product and no resolvent is evaluated. The shadow J_B(x + w) is then
+    computed only for a recorded row or a certificate check. Otherwise a
+    step evaluates J_B and J_A, as dr_apply does.
 
     Returns (end, status, certificates, solution). end is an OrbitEnd, the
     IterationTrace itself when recording; status is CONVERGED or
@@ -278,12 +316,19 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     if record:
         capacity = min(max_iter, _FIRST_ROWS)
         xs, shadows, disps = (np.empty((capacity, dim)) for _ in range(3))
+    step = _fused_step(pair, w)
+    if step is not None:
+        m_t, t_w = step
     status, certificates, solution = MAX_ITER, {}, None
     for n in range(max_iter):
         x = x_next
-        y = x if estimating else x + w
-        jb = apply_b(y)
-        x_next = apply_a(jb + jb - y) + y - jb  # jb + jb is 2 jb exactly
+        if step is None:
+            y = x if estimating else x + w
+            jb = apply_b(y)
+            x_next = apply_a(jb + jb - y) + y - jb  # jb + jb is 2 jb exactly
+        else:
+            x_next = m_t.dot(x) + t_w
+            jb = apply_b(x if estimating else x + w) if record else None
         disp = x - x_next
         if record:
             if n == capacity:
@@ -307,6 +352,8 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
         else:
             size = sqrt(disp.dot(disp))
             if size <= tol:
+                if jb is None:
+                    jb = apply_b(x + w)
                 k = x - jb
                 certificates = {
                     "b_side": membership(pair.B, jb, k + w),
@@ -427,14 +474,15 @@ def solve_normal(pair: OperatorPair, x0=None,
     """Two-phase normal solve: estimate v, then solve the v-perturbed problem.
 
     opts.max_iter budgets each phase separately; iterations_used totals both.
-    With `record` the report carries both phases' IterationTraces (trace and
-    v_trace); without, neither is kept.
+    The report's v_trace is phase 1's OrbitEnd (its row count and last
+    estimators). With `record` its trace is phase 2's IterationTrace, else
+    None; a full phase-1 trace comes from estimate_v(record=True).
     """
     opts = opts or SolveOptions()
-    v, v_end = estimate_v(pair, x0, opts.max_iter, opts.tol_v, opts.window, record=record)
+    v, v_end = estimate_v(pair, x0, opts.max_iter, opts.tol_v, opts.window)
     report = solve_perturbed(pair, v, x0, opts, record=record)
     report.v_estimate = v
     report.v_residual = float(np.linalg.norm(v - v_end.v_cesaro))
     report.iterations_used += len(v_end)
-    report.v_trace = v_end if record else None
+    report.v_trace = v_end
     return report

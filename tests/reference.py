@@ -13,8 +13,11 @@ operator's cached factorization, so the reference shares no arithmetic with
 the compiled form beyond the leaf projections.
 
 `drifting_tail` reads the drift verdict off a recorded trace, the way the
-solve loop takes it from the few rows it keeps.
+solve loop takes it from the few rows it keeps, and `trace_csv` writes a
+trace cell by cell, the bytes that IterationTrace.to_csv must reproduce.
 """
+
+import csv
 
 import numpy as np
 
@@ -67,3 +70,26 @@ def drifting_tail(trace, tol_fix: float) -> bool:
         return False
     net = float(np.linalg.norm(trace.xs[n - 1] - trace.xs[n - 1 - k]))
     return net / path >= _DRIFT_RATIO
+
+
+def trace_csv(trace, path) -> None:
+    """The trace CSV with every float cell written as repr(float(cell))."""
+    dim = trace.xs.shape[1]
+    d_norms = trace.displacement_norms()
+    c_norms = np.linalg.norm(trace.v_cesaros, axis=1)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["n"]
+            + [f"x_{j}" for j in range(dim)]
+            + [f"shadow_{j}" for j in range(dim)]
+            + ["displacement_norm", "v_diff_norm", "v_cesaro_norm"]
+        )
+        for i in range(len(trace)):
+            writer.writerow(
+                [i]
+                + [repr(float(v)) for v in trace.xs[i]]
+                + [repr(float(v)) for v in trace.shadows[i]]
+                + [repr(float(d_norms[i])), repr(float(d_norms[i])),
+                   repr(float(c_norms[i]))]
+            )

@@ -1,5 +1,6 @@
-"""Compiled resolvents against the recursive reference, and the shared loop's
-iteration counts pinned per registry scenario."""
+"""Compiled resolvents against the recursive reference, the fused affine DR
+step against the two-resolvent step, and the shared loop's iteration counts
+pinned per registry scenario."""
 
 import pickle
 
@@ -10,22 +11,26 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from normsplit import (
+    AffineSubspace,
     ConstantValued,
     FlipBoth,
     InnerShift,
     Inverse,
     NormalCone,
+    OperatorPair,
     OuterShift,
     SolveOptions,
     compile_resolvent,
+    dr_apply,
     resolvent,
     solve_normal,
 )
 from normsplit import operators
+from normsplit.splitting import _fused_step
 from normsplit.scenarios import build_registry, get_scenario
 
 from reference import reference_resolvent
-from zoo import operator_zoo, rng, sample_sets
+from zoo import leaf_operators, operator_zoo, rng, sample_sets
 
 ZOO = [op for dim in (2, 3) for _, op in operator_zoo(dim)]
 WRAPPERS = ("inverse", "flip", "inner_shift", "outer_shift")
@@ -73,6 +78,37 @@ def test_every_stack_projects_once_per_resolvent(monkeypatch, dim):
                 calls.clear()
                 resolvent(op, x)
                 assert len(calls) == 1, (name, depth)
+
+
+def affine_leaves(dim: int):
+    """Leaves with affine resolvents: affine maps, constants, zero, and the
+    normal cones of a line, a point (empty basis) and the whole space."""
+    leaves = [op for _, op in leaf_operators(dim)
+              if not isinstance(op, NormalCone) or isinstance(op.region, AffineSubspace)]
+    whole = AffineSubspace(rng(dim).normal(size=dim), np.eye(dim))
+    return leaves + [NormalCone(whole)]
+
+
+AFFINE_LEAVES = {dim: affine_leaves(dim) for dim in (2, 3)}
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_fused_step_matches_the_two_resolvents(data):
+    dim = data.draw(st.sampled_from(sorted(AFFINE_LEAVES)))
+    vectors = arrays(np.float64, dim, elements=st.floats(-10.0, 10.0))
+    ops = []
+    for _ in range(2):
+        op = data.draw(st.sampled_from(AFFINE_LEAVES[dim]))
+        for kind in data.draw(st.lists(st.sampled_from(WRAPPERS), max_size=6)):
+            op = wrapped(op, kind, data.draw(vectors))
+        ops.append(op)
+    pair = OperatorPair(*ops)
+    w = data.draw(st.none() | vectors)
+    x = data.draw(vectors)
+    m_t, t_w = _fused_step(pair, w)
+    expected = dr_apply(pair, x if w is None else x + w)
+    assert np.linalg.norm(m_t.dot(x) + t_w - expected) <= 1e-12 * (1.0 + np.linalg.norm(x))
 
 
 def test_folds_cover_exactly_the_wrappers():

@@ -11,6 +11,7 @@ from normsplit import (
     ConstantValued,
     NormalCone,
     OperatorPair,
+    OrbitEnd,
     SolveOptions,
     Inverse,
     Zero,
@@ -30,9 +31,10 @@ from normsplit import (
 )
 from normsplit.errors import PreconditionError
 from normsplit.scenarios import build_registry, get_scenario
+from normsplit.errors import NonFiniteIterateError
 from normsplit.splitting import CONVERGED, NO_FIXED_POINT
 
-from reference import drifting_tail
+from reference import drifting_tail, trace_csv
 from zoo import operator_pairs, rng, sample_points
 
 
@@ -386,6 +388,25 @@ class TestTraceExport:
         assert int(first[0]) == 0
         assert float(first[5]) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("name, w, max_iter", [
+        ("disjoint-balls", None, 60),
+        ("epigraph", [0.0, 1.0], 300),
+        ("two-lines", [0.0, 0.0], 40),
+    ])
+    def test_csv_bytes_match_the_cell_by_cell_writer(self, tmp_path, name, w, max_iter):
+        pair = get_scenario(name).pair
+        if w is None:
+            _, trace = estimate_v(pair, x0=[3.0, -2.0], max_iter=max_iter,
+                                  tol_v=-1.0, record=True)
+        else:
+            trace = solve_perturbed(pair, w, x0=[-0.5, 2.0], record=True,
+                                    opts=SolveOptions(max_iter=max_iter)).trace
+        trace.to_csv(tmp_path / "trace.csv")
+        trace_csv(trace, tmp_path / "reference.csv")
+        written = (tmp_path / "trace.csv").read_bytes()
+        assert written == (tmp_path / "reference.csv").read_bytes()
+        assert written.count(b"\n") == len(trace) + 1
+
     def test_steps_view(self):
         pair = lines_pair()
         _, trace = estimate_v(pair, max_iter=3, tol_v=0.0, record=True)
@@ -421,6 +442,46 @@ def normal_cases():
             yield name, pair, SolveOptions(max_iter=1000)
 
 
+class TestFusedStep:
+    """Affine pairs of dim <= 200 take one matrix-vector product per step."""
+
+    def test_unrecorded_subspace_solve_projects_only_at_certificates(self, monkeypatch):
+        calls = []
+        original = operators._PROJECTORS[AffineSubspace]
+
+        def counting(region, y):
+            calls.append(1)
+            return original(region, y)
+
+        monkeypatch.setitem(operators._PROJECTORS, AffineSubspace, counting)
+        x0 = np.linspace(-1.0, 1.0, 100)
+        # fresh operators, compiled against the patched table
+        slow = lines_at_angle(100, 0.01)  # the residual never reaches tol_fix
+        report = solve_normal(slow, x0, SolveOptions(max_iter=2_000))
+        assert report.iterations_used == 4_000 and report.status != CONVERGED
+        assert calls == []
+        fast = lines_at_angle(100, 1.0)
+        report = solve_normal(fast, x0)
+        assert report.status == CONVERGED
+        # the shadow J_B and the two membership resolvents of one certificate check
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("solve", [
+        lambda pair: estimate_v(pair),
+        lambda pair: solve_perturbed(pair, np.zeros(2)),
+    ])
+    def test_constant_overflow_raises_at_the_first_step(self, solve):
+        pair = OperatorPair(ConstantValued([1e308, 0.0]), ConstantValued([1e308, 0.0]))
+        with pytest.raises(NonFiniteIterateError) as info:
+            solve(pair)
+        assert info.value.step == 0
+
+    def test_only_pairs_up_to_the_dimension_cap_fuse(self):
+        assert lines_at_angle(200, 0.3).affine_step is not None
+        assert lines_at_angle(201, 0.3).affine_step is None
+        assert get_scenario("disjoint-balls").pair.affine_step is None
+
+
 class TestStreamedOrbit:
     """A solve without a trace keeps only the rows its stop tests read."""
 
@@ -429,7 +490,10 @@ class TestStreamedOrbit:
         streamed = solve_normal(pair, opts=opts)
         recorded = solve_normal(pair, opts=opts, record=True)
         assert streamed == recorded
-        assert streamed.trace is None and streamed.v_trace is None
+        assert streamed.trace is None
+        # phase 1 is never recorded by solve_normal: v_trace is its OrbitEnd
+        assert type(streamed.v_trace) is OrbitEnd and type(recorded.v_trace) is OrbitEnd
+        assert len(streamed.v_trace) == len(recorded.v_trace)
         assert (len(recorded.v_trace) + len(recorded.trace)
                 == recorded.iterations_used)
 
@@ -466,7 +530,8 @@ class TestStreamedOrbit:
     def test_memory_does_not_grow_with_the_budget(self):
         pair = lines_at_angle(100, 0.01)  # too slow to converge within 20k steps
         x0 = np.linspace(-1.0, 1.0, 100)
-        dr_apply(pair, x0)  # compile both resolvents before measuring
+        dr_apply(pair, x0)  # compile both resolvents before measuring,
+        assert pair.affine_step is not None  # and the pair's dim x dim step
         peaks = {}
         tracemalloc.start()
         try:
