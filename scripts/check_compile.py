@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Check every compiled resolvent and fused DR step against its reference.
+"""Check every compiled resolvent, block evaluation and fused DR step.
 
 Usage: python scripts/check_compile.py
 Compiles both operators of every registry scenario and every operator of the
-test zoo (dims 2 and 3), prints each compiled form and the largest deviation
-|compiled - reference| over 100 seeded points; the reference is the tree
-walk in tests/reference.py. Then, for every registry pair and zoo pair
-(dims 2 and 3) whose DR step fuses into one affine map x -> M_T x + t, it
-prints the largest relative deviation |M_T x + t - dr_apply(x)| / (1 + |x|)
-over 100 seeded points, and how many pairs fuse. Exits 1 if any deviation
-exceeds 1e-12.
+test zoo (dims 2 and 3), prints each compiled form, the largest deviation
+|compiled - reference| over 100 seeded points, where the reference is the
+tree walk in tests/reference.py, and the largest relative deviation
+|apply_rows(X)_i - apply(x_i)| / (1 + |x_i|) with the same points as one
+block X. For every registry pair and zoo pair (dims 2 and 3) it prints the
+largest relative deviation of dr_apply on that block from dr_apply on each
+point, and, for the pairs whose DR step fuses into one affine map
+x -> M_T x + t, the largest relative deviation
+|M_T x + t - dr_apply(x)| / (1 + |x|) and how many pairs fuse. Exits 1 if
+any deviation exceeds 1e-12.
 """
 
 import sys
@@ -43,31 +46,51 @@ def describe(form) -> str:
             f"  a={_vec(form.a)} c={_vec(form.c)}")
 
 
-def deviation(op) -> float:
-    gen = np.random.default_rng(SEED + op.dim)
-    points = gen.normal(scale=4.0, size=(POINTS, op.dim))
+def seeded_points(dim: int) -> np.ndarray:
+    return np.random.default_rng(SEED + dim).normal(scale=4.0, size=(POINTS, dim))
+
+
+def relative_deviation(rows, points, one_point) -> float:
     return max(
+        float(np.linalg.norm(row - one_point(x)) / (1.0 + np.linalg.norm(x)))
+        for x, row in zip(points, rows)
+    )
+
+
+def deviation(op) -> tuple[float, float]:
+    points = seeded_points(op.dim)
+    form = compile_resolvent(op)
+    tree = max(
         float(np.linalg.norm(resolvent(op, x) - reference_resolvent(op, x))) for x in points
     )
+    return tree, relative_deviation(form.apply_rows(points), points, form.apply)
 
 
 def step_deviation(pair) -> float:
     m_t, t = pair.affine_step
-    gen = np.random.default_rng(SEED + pair.dim)
-    points = gen.normal(scale=4.0, size=(POINTS, pair.dim))
-    return max(
-        float(np.linalg.norm(m_t.dot(x) + t - dr_apply(pair, x)) / (1.0 + np.linalg.norm(x)))
-        for x in points
-    )
+    points = seeded_points(pair.dim)
+    steps = [m_t.dot(x) + t for x in points]
+    return relative_deviation(steps, points, lambda x: dr_apply(pair, x))
 
 
-def check_steps() -> list:
+def check_pairs() -> list:
     pairs = [(name, get_scenario(name).pair) for name in sorted(build_registry())]
     for dim in (2, 3):
         pairs += [(f"zoo{dim}:{name}", pair) for name, pair in operator_pairs(dim)]
-    fused = [(label, pair) for label, pair in pairs if pair.affine_step is not None]
     worst = 0.0
     failures = []
+    for label, pair in pairs:
+        points = seeded_points(pair.dim)
+        dev = relative_deviation(dr_apply(pair, points), points, lambda x: dr_apply(pair, x))
+        worst = max(worst, dev)
+        flag = "" if dev <= TOL else "  FAIL"
+        print(f"block {label:<55} rel dev {dev:.2e}{flag}")
+        if dev > TOL:
+            failures.append(f"block {label}")
+    print(f"{len(pairs)} pairs, largest relative deviation of a block dr_apply "
+          f"{worst:.2e} (tolerance {TOL:g})")
+    fused = [(label, pair) for label, pair in pairs if pair.affine_step is not None]
+    worst = 0.0
     for label, pair in fused:
         dev = step_deviation(pair)
         worst = max(worst, dev)
@@ -87,17 +110,19 @@ def main() -> int:
         cases += [(f"{name}.A", pair.A), (f"{name}.B", pair.B)]
     for dim in (2, 3):
         cases += [(f"zoo{dim}:{name}", op) for name, op in operator_zoo(dim)]
-    worst = 0.0
+    worst = worst_rows = 0.0
     failures = []
     for label, op in cases:
-        dev = deviation(op)
-        worst = max(worst, dev)
-        flag = "" if dev <= TOL else "  FAIL"
-        print(f"{label:<36} dev {dev:.2e}{flag}\n    {describe(compile_resolvent(op))}")
-        if dev > TOL:
+        dev, rows = deviation(op)
+        worst, worst_rows = max(worst, dev), max(worst_rows, rows)
+        flag = "" if max(dev, rows) <= TOL else "  FAIL"
+        print(f"{label:<36} dev {dev:.2e}  rows rel dev {rows:.2e}{flag}\n"
+              f"    {describe(compile_resolvent(op))}")
+        if max(dev, rows) > TOL:
             failures.append(label)
-    print(f"{len(cases)} operators, largest deviation {worst:.2e} (tolerance {TOL:g})")
-    failures += check_steps()
+    print(f"{len(cases)} operators, largest deviation {worst:.2e}, largest relative "
+          f"deviation of apply_rows {worst_rows:.2e} (tolerance {TOL:g})")
+    failures += check_pairs()
     if failures:
         print("FAILED:", ", ".join(failures))
         return 1

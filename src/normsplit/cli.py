@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import math
+import functools
 import sys
 
 import numpy as np
@@ -30,6 +30,10 @@ EXIT_NO_FIXED_POINT = 2
 EXIT_MAX_ITER = 3
 
 _STATUS_EXIT = {CONVERGED: EXIT_OK, NO_FIXED_POINT: EXIT_NO_FIXED_POINT, MAX_ITER: EXIT_MAX_ITER}
+
+# duality-check evaluates its samples in blocks of at most this many rows, so
+# that its memory does not grow with --samples
+_SAMPLE_BLOCK = 4096
 
 
 def _vector_flag(text, name: str, dim: int, default):
@@ -163,16 +167,18 @@ def cmd_duality_check(args) -> int:
     dual = dual_pair(pair)
     rng = np.random.default_rng(args.seed)
     dev_pointwise = 0.0
-    # an overflow shows as a non-finite deviation, reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(args.samples):
-            x = rng.normal(scale=5.0, size=problem.dim)
-            dev = float(np.linalg.norm(dr_apply(pair, x) - dr_apply(dual, x)))
-            if not math.isfinite(dev):
-                print(f"error: |T x - T_dual x| is not finite at sample {i}: "
-                      "the splitting operator overflowed float64", file=sys.stderr)
-                return EXIT_INPUT_ERROR
-            dev_pointwise = max(dev_pointwise, dev)
+    # consecutive blocks draw the same stream as one draw per sample
+    for start in range(0, args.samples, _SAMPLE_BLOCK):
+        xs = rng.normal(scale=5.0, size=(min(_SAMPLE_BLOCK, args.samples - start), problem.dim))
+        # an overflow shows as a non-finite deviation, reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            devs = np.linalg.norm(dr_apply(pair, xs) - dr_apply(dual, xs), axis=1)
+        overflowed = np.flatnonzero(~np.isfinite(devs))
+        if overflowed.size:
+            print(f"error: |T x - T_dual x| is not finite at sample {start + overflowed[0]}: "
+                  "the splitting operator overflowed float64", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+        dev_pointwise = max(dev_pointwise, float(devs.max()))
     print(f"max |T x - T_dual x| over {args.samples} samples: {dev_pointwise:.3e}")
 
     if w is not None:
@@ -238,8 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first call, not at import, and reused by every later one
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except NonFiniteIterateError as exc:

@@ -221,9 +221,19 @@ def _project_epigraph_exp(epi: EpigraphExp, x: np.ndarray) -> np.ndarray:
         et = _exp(t)
         return t - p + et * (beta + et - q)
 
-    # g(p) > 0 for outside points; expand downward until the sign flips
+    # g(p) > 0 for outside points; expand downward until the sign flips.
+    # Newton falls about half a unit a step while exp(2t) dominates g, so
+    # started near a large p it can spend all 200 steps short of the root
+    # (wrong answers from p near 200 on). Above p = 100 start at cap instead:
+    # e^cap is 2 (q - beta)+ + 2 sqrt(p) + 1, so beta + e^cap - q >= e^cap / 2
+    # and e^cap (beta + e^cap - q) > 2p, which makes g(cap) > 0 when cap < p;
+    # the g(cap) test guards that against rounding.
     hi = p
-    lo = p - 1.0
+    if p > 100.0:
+        cap = math.log(2.0 * max(q - beta, 0.0) + 2.0 * math.sqrt(p) + 1.0)
+        if cap < p and g(cap) > 0:
+            hi = cap
+    lo = hi - 1.0
     step = 1.0
     while g(lo) > 0:
         step *= 2.0
@@ -259,6 +269,42 @@ _PROJECTORS: dict[type, Callable[..., np.ndarray]] = {
     AffineSubspace: _project_affine_subspace,
     Halfspace: _project_halfspace,
     EpigraphExp: _project_epigraph_exp,
+}
+
+
+def _project_ball_rows(ball: Ball, xs: np.ndarray) -> np.ndarray:
+    d = xs - ball.center
+    dist = np.sqrt(np.einsum("ij,ij->i", d, d))
+    outside = dist > ball.radius
+    scale = np.divide(ball.radius, dist, out=np.ones_like(dist), where=outside)
+    return np.where(outside[:, None], ball.center + scale[:, None] * d, xs)
+
+
+def _project_affine_subspace_rows(sub: AffineSubspace, xs: np.ndarray) -> np.ndarray:
+    if sub.basis.shape[0] == 0:
+        return np.tile(sub.anchor, (xs.shape[0], 1))
+    return sub.anchor + (xs - sub.anchor).dot(sub._basis_t).dot(sub.basis)
+
+
+def _project_halfspace_rows(half: Halfspace, xs: np.ndarray) -> np.ndarray:
+    # rows inside subtract 0 * normal, which leaves them exactly as they are
+    excess = np.maximum(xs.dot(half.normal) - half.offset, 0.0)
+    return xs - (excess / half._normal_sq)[:, None] * half.normal
+
+
+def _project_epigraph_exp_rows(epi: EpigraphExp, xs: np.ndarray) -> np.ndarray:
+    # the per-point solve on each row; duality-check's blocks hold few epigraph rows
+    return np.array([_project_epigraph_exp(epi, x) for x in xs])
+
+
+# P on a (k, n) block, row by row, as _PROJECTORS maps one point; the solve
+# loop keeps the per-point projectors, which cost less for a single point
+_ROW_PROJECTORS: dict[type, Callable[..., np.ndarray]] = {
+    Box: _project_box,
+    Ball: _project_ball_rows,
+    AffineSubspace: _project_affine_subspace_rows,
+    Halfspace: _project_halfspace_rows,
+    EpigraphExp: _project_epigraph_exp_rows,
 }
 
 
@@ -424,7 +470,8 @@ class ResolventForm:
     stack of any depth costs one projection plus at most three vector
     operations. Otherwise m is a float when it is a multiple of the identity,
     so that no matrix-vector product is done for it. The form is closed under
-    all four wrappers; _FOLDS holds the rule for each.
+    all four wrappers; _FOLDS holds the rule for each. `apply` evaluates J at
+    one point, `apply_rows` at each row of a (k, n) block in one pass.
     """
 
     m: Union[float, np.ndarray]
@@ -472,6 +519,15 @@ class ResolventForm:
             return -p if b is None else b - p
 
         return apply
+
+    def apply_rows(self, xs: np.ndarray) -> np.ndarray:
+        """J on every row of a finite (k, n) float64 block, as `apply` on each row."""
+        m = self.m
+        out = m * xs if isinstance(m, float) else xs.dot(m.T)
+        if self.region is not None:
+            y = self.sigma * xs + self.a
+            out = out + self.beta * _ROW_PROJECTORS[type(self.region)](self.region, y)
+        return out + self.c
 
 
 def _times(m, w: np.ndarray) -> np.ndarray:
@@ -535,7 +591,8 @@ def compile_resolvent(op: OperatorSpec) -> ResolventForm:
 
     The form is cached on the (immutable) operator object, so each operator
     is compiled once; `form.apply(x)` evaluates J_op at a float64 vector x of
-    the operator's dimension and returns a new array.
+    the operator's dimension and returns a new array, and
+    `form.apply_rows(xs)` does so for every row of a (k, dim) block.
     """
     form = getattr(op, "_form", None)
     if form is None:

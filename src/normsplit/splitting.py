@@ -39,7 +39,7 @@ from .operators import (
     membership,
     resolvent,
 )
-from .vecspace import as_vector
+from .vecspace import as_rows, as_vector
 
 CONVERGED = "converged"
 NO_FIXED_POINT = "no_fixed_point_detected"
@@ -216,10 +216,21 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 def dr_apply(pair: OperatorPair, x: np.ndarray) -> np.ndarray:
-    """One application of T = J_A R_B + Id - J_B; firmly nonexpansive."""
-    x = as_vector(x, dim=pair.dim)
-    jb = compile_resolvent(pair.B).apply(x)
-    return compile_resolvent(pair.A).apply(2.0 * jb - x) + x - jb
+    """One application of T = J_A R_B + Id - J_B; firmly nonexpansive.
+
+    x is one point, or a finite (k, dim) block of k points, for which T of
+    each row comes back in one pass. Differences go first, jb + (jb - x) and
+    J_A(.) + (x - jb), so that no intermediate overflows where 2 jb - x would
+    while T x is still finite.
+    """
+    form_a, form_b = compile_resolvent(pair.A), compile_resolvent(pair.B)
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        x, apply_a, apply_b = as_rows(x, pair.dim), form_a.apply_rows, form_b.apply_rows
+    else:
+        x, apply_a, apply_b = as_vector(x, dim=pair.dim), form_a.apply, form_b.apply
+    jb = apply_b(x)
+    return apply_a(jb + (jb - x)) + (x - jb)
 
 
 def dr_map_shifted(pair: OperatorPair, w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -325,7 +336,7 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
         if step is None:
             y = x if estimating else x + w
             jb = apply_b(y)
-            x_next = apply_a(jb + jb - y) + y - jb  # jb + jb is 2 jb exactly
+            x_next = apply_a(jb + (jb - y)) + (y - jb)
         else:
             x_next = m_t.dot(x) + t_w
             jb = apply_b(x if estimating else x + w) if record else None

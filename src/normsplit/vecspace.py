@@ -53,6 +53,16 @@ def as_matrix(m, square: bool = False) -> Matrix:
     return a
 
 
+def as_rows(x, dim: int) -> Matrix:
+    """Coerce to a finite (k, dim) float64 block of k >= 1 points, one per row."""
+    a = as_matrix(x)
+    if a.shape[0] == 0:
+        raise DimensionMismatchError("a block of points needs at least one row")
+    if a.shape[1] != dim:
+        raise DimensionMismatchError(f"expected {dim} columns, got {a.shape[1]}")
+    return a
+
+
 def lu_factor_checked(m: Matrix):
     """Partial-pivot LU of a square matrix; raises if any pivot is negligible."""
     a = as_matrix(m, square=True)

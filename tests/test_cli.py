@@ -10,11 +10,14 @@ from normsplit import (
     OperatorPair,
     OperatorSpec,
     ProjectableSet,
+    dr_apply,
+    dual_pair,
     estimate_v,
     resolvent,
     solve_normal,
     solve_perturbed,
 )
+from normsplit import cli
 from normsplit.cli import main
 from normsplit.errors import NonFiniteIterateError, ProblemFormatError
 from normsplit import problemio
@@ -186,6 +189,103 @@ class TestDualityCheckCommand:
         path = write_problem(tmp_path, payload)
         assert main(["duality-check", path]) == 0
 
+    @staticmethod
+    def _pointwise_max(capsys, path, samples: int, seed: int) -> float:
+        main(["duality-check", path, "--samples", str(samples), "--seed", str(seed)])
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith(f"max |T x - T_dual x| over {samples} samples: ")
+        return float(line.rsplit(" ", 1)[1])
+
+    @staticmethod
+    def _loop_max(problem: dict, dual, samples: int, seed: int) -> float:
+        pair = OperatorPair(*(operator_from_jsonable(problem[k], k) for k in "AB"))
+        gen = np.random.default_rng(seed)
+        return max(float(np.linalg.norm(dr_apply(pair, x) - dr_apply(dual(pair), x)))
+                   for x in (gen.normal(scale=5.0, size=2) for _ in range(samples)))
+
+    EPIGRAPH_BALL = {
+        "dim": 2,
+        "A": {"type": "normal_cone", "set": {"type": "epigraph_exp", "beta": 0.5}},
+        "B": {"type": "inverse", "inner": BALL_B},
+        "options": {"max_iter": 300},
+    }
+
+    # one block for every sample count below the cap, and blocks of 3 rows
+    BLOCKS = pytest.mark.parametrize("block", [None, 3])
+
+    @BLOCKS
+    def test_pointwise_maximum_matches_a_per_sample_loop(self, tmp_path, capsys,
+                                                         monkeypatch, block):
+        if block:
+            monkeypatch.setattr(cli, "_SAMPLE_BLOCK", block)
+        path = write_problem(tmp_path, self.EPIGRAPH_BALL)
+        printed = self._pointwise_max(capsys, path, 40, 3)
+        assert abs(printed - self._loop_max(self.EPIGRAPH_BALL, dual_pair, 40, 3)) <= 1e-12
+
+    @BLOCKS
+    def test_pointwise_maximum_reads_the_same_seeded_draws(self, tmp_path, capsys,
+                                                           monkeypatch, block):
+        if block:
+            monkeypatch.setattr(cli, "_SAMPLE_BLOCK", block)
+        # a stand-in "dual" whose T differs, so that the maximum is of order 1
+        monkeypatch.setattr(cli, "dual_pair", OperatorPair.swapped)
+        path = write_problem(tmp_path, self.EPIGRAPH_BALL)
+        printed = self._pointwise_max(capsys, path, 40, 3)
+        expected = self._loop_max(self.EPIGRAPH_BALL, OperatorPair.swapped, 40, 3)
+        assert expected > 1.0 and f"{printed:.3e}" == f"{expected:.3e}"
+
+    @BLOCKS
+    def test_first_non_finite_sample_is_named(self, tmp_path, capsys, monkeypatch, block):
+        if block:
+            monkeypatch.setattr(cli, "_SAMPLE_BLOCK", block)
+        draws = np.random.default_rng(9).normal(scale=5.0, size=(8, 2))
+
+        def spoiled(pair, xs):
+            # T is made non-finite at samples 4 and 6 only
+            out = dr_apply(pair, xs)
+            out[np.isin(xs[:, 0], draws[[4, 6], 0])] = np.inf
+            return out
+
+        monkeypatch.setattr(cli, "dr_apply", spoiled)
+        path = write_problem(tmp_path, self.EPIGRAPH_BALL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["duality-check", path, "--samples", "8", "--seed", "9"]) == 1
+        assert "not finite at sample 4:" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_flags_of_one_call_do_not_reach_the_next(self, tmp_path):
+        payload = {"dim": 2, "A": LINE_LOWER,
+                   "B": {"type": "normal_cone", "set": {"type": "epigraph_exp", "beta": 1.0}},
+                   "options": {"max_iter": 60}}
+        path = write_problem(tmp_path, payload)
+        runs = []
+        for flags in ([], ["--max-iter", "3"], []):
+            out = str(tmp_path / f"r{len(runs)}.json")
+            main(["solve", path, "--json", out] + flags)
+            runs.append(read_report(out))
+        assert runs[1].iterations_used == 6
+        assert runs[0].iterations_used == runs[2].iterations_used == 120
+        assert runs[2] == runs[0]
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        built = []
+        real = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                main(["scenario", "two-lines"])
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+
 
 class TestOperatorRoundTrip:
     def test_every_zoo_operator_survives_serialization(self):
@@ -285,6 +385,7 @@ class TestNonFiniteOrbit:
         assert "0.000e+00" not in out
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "not finite" in lines[0]
+        assert "at sample 0:" in lines[0]
 
 
 class TestOptionBounds:

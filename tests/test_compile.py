@@ -1,7 +1,9 @@
-"""Compiled resolvents against the recursive reference, the fused affine DR
-step against the two-resolvent step, and the shared loop's iteration counts
-pinned per registry scenario."""
+"""Compiled resolvents against the recursive reference, block evaluation
+against the per-point one, the fused affine DR step against the
+two-resolvent step, and the shared loop's iteration counts pinned per
+registry scenario."""
 
+import math
 import pickle
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 from normsplit import (
     AffineSubspace,
     ConstantValued,
+    EpigraphExp,
     FlipBoth,
     InnerShift,
     Inverse,
@@ -22,6 +25,7 @@ from normsplit import (
     SolveOptions,
     compile_resolvent,
     dr_apply,
+    project,
     resolvent,
     solve_normal,
 )
@@ -56,6 +60,56 @@ def test_compiled_stack_matches_reference(data):
     x = data.draw(vectors)
     gap = np.linalg.norm(resolvent(op, x) - reference_resolvent(op, x))
     assert gap <= 1e-12
+
+
+def close_rows(rows: np.ndarray, xs: np.ndarray, one_point) -> bool:
+    """Each row within 1e-12 (1 + |x|) of one_point at its x."""
+    return all(np.linalg.norm(row - one_point(x)) <= 1e-12 * (1.0 + np.linalg.norm(x))
+               for x, row in zip(xs, rows))
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_block_rows_match_the_per_point_form(data):
+    op = data.draw(st.sampled_from(ZOO))
+    vectors = arrays(np.float64, op.dim, elements=st.floats(-10.0, 10.0))
+    for kind in data.draw(st.lists(st.sampled_from(WRAPPERS), max_size=6)):
+        op = wrapped(op, kind, data.draw(vectors))
+    k = data.draw(st.integers(1, 8))
+    xs = data.draw(arrays(np.float64, (k, op.dim), elements=st.floats(-1e3, 1e3)))
+    form = compile_resolvent(op)
+    assert close_rows(form.apply_rows(xs), xs, form.apply)
+
+
+BETA = 0.7
+
+
+def _on_curve(t: float, offset: float) -> tuple:
+    return t, BETA + math.exp(t) + offset
+
+
+EPIGRAPH_POINTS = st.one_of(
+    # inside the set
+    st.tuples(st.floats(-50.0, 50.0), st.floats(0.0, 100.0)).map(lambda pd: _on_curve(*pd)),
+    # far left, where exp(p) underflows against beta
+    st.tuples(st.floats(-1e4, -30.0), st.floats(-1e3, 1e3)),
+    # within 1e-9 of the boundary curve, on either side
+    st.tuples(st.floats(-30.0, 30.0), st.floats(-1e-9, 1e-9)).map(lambda pd: _on_curve(*pd)),
+    # large p, where exp(p) overflows (|x| stays finite for the tolerance)
+    st.tuples(st.floats(709.8, 1e150), st.floats(-1e3, 1e3)),
+)
+
+
+@given(st.lists(EPIGRAPH_POINTS, min_size=1, max_size=12))
+def test_epigraph_rows_match_the_per_point_solve(points):
+    epi = EpigraphExp(BETA)
+    xs = np.array(points)
+    rows = operators._ROW_PROJECTORS[EpigraphExp](epi, xs)
+    assert close_rows(rows, xs, lambda x: project(epi, x))
+
+
+def test_row_projectors_cover_exactly_the_set_variants():
+    assert set(operators._ROW_PROJECTORS) == set(operators._PROJECTORS)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -142,11 +142,24 @@ class TestEpigraphProjection:
     def test_stationarity_residual(self):
         beta = 0.7
         epi = EpigraphExp(beta)
-        for x in [(-4.0, -3.0), (2.0, 1.0), (30.0, 0.0), (0.0, -100.0)]:
+        # the large-p points need the bracket below cap: Newton started near
+        # p falls about half a unit a step and runs out of its 200 steps
+        for x in [(-4.0, -3.0), (2.0, 1.0), (30.0, 0.0), (0.0, -100.0),
+                  (400.0, 0.0), (800.0, 500.0), (1e4, 0.0), (1e4, 500.0)]:
             t, y = project(epi, np.array(x))
             assert y == pytest.approx(beta + math.exp(t), abs=1e-12)
             residual = t - x[0] + math.exp(t) * (beta + math.exp(t) - x[1])
             assert abs(residual) <= 1e-10
+
+    def test_stationarity_at_huge_p(self):
+        # g's terms reach p here, so its residual is judged relative to p
+        beta = 0.7
+        epi = EpigraphExp(beta)
+        for p in (1e30, 1e100, 1e300):
+            t, y = project(epi, np.array([p, 0.0]))
+            et = math.exp(t)
+            assert y == pytest.approx(beta + et, rel=1e-15)
+            assert abs(t - p + et * (beta + et)) <= 1e-12 * p
 
 
 class TestResolvent:

@@ -29,7 +29,7 @@ from normsplit import (
     solve_normal,
     solve_perturbed,
 )
-from normsplit.errors import PreconditionError
+from normsplit.errors import DimensionMismatchError, PreconditionError
 from normsplit.scenarios import build_registry, get_scenario
 from normsplit.errors import NonFiniteIterateError
 from normsplit.splitting import CONVERGED, NO_FIXED_POINT
@@ -76,6 +76,27 @@ class TestDrApply:
                     tx, ty = dr_apply(pair, x), dr_apply(pair, y)
                     lhs = np.sum((tx - ty) ** 2) + np.sum(((x - tx) - (y - ty)) ** 2)
                     assert lhs <= np.sum((x - y) ** 2) + 1e-9, name
+
+    def test_block_gives_each_rows_step(self):
+        gen = rng(5)
+        pairs = [get_scenario(name).pair for name in sorted(build_registry())]
+        pairs += [pair for dim in (2, 3) for _, pair in operator_pairs(dim)]
+        for pair in pairs + [dual_pair(pair) for pair in pairs]:
+            xs = sample_points(gen, pair.dim, 30, scale=5.0)
+            block = dr_apply(pair, xs)
+            for x, row in zip(xs, block):
+                assert np.linalg.norm(row - dr_apply(pair, x)) <= 1e-12 * (1.0 + np.linalg.norm(x))
+
+    @pytest.mark.parametrize("xs, error, match", [
+        (np.zeros((4, 3)), DimensionMismatchError, "columns"),
+        (np.zeros((0, 2)), DimensionMismatchError, "row"),
+        (np.zeros((2, 2, 2)), DimensionMismatchError, "shape"),
+        (np.array([[0.0, 1.0], [np.nan, 0.0]]), ValueError, "finite"),
+        (np.array([[0.0, np.inf]]), ValueError, "finite"),
+    ])
+    def test_block_is_validated(self, xs, error, match):
+        with pytest.raises(error, match=match):
+            dr_apply(lines_pair(), xs)
 
 
 class TestShiftedMap:
@@ -475,6 +496,20 @@ class TestFusedStep:
         with pytest.raises(NonFiniteIterateError) as info:
             solve(pair)
         assert info.value.step == 0
+
+    def test_two_resolvent_step_overflows_only_with_the_iterate(self):
+        # above the cap; x_n = -2n c, so x_1 and x_2 are finite and x_3 is not
+        c = np.zeros(201)
+        c[0], c[1] = 3e307, 1.0
+        pair = OperatorPair(ConstantValued(c), ConstantValued(c))
+        assert pair.affine_step is None
+        with pytest.raises(NonFiniteIterateError) as info:
+            estimate_v(pair)
+        assert info.value.step == 2
+        with np.errstate(over="ignore"):
+            assert np.isfinite(dr_apply(pair, -2.0 * c)).all()
+            assert np.isfinite(dr_apply(pair, -2.0 * c[None, :])).all()
+            assert not np.isfinite(dr_apply(pair, -4.0 * c)).all()
 
     def test_only_pairs_up_to_the_dimension_cap_fuse(self):
         assert lines_at_angle(200, 0.3).affine_step is not None
