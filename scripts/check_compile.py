@@ -3,7 +3,8 @@
 
 Usage: python scripts/check_compile.py
 Compiles both operators of every registry scenario and every operator of the
-test zoo (dims 2 and 3), prints each compiled form, the largest deviation
+test zoo (dims 2 and 3), prints each compiled form and how many of them
+project in normal form, P(x) with sigma = 1 and a = 0, the largest deviation
 |compiled - reference| over 100 seeded points, where the reference is the
 tree walk in tests/reference.py, and the largest relative deviation
 |apply_rows(X)_i - apply(x_i)| / (1 + |x_i|) with the same points as one
@@ -41,9 +42,12 @@ def describe(form) -> str:
     m = f"{form.m:g}" if isinstance(form.m, float) else _vec(form.m).replace("\n", "")
     if form.region is None:
         return f"J(x) = M x + c  M={m} c={_vec(form.c)}"
-    proj = f"P_{type(form.region).__name__}({'' if form.sigma > 0 else '-'}x + a)"
-    return (f"J(x) = {m} x {'+' if form.beta > 0 else '-'} {proj} + c"
-            f"  a={_vec(form.a)} c={_vec(form.c)}")
+    sign = "+" if form.beta > 0 else "-"
+    name = type(form.region).__name__
+    if form.projects_bare:
+        return f"J(x) = {m} x {sign} P_{name}(x) + c  (normal form)  c={_vec(form.c)}"
+    proj = f"P_{name}({'' if form.sigma > 0 else '-'}x + a)"
+    return f"J(x) = {m} x {sign} {proj} + c  a={_vec(form.a)} c={_vec(form.c)}"
 
 
 def seeded_points(dim: int) -> np.ndarray:
@@ -112,14 +116,21 @@ def main() -> int:
         cases += [(f"zoo{dim}:{name}", op) for name, op in operator_zoo(dim)]
     worst = worst_rows = 0.0
     failures = []
+    projecting = bare = 0
     for label, op in cases:
+        form = compile_resolvent(op)
+        if form.region is not None:
+            projecting += 1
+            bare += form.projects_bare
         dev, rows = deviation(op)
         worst, worst_rows = max(worst, dev), max(worst_rows, rows)
         flag = "" if max(dev, rows) <= TOL else "  FAIL"
         print(f"{label:<36} dev {dev:.2e}  rows rel dev {rows:.2e}{flag}\n"
-              f"    {describe(compile_resolvent(op))}")
+              f"    {describe(form)}")
         if max(dev, rows) > TOL:
             failures.append(label)
+    print(f"{projecting} of {len(cases)} forms project onto a set, {bare} of them "
+          f"in normal form P(x)")
     print(f"{len(cases)} operators, largest deviation {worst:.2e}, largest relative "
           f"deviation of apply_rows {worst_rows:.2e} (tolerance {TOL:g})")
     failures += check_pairs()

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -33,6 +34,7 @@ TOL_CERT = 1e-7
 # slack when checking the symmetric part of an affine map for monotonicity
 PSD_SLACK = 1e-10
 ORTHONORMAL_TOL = 1e-12
+_EPS = math.ulp(1.0)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -75,8 +77,8 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", _frozen(as_vector(self.center)))
         object.__setattr__(self, "radius", float(self.radius))
-        if not self.radius > 0:
-            raise ValueError("ball radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise ValueError("ball radius must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -125,6 +127,8 @@ class Halfspace:
             raise ValueError("halfspace normal must be nonzero")
         object.__setattr__(self, "normal", _frozen(normal))
         object.__setattr__(self, "offset", float(self.offset))
+        if not math.isfinite(self.offset):
+            raise ValueError("halfspace offset must be finite")
         object.__setattr__(self, "_normal_sq", float(normal @ normal))
 
     @property
@@ -144,8 +148,8 @@ class EpigraphExp:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", float(self.beta))
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
+        if not 0 <= self.beta < math.inf:
+            raise ValueError("beta must be nonnegative and finite")
 
     @property
     def dim(self) -> int:
@@ -178,7 +182,9 @@ def _project_ball(ball: Ball, x: np.ndarray) -> np.ndarray:
     dist = math.sqrt(d.dot(d))
     if dist <= ball.radius:
         return x.copy()
-    return ball.center + (ball.radius / dist) * d
+    d *= ball.radius / dist
+    d += ball.center
+    return d
 
 
 def _project_affine_subspace(sub: AffineSubspace, x: np.ndarray) -> np.ndarray:
@@ -210,7 +216,9 @@ def _project_epigraph_exp(epi: EpigraphExp, x: np.ndarray) -> np.ndarray:
         g(t) = t - p + exp(t) * (beta + exp(t) - q) = 0.
 
     Solved by safeguarded Newton inside a sign-change bracket (bisection
-    fallback keeps the bracket valid), to residual 1e-12.
+    fallback keeps the bracket valid), to residual 1e-12, or until the
+    Newton step rounds to no change of t, or the bracket to one ulp of t:
+    once g's terms exceed about 4096, one ulp of them is above 1e-12.
     """
     beta = epi.beta
     p, q = float(x[0]), float(x[1])
@@ -241,23 +249,25 @@ def _project_epigraph_exp(epi: EpigraphExp, x: np.ndarray) -> np.ndarray:
 
     t = 0.5 * (lo + hi)
     for _ in range(200):
-        gt = g(t)
+        et = _exp(t)  # g(t) inline, so that the slope reuses exp(t)
+        gt = t - p + et * (beta + et - q)
         if abs(gt) <= 1e-12:
             break
         if gt > 0:
             hi = t
         else:
             lo = t
-        et = _exp(t)
         slope = 1.0 + et * (beta + 2.0 * et - q)
         if math.isfinite(gt) and math.isfinite(slope) and slope > 0:
             t_new = t - gt / slope
+            if t_new == t:  # the Newton step is below half an ulp of t
+                break
         else:
             t_new = 0.5 * (lo + hi)
         if not lo < t_new < hi:
             t_new = 0.5 * (lo + hi)
         t = t_new
-        if hi - lo <= 1e-16 * max(1.0, abs(t)):
+        if hi - lo <= max(1e-16, _EPS * abs(t)):  # within an ulp of t from |t| = 0.45 on
             break
     return np.array([t, beta + _exp(t)])
 
@@ -269,6 +279,24 @@ _PROJECTORS: dict[type, Callable[..., np.ndarray]] = {
     AffineSubspace: _project_affine_subspace,
     Halfspace: _project_halfspace,
     EpigraphExp: _project_epigraph_exp,
+}
+
+
+def _box_image(box: Box, sigma: int, a: np.ndarray) -> Box:
+    if sigma > 0:
+        return Box(box.lo - a, box.hi - a)
+    return Box(a - box.hi, a - box.lo)
+
+
+# the set sigma (S - a) for sigma = +1 or -1, of the same variant as S, so
+# that P_S(sigma x + a) = sigma P_{sigma (S - a)}(x) + a; the epigraph has no
+# entry, since a flip or a shift takes it out of its variant
+_IMAGES: dict[type, Callable[..., ProjectableSet]] = {
+    Box: _box_image,
+    Ball: lambda ball, sigma, a: Ball(sigma * (ball.center - a), ball.radius),
+    AffineSubspace: lambda sub, sigma, a: AffineSubspace(sigma * (sub.anchor - a), sub.basis),
+    Halfspace: lambda half, sigma, a: Halfspace(
+        sigma * half.normal, half.offset - float(half.normal.dot(a))),
 }
 
 
@@ -460,18 +488,35 @@ OperatorSpec = Union[
 # evaluation
 # ---------------------------------------------------------------------------
 
+# J(x) = m x + beta P(x) + c, from (P, region, c), keyed by (m != 0, beta > 0, c != 0)
+_BARE_EVALUATORS = {
+    (False, True, False): lambda proj, s, c: partial(proj, s),
+    (False, True, True): lambda proj, s, c: lambda x: proj(s, x) + c,
+    (False, False, False): lambda proj, s, c: lambda x: -proj(s, x),
+    (False, False, True): lambda proj, s, c: lambda x: c - proj(s, x),
+    (True, True, False): lambda proj, s, c: lambda x: x + proj(s, x),
+    (True, True, True): lambda proj, s, c: lambda x: x + proj(s, x) + c,
+    (True, False, False): lambda proj, s, c: lambda x: x - proj(s, x),
+    (True, False, True): lambda proj, s, c: lambda x: x - proj(s, x) + c,
+}
+
+
 @dataclass(frozen=True, eq=False)
 class ResolventForm:
     """Resolvent J(x) = m x + beta P(sigma x + a) + c of a whole wrapper stack.
 
     P projects onto `region`; region None means there is no projection term
     (affine, constant and zero leaves), and then beta, sigma and a are unused.
-    Over a normal-cone leaf m is 0.0 or 1.0 and beta, sigma are +1 or -1, so a
-    stack of any depth costs one projection plus at most three vector
-    operations. Otherwise m is a float when it is a multiple of the identity,
-    so that no matrix-vector product is done for it. The form is closed under
-    all four wrappers; _FOLDS holds the rule for each. `apply` evaluates J at
-    one point, `apply_rows` at each row of a (k, n) block in one pass.
+    Over a normal-cone leaf m is 0.0 or 1.0 and beta, sigma are +1 or -1.
+    compile_resolvent keeps such a form in normal form, sigma = 1 and a = 0,
+    by moving flips and shifts into the set (operators._IMAGES), so that a
+    stack of any depth costs one bare projection plus at most two vector
+    operations, and the bare leaf costs the projection alone. Only the
+    epigraph keeps sigma and a. Otherwise m is a float when it is a multiple
+    of the identity, so that no matrix-vector product is done for it. The
+    form is closed under all four wrappers; _FOLDS holds the rule for each.
+    `apply` evaluates J at one point, `apply_rows` at each row of a (k, n)
+    block in one pass.
     """
 
     m: Union[float, np.ndarray]
@@ -489,6 +534,11 @@ class ResolventForm:
         # rebuild `apply` rather than pickle the closure
         return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
+    @property
+    def projects_bare(self) -> bool:
+        """True when the projection term is P(x): sigma = 1 and a = 0."""
+        return self.sigma > 0 and not np.any(self.a)
+
     def _evaluator(self):
         m, c = self.m, self.c
         if self.region is None:
@@ -502,30 +552,20 @@ class ResolventForm:
 
         project_onto = _projector(self.region)
         region, alpha, beta, sigma = self.region, m, self.beta, self.sigma
-        a = self.a if np.any(self.a) else None
-        b = c if c.any() else None
+        if self.projects_bare:
+            return _BARE_EVALUATORS[bool(alpha), beta > 0, bool(c.any())](
+                project_onto, region, c)
 
-        def apply(x):
-            if sigma > 0:
-                y = x if a is None else x + a
-            else:
-                y = -x if a is None else a - x
-            p = project_onto(region, y)
-            if alpha:
-                p = x + p if beta > 0 else x - p
-                return p if b is None else p + b
-            if beta > 0:
-                return p if b is None else p + b
-            return -p if b is None else b - p
-
-        return apply
+        # the epigraph keeps sigma and a, and so does a set whose image overflows
+        a = self.a
+        return lambda x: alpha * x + beta * project_onto(region, sigma * x + a) + c
 
     def apply_rows(self, xs: np.ndarray) -> np.ndarray:
         """J on every row of a finite (k, n) float64 block, as `apply` on each row."""
         m = self.m
         out = m * xs if isinstance(m, float) else xs.dot(m.T)
         if self.region is not None:
-            y = self.sigma * xs + self.a
+            y = xs if self.projects_bare else self.sigma * xs + self.a
             out = out + self.beta * _ROW_PROJECTORS[type(self.region)](self.region, y)
         return out + self.c
 
@@ -586,11 +626,44 @@ def dense_affine(form: ResolventForm) -> Optional[tuple[np.ndarray, np.ndarray]]
     return m, beta * (q_mat.dot(form.a + np.zeros(dim)) + q) + form.c
 
 
+def _normal_form(form: ResolventForm) -> ResolventForm:
+    """form with sigma = 1 and a = 0 when its set has an image rule, else form.
+
+    m x + beta P_S(sigma x + a) + c = m x + beta sigma P_S'(x) + (c + beta a)
+    with S' = sigma (S - a). A form whose new set or c would overflow float64
+    keeps sigma and a.
+    """
+    image = _IMAGES.get(type(form.region))
+    if image is None or form.projects_bare:
+        return form
+    a = form.a + np.zeros(form.c.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = form.c + form.beta * a
+        try:
+            region = image(form.region, form.sigma, a)
+        except ValueError:
+            return form
+    if not np.isfinite(c).all():
+        return form
+    return replace(form, region=region, beta=form.beta * form.sigma, sigma=1, a=0.0, c=c)
+
+
+def _fold_stack(op: OperatorSpec) -> ResolventForm:
+    # op's form by the fold rules alone, down to a leaf or to an operator
+    # compiled before, whose cached form is taken; nothing is cached here
+    fold = _FOLDS.get(type(op))
+    if fold is None or hasattr(op, "_form"):
+        return compile_resolvent(op)
+    return fold(_fold_stack(op.inner), op)
+
+
 def compile_resolvent(op: OperatorSpec) -> ResolventForm:
     """Fold op's wrapper stack into one closed-form resolvent.
 
-    The form is cached on the (immutable) operator object, so each operator
-    is compiled once; `form.apply(x)` evaluates J_op at a float64 vector x of
+    The folded form is put in normal form (_normal_form) once, so that its
+    projection term over any set but the epigraph is a bare P(x). The form
+    is cached on the (immutable) operator object, so each operator is
+    compiled once; `form.apply(x)` evaluates J_op at a float64 vector x of
     the operator's dimension and returns a new array, and
     `form.apply_rows(xs)` does so for every row of a (k, dim) block.
     """
@@ -598,7 +671,7 @@ def compile_resolvent(op: OperatorSpec) -> ResolventForm:
     if form is None:
         fold = _FOLDS.get(type(op))
         if fold is not None:
-            form = fold(compile_resolvent(op.inner), op)
+            form = _normal_form(fold(_fold_stack(op.inner), op))
         else:
             try:
                 leaf = _LEAF_FORMS[type(op)]

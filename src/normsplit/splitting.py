@@ -219,9 +219,10 @@ def dr_apply(pair: OperatorPair, x: np.ndarray) -> np.ndarray:
     """One application of T = J_A R_B + Id - J_B; firmly nonexpansive.
 
     x is one point, or a finite (k, dim) block of k points, for which T of
-    each row comes back in one pass. Differences go first, jb + (jb - x) and
-    J_A(.) + (x - jb), so that no intermediate overflows where 2 jb - x would
-    while T x is still finite.
+    each row comes back in one pass. The difference u = jb - x goes first,
+    J_A(jb + u) - u, so that no intermediate overflows where 2 jb - x would
+    while T x is still finite; u is taken once, which is bit-identical to
+    J_A(jb + (jb - x)) + (x - jb), since fl(x - jb) = -fl(jb - x).
     """
     form_a, form_b = compile_resolvent(pair.A), compile_resolvent(pair.B)
     x = np.asarray(x, dtype=float)
@@ -230,7 +231,8 @@ def dr_apply(pair: OperatorPair, x: np.ndarray) -> np.ndarray:
     else:
         x, apply_a, apply_b = as_vector(x, dim=pair.dim), form_a.apply, form_b.apply
     jb = apply_b(x)
-    return apply_a(jb + (jb - x)) + (x - jb)
+    u = jb - x
+    return apply_a(jb + u) - u
 
 
 def dr_map_shifted(pair: OperatorPair, w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -336,7 +338,8 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
         if step is None:
             y = x if estimating else x + w
             jb = apply_b(y)
-            x_next = apply_a(jb + (jb - y)) + (y - jb)
+            u = jb - y
+            x_next = apply_a(jb + u) - u
         else:
             x_next = m_t.dot(x) + t_w
             jb = apply_b(x if estimating else x + w) if record else None

@@ -454,6 +454,29 @@ class TestOptionBounds:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestNonFiniteSetParameters:
+    """json.load reads Infinity and NaN; the set, not the orbit, must refuse them."""
+
+    @pytest.mark.parametrize(
+        "region, field",
+        [
+            ({"type": "ball", "center": [0.0, 0.0], "radius": float("inf")}, "radius"),
+            ({"type": "halfspace", "normal": [1.0, 0.0], "offset": float("nan")}, "offset"),
+            ({"type": "epigraph_exp", "beta": float("nan")}, "beta"),
+            ({"type": "epigraph_exp", "beta": float("inf")}, "beta"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["solve", "duality-check"])
+    def test_problem_file_exits_1_naming_the_field(self, tmp_path, capsys, command,
+                                                   region, field):
+        payload = {"dim": 2, "A": BALL_A, "B": {"type": "normal_cone", "set": region}}
+        path = write_problem(tmp_path, payload)
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: B.set") and field in err
+        assert "overflowed" not in err and "Traceback" not in err
+
+
 class TestReadReportValidation:
     @staticmethod
     def _written(tmp_path, **changes):

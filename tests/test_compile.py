@@ -1,10 +1,13 @@
-"""Compiled resolvents against the recursive reference, block evaluation
-against the per-point one, the fused affine DR step against the
-two-resolvent step, and the shared loop's iteration counts pinned per
-registry scenario."""
+"""Compiled resolvents against the recursive reference, their normal form
+against the set images it projects onto, block evaluation against the
+per-point one, the fused affine DR step against the two-resolvent step,
+and the shared loop's iteration counts pinned per registry scenario."""
 
+import importlib.util
 import math
 import pickle
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from normsplit import (
     AffineSubspace,
+    Box,
     ConstantValued,
     EpigraphExp,
     FlipBoth,
@@ -22,6 +26,7 @@ from normsplit import (
     NormalCone,
     OperatorPair,
     OuterShift,
+    ProjectableSet,
     SolveOptions,
     compile_resolvent,
     dr_apply,
@@ -60,6 +65,74 @@ def test_compiled_stack_matches_reference(data):
     x = data.draw(vectors)
     gap = np.linalg.norm(resolvent(op, x) - reference_resolvent(op, x))
     assert gap <= 1e-12
+
+
+IMAGE_SETS = [region for dim in (2, 3) for _, region in sample_sets(dim)
+              if not isinstance(region, EpigraphExp)]
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_projection_onto_the_image_set(data):
+    region = data.draw(st.sampled_from(IMAGE_SETS))
+    vectors = arrays(np.float64, region.dim, elements=st.floats(-10.0, 10.0))
+    sigma = data.draw(st.sampled_from((1, -1)))
+    a, x = data.draw(vectors), data.draw(vectors)
+    image = operators._IMAGES[type(region)](region, sigma, a)
+    assert type(image) is type(region)
+    gap = np.linalg.norm(project(region, sigma * x + a) - (sigma * project(image, x) + a))
+    assert gap <= 1e-12 * (1.0 + np.linalg.norm(x) + np.linalg.norm(a))
+
+
+def test_image_rules_cover_every_set_but_the_epigraph():
+    assert set(operators._IMAGES) | {EpigraphExp} == set(typing.get_args(ProjectableSet))
+    assert EpigraphExp not in operators._IMAGES
+
+
+def leaf_of(op):
+    while hasattr(op, "inner"):
+        op = op.inner
+    return op
+
+
+def test_stacks_over_sets_with_images_compile_to_a_bare_projection():
+    stacks = [op for op in ZOO if isinstance(leaf_of(op), NormalCone)
+              and not isinstance(leaf_of(op).region, EpigraphExp)]
+    assert len(stacks) > 2 * 5 * 5  # five sets and five stacks of each, in dims 2 and 3
+    for op in stacks:
+        form = compile_resolvent(op)
+        assert form.sigma == 1 and isinstance(form.a, float) and form.a == 0.0
+        assert form.projects_bare
+
+
+def test_a_stack_whose_image_overflows_keeps_sigma_and_a():
+    # the image box would reach hi - a = 1e308 + 1e308, which is not a float64,
+    # so the form keeps a; its projection P(x + a) is finite
+    box = Box([-1.0, -1.0], [1e308, 1.0])
+    op = OuterShift(NormalCone(box), [-1e308, 0.0])
+    form = compile_resolvent(op)
+    assert form.region is box and not form.projects_bare
+    for x in ([0.0, 0.0], [3.0, -2.0]):
+        x = np.array(x)
+        np.testing.assert_array_equal(resolvent(op, x), reference_resolvent(op, x))
+
+
+def test_the_bare_leaf_evaluates_as_its_projector():
+    for _, region in sample_sets(2):
+        form = compile_resolvent(NormalCone(region))
+        x = np.array([3.0, -2.0])
+        np.testing.assert_array_equal(form.apply(x), project(region, x))
+        if not isinstance(region, EpigraphExp):
+            assert form.apply.func is operators._PROJECTORS[type(region)]
+
+
+def test_check_compile_script_passes(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "check_compile.py"
+    spec = importlib.util.spec_from_file_location("check_compile", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main() == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def close_rows(rows: np.ndarray, xs: np.ndarray, one_point) -> bool:

@@ -27,6 +27,7 @@ from normsplit import (
     resolvent,
     resolvent_skew_formula,
 )
+from normsplit import operators
 from normsplit.errors import DimensionMismatchError, PreconditionError
 from normsplit.scenarios import rotator_matrix
 
@@ -55,6 +56,15 @@ class TestSetValidation:
     def test_epigraph_needs_nonnegative_beta(self):
         with pytest.raises(ValueError):
             EpigraphExp(-0.5)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_scalar_parameters_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="radius"):
+            Ball([0.0, 0.0], bad)
+        with pytest.raises(ValueError, match="offset"):
+            Halfspace([1.0, 0.0], bad)
+        with pytest.raises(ValueError, match="beta"):
+            EpigraphExp(bad)
 
     def test_affine_monotone_rejects_nonmonotone(self):
         with pytest.raises(ValueError):
@@ -150,6 +160,21 @@ class TestEpigraphProjection:
             assert y == pytest.approx(beta + math.exp(t), abs=1e-12)
             residual = t - x[0] + math.exp(t) * (beta + math.exp(t) - x[1])
             assert abs(residual) <= 1e-10
+
+    @pytest.mark.parametrize("x", [(1e4, 0.0), (1e20, 0.0), (1e300, 0.0), (5.0, 100.0)])
+    def test_newton_stops_for_large_terms(self, monkeypatch, x):
+        # one ulp of g's terms exceeds 1e-12 here, so an absolute residual
+        # rule alone would run all 200 iterations (404 calls to _exp)
+        calls = []
+        original = operators._exp
+
+        def counting(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(operators, "_exp", counting)
+        project(EpigraphExp(0.7), np.array(x))
+        assert len(calls) <= 60
 
     def test_stationarity_at_huge_p(self):
         # g's terms reach p here, so its residual is judged relative to p
