@@ -160,6 +160,8 @@ def cmd_duality_check(args) -> int:
         opts = _merged_options(problem, args)
         if args.samples < 1:
             raise ProblemFormatError("--samples", f"expected an integer >= 1, got {args.samples}")
+        if args.seed < 0:
+            raise ProblemFormatError("--seed", f"expected an integer >= 0, got {args.seed}")
     except (ProblemFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

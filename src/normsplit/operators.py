@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -47,8 +46,29 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 # projectable convex sets
 # ---------------------------------------------------------------------------
 
+class ProjectableSet:
+    """A closed convex set, with all the rules of its variant as methods.
+
+    Each variant has `project(x)`, its nearest point to one x, and
+    `project_rows(xs)`, that map on every row of a (k, n) block; the default
+    below loops `project`, and the solve loop keeps `project`, which costs
+    less for a single point. `image(sigma, a)` is the set sigma (S - a) for
+    sigma = +1 or -1, of the same variant, so that
+    P_S(sigma x + a) = sigma P_{sigma (S - a)}(x) + a; it is None where a flip
+    or a shift takes the set out of its variant. `affine_map()` is (Q, q)
+    with P(y) = Q y + q as a dense matrix and vector, None where P is not
+    affine.
+    """
+
+    image = None
+    affine_map = None
+
+    def project_rows(self, xs: np.ndarray) -> np.ndarray:
+        return np.array([self.project(x) for x in xs])
+
+
 @dataclass(frozen=True, eq=False)
-class Box:
+class Box(ProjectableSet):
     """Coordinate box {x : lo <= x <= hi}."""
 
     lo: np.ndarray
@@ -66,9 +86,20 @@ class Box:
     def dim(self) -> int:
         return self.lo.size
 
+    def project(self, x: np.ndarray) -> np.ndarray:
+        # np.clip's result, without the Python-level wrapper around it
+        return np.minimum(np.maximum(x, self.lo), self.hi)
+
+    project_rows = project  # it broadcasts over rows
+
+    def image(self, sigma: int, a: np.ndarray) -> Box:
+        if sigma > 0:
+            return Box(self.lo - a, self.hi - a)
+        return Box(a - self.hi, a - self.lo)
+
 
 @dataclass(frozen=True, eq=False)
-class Ball:
+class Ball(ProjectableSet):
     """Closed Euclidean ball of positive radius."""
 
     center: np.ndarray
@@ -84,9 +115,28 @@ class Ball:
     def dim(self) -> int:
         return self.center.size
 
+    def project(self, x: np.ndarray) -> np.ndarray:
+        d = x - self.center
+        dist = math.sqrt(d.dot(d))
+        if dist <= self.radius:
+            return x.copy()
+        d *= self.radius / dist
+        d += self.center
+        return d
+
+    def project_rows(self, xs: np.ndarray) -> np.ndarray:
+        d = xs - self.center
+        dist = np.sqrt(np.einsum("ij,ij->i", d, d))
+        outside = dist > self.radius
+        scale = np.divide(self.radius, dist, out=np.ones_like(dist), where=outside)
+        return np.where(outside[:, None], self.center + scale[:, None] * d, xs)
+
+    def image(self, sigma: int, a: np.ndarray) -> Ball:
+        return Ball(sigma * (self.center - a), self.radius)
+
 
 @dataclass(frozen=True, eq=False)
-class AffineSubspace:
+class AffineSubspace(ProjectableSet):
     """Affine subspace through `anchor` spanned by orthonormal basis rows.
 
     An empty basis, such as [], has no direction rows: the set is the point anchor.
@@ -113,35 +163,78 @@ class AffineSubspace:
     def dim(self) -> int:
         return self.anchor.size
 
+    def project(self, x: np.ndarray) -> np.ndarray:
+        if self.basis.shape[0] == 0:
+            return self.anchor.copy()
+        return self.anchor + self._basis_t.dot(self.basis.dot(x - self.anchor))
+
+    def project_rows(self, xs: np.ndarray) -> np.ndarray:
+        if self.basis.shape[0] == 0:
+            return np.tile(self.anchor, (xs.shape[0], 1))
+        return self.anchor + (xs - self.anchor).dot(self._basis_t).dot(self.basis)
+
+    def image(self, sigma: int, a: np.ndarray) -> AffineSubspace:
+        return AffineSubspace(sigma * (self.anchor - a), self.basis)
+
+    def affine_map(self) -> tuple[np.ndarray, np.ndarray]:
+        q = self._basis_t.dot(self.basis)
+        return q, self.anchor - q.dot(self.anchor)
+
 
 @dataclass(frozen=True, eq=False)
-class Halfspace:
-    """Halfspace {x : <normal, x> <= offset} with nonzero normal."""
+class Halfspace(ProjectableSet):
+    """Halfspace {x : <normal, x> <= offset} with 0 < |normal|^2 < inf."""
 
     normal: np.ndarray
     offset: float
 
     def __post_init__(self):
         normal = as_vector(self.normal)
-        if np.linalg.norm(normal) == 0.0:
-            raise ValueError("halfspace normal must be nonzero")
+        # |normal|^2 divides every projection step: an overflow to inf would
+        # leave each point where it is, and an underflow to 0 would divide by 0
+        with np.errstate(over="ignore", under="ignore"):
+            normal_sq = float(normal.dot(normal))
+        if not 0.0 < normal_sq < math.inf:
+            raise ValueError("halfspace normal must be nonzero, with finite |normal|^2")
         object.__setattr__(self, "normal", _frozen(normal))
         object.__setattr__(self, "offset", float(self.offset))
         if not math.isfinite(self.offset):
             raise ValueError("halfspace offset must be finite")
-        object.__setattr__(self, "_normal_sq", float(normal @ normal))
+        object.__setattr__(self, "_normal_sq", normal_sq)
 
     @property
     def dim(self) -> int:
         return self.normal.size
 
+    def project(self, x: np.ndarray) -> np.ndarray:
+        excess = float(self.normal.dot(x)) - self.offset
+        if excess <= 0:
+            return x.copy()
+        return x - (excess / self._normal_sq) * self.normal
+
+    def project_rows(self, xs: np.ndarray) -> np.ndarray:
+        # rows inside subtract 0 * normal, which leaves them exactly as they are
+        excess = np.maximum(xs.dot(self.normal) - self.offset, 0.0)
+        return xs - (excess / self._normal_sq)[:, None] * self.normal
+
+    def image(self, sigma: int, a: np.ndarray) -> Halfspace:
+        return Halfspace(sigma * self.normal, self.offset - float(self.normal.dot(a)))
+
+
+def _exp(t: float) -> float:
+    try:
+        return math.exp(t)
+    except OverflowError:
+        return math.inf
+
 
 @dataclass(frozen=True, eq=False)
-class EpigraphExp:
+class EpigraphExp(ProjectableSet):
     """Planar set {(x, y) : beta + exp(x) <= y} for beta >= 0.
 
     Closed and convex, but the gap to a horizontal line is never attained:
     the boundary curve flattens toward height beta without reaching it.
+    It has no image rule and keeps the row loop of ProjectableSet.
     """
 
     beta: float
@@ -155,196 +248,77 @@ class EpigraphExp:
     def dim(self) -> int:
         return 2
 
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Project onto {(t, y) : beta + exp(t) <= y}.
 
-ProjectableSet = Union[Box, Ball, AffineSubspace, Halfspace, EpigraphExp]
+        For an outside point (p, q) the nearest point sits on the boundary curve
+        y = beta + exp(t) where t solves the stationarity condition
+
+            g(t) = t - p + exp(t) * (beta + exp(t) - q) = 0.
+
+        Solved by safeguarded Newton inside a sign-change bracket (bisection
+        fallback keeps the bracket valid), to residual 1e-12, or until the
+        Newton step rounds to no change of t, or the bracket to one ulp of t:
+        once g's terms exceed about 4096, one ulp of them is above 1e-12.
+        """
+        beta = self.beta
+        p, q = float(x[0]), float(x[1])
+        if beta + _exp(p) <= q:
+            return x.copy()
+
+        def g(t: float) -> float:
+            et = _exp(t)
+            return t - p + et * (beta + et - q)
+
+        # g(p) > 0 for outside points; expand downward until the sign flips.
+        # Newton falls about half a unit a step while exp(2t) dominates g, so
+        # started near a large p it crawls (83 exp calls at p = 100) and can
+        # spend all 200 steps short of the root (wrong answers from p near 200
+        # on). For p > 0 start at cap instead when cap < p: e^cap is
+        # 2 (q - beta)+ + 2 sqrt(p) + 1, so beta + e^cap - q >= e^cap / 2 and
+        # e^cap (beta + e^cap - q) > 2p, which makes g(cap) > cap + p > 0; the
+        # g(cap) test guards that against rounding.
+        hi = p
+        if p > 0.0:
+            cap = math.log(2.0 * max(q - beta, 0.0) + 2.0 * math.sqrt(p) + 1.0)
+            if cap < p and g(cap) > 0:
+                hi = cap
+        lo = hi - 1.0
+        step = 1.0
+        while g(lo) > 0:
+            step *= 2.0
+            lo -= step
+
+        t = 0.5 * (lo + hi)
+        for _ in range(200):
+            et = _exp(t)  # g(t) inline, so that the slope reuses exp(t)
+            gt = t - p + et * (beta + et - q)
+            if abs(gt) <= 1e-12:
+                break
+            if gt > 0:
+                hi = t
+            else:
+                lo = t
+            slope = 1.0 + et * (beta + 2.0 * et - q)
+            if math.isfinite(gt) and math.isfinite(slope) and slope > 0:
+                t_new = t - gt / slope
+                if t_new == t:  # the Newton step is below half an ulp of t
+                    break
+            else:
+                t_new = 0.5 * (lo + hi)
+            if not lo < t_new < hi:
+                t_new = 0.5 * (lo + hi)
+            t = t_new
+            if hi - lo <= max(1e-16, _EPS * abs(t)):  # within an ulp of t from |t| = 0.45 on
+                break
+        return np.array([t, beta + _exp(t)])
 
 
 def project(region: ProjectableSet, x: np.ndarray) -> np.ndarray:
     """Nearest point of the set; unique since every region is closed convex."""
-    x = as_vector(x, dim=region.dim)
-    return _projector(region)(region, x)
-
-
-def _projector(region):
-    try:
-        return _PROJECTORS[type(region)]
-    except KeyError:
-        raise TypeError(f"unknown set variant {type(region).__name__}") from None
-
-
-def _project_box(box: Box, x: np.ndarray) -> np.ndarray:
-    # np.clip's result, without the Python-level wrapper around it
-    return np.minimum(np.maximum(x, box.lo), box.hi)
-
-
-def _project_ball(ball: Ball, x: np.ndarray) -> np.ndarray:
-    d = x - ball.center
-    dist = math.sqrt(d.dot(d))
-    if dist <= ball.radius:
-        return x.copy()
-    d *= ball.radius / dist
-    d += ball.center
-    return d
-
-
-def _project_affine_subspace(sub: AffineSubspace, x: np.ndarray) -> np.ndarray:
-    if sub.basis.shape[0] == 0:
-        return sub.anchor.copy()
-    return sub.anchor + sub._basis_t.dot(sub.basis.dot(x - sub.anchor))
-
-
-def _project_halfspace(half: Halfspace, x: np.ndarray) -> np.ndarray:
-    excess = float(half.normal.dot(x)) - half.offset
-    if excess <= 0:
-        return x.copy()
-    return x - (excess / half._normal_sq) * half.normal
-
-
-def _exp(t: float) -> float:
-    try:
-        return math.exp(t)
-    except OverflowError:
-        return math.inf
-
-
-def _project_epigraph_exp(epi: EpigraphExp, x: np.ndarray) -> np.ndarray:
-    """Project onto {(t, y) : beta + exp(t) <= y}.
-
-    For an outside point (p, q) the nearest point sits on the boundary curve
-    y = beta + exp(t) where t solves the stationarity condition
-
-        g(t) = t - p + exp(t) * (beta + exp(t) - q) = 0.
-
-    Solved by safeguarded Newton inside a sign-change bracket (bisection
-    fallback keeps the bracket valid), to residual 1e-12, or until the
-    Newton step rounds to no change of t, or the bracket to one ulp of t:
-    once g's terms exceed about 4096, one ulp of them is above 1e-12.
-    """
-    beta = epi.beta
-    p, q = float(x[0]), float(x[1])
-    if beta + _exp(p) <= q:
-        return x.copy()
-
-    def g(t: float) -> float:
-        et = _exp(t)
-        return t - p + et * (beta + et - q)
-
-    # g(p) > 0 for outside points; expand downward until the sign flips.
-    # Newton falls about half a unit a step while exp(2t) dominates g, so
-    # started near a large p it can spend all 200 steps short of the root
-    # (wrong answers from p near 200 on). Above p = 100 start at cap instead:
-    # e^cap is 2 (q - beta)+ + 2 sqrt(p) + 1, so beta + e^cap - q >= e^cap / 2
-    # and e^cap (beta + e^cap - q) > 2p, which makes g(cap) > 0 when cap < p;
-    # the g(cap) test guards that against rounding.
-    hi = p
-    if p > 100.0:
-        cap = math.log(2.0 * max(q - beta, 0.0) + 2.0 * math.sqrt(p) + 1.0)
-        if cap < p and g(cap) > 0:
-            hi = cap
-    lo = hi - 1.0
-    step = 1.0
-    while g(lo) > 0:
-        step *= 2.0
-        lo -= step
-
-    t = 0.5 * (lo + hi)
-    for _ in range(200):
-        et = _exp(t)  # g(t) inline, so that the slope reuses exp(t)
-        gt = t - p + et * (beta + et - q)
-        if abs(gt) <= 1e-12:
-            break
-        if gt > 0:
-            hi = t
-        else:
-            lo = t
-        slope = 1.0 + et * (beta + 2.0 * et - q)
-        if math.isfinite(gt) and math.isfinite(slope) and slope > 0:
-            t_new = t - gt / slope
-            if t_new == t:  # the Newton step is below half an ulp of t
-                break
-        else:
-            t_new = 0.5 * (lo + hi)
-        if not lo < t_new < hi:
-            t_new = 0.5 * (lo + hi)
-        t = t_new
-        if hi - lo <= max(1e-16, _EPS * abs(t)):  # within an ulp of t from |t| = 0.45 on
-            break
-    return np.array([t, beta + _exp(t)])
-
-
-# the one place that maps a set variant to its projector P(region, x)
-_PROJECTORS: dict[type, Callable[..., np.ndarray]] = {
-    Box: _project_box,
-    Ball: _project_ball,
-    AffineSubspace: _project_affine_subspace,
-    Halfspace: _project_halfspace,
-    EpigraphExp: _project_epigraph_exp,
-}
-
-
-def _box_image(box: Box, sigma: int, a: np.ndarray) -> Box:
-    if sigma > 0:
-        return Box(box.lo - a, box.hi - a)
-    return Box(a - box.hi, a - box.lo)
-
-
-# the set sigma (S - a) for sigma = +1 or -1, of the same variant as S, so
-# that P_S(sigma x + a) = sigma P_{sigma (S - a)}(x) + a; the epigraph has no
-# entry, since a flip or a shift takes it out of its variant
-_IMAGES: dict[type, Callable[..., ProjectableSet]] = {
-    Box: _box_image,
-    Ball: lambda ball, sigma, a: Ball(sigma * (ball.center - a), ball.radius),
-    AffineSubspace: lambda sub, sigma, a: AffineSubspace(sigma * (sub.anchor - a), sub.basis),
-    Halfspace: lambda half, sigma, a: Halfspace(
-        sigma * half.normal, half.offset - float(half.normal.dot(a))),
-}
-
-
-def _project_ball_rows(ball: Ball, xs: np.ndarray) -> np.ndarray:
-    d = xs - ball.center
-    dist = np.sqrt(np.einsum("ij,ij->i", d, d))
-    outside = dist > ball.radius
-    scale = np.divide(ball.radius, dist, out=np.ones_like(dist), where=outside)
-    return np.where(outside[:, None], ball.center + scale[:, None] * d, xs)
-
-
-def _project_affine_subspace_rows(sub: AffineSubspace, xs: np.ndarray) -> np.ndarray:
-    if sub.basis.shape[0] == 0:
-        return np.tile(sub.anchor, (xs.shape[0], 1))
-    return sub.anchor + (xs - sub.anchor).dot(sub._basis_t).dot(sub.basis)
-
-
-def _project_halfspace_rows(half: Halfspace, xs: np.ndarray) -> np.ndarray:
-    # rows inside subtract 0 * normal, which leaves them exactly as they are
-    excess = np.maximum(xs.dot(half.normal) - half.offset, 0.0)
-    return xs - (excess / half._normal_sq)[:, None] * half.normal
-
-
-def _project_epigraph_exp_rows(epi: EpigraphExp, xs: np.ndarray) -> np.ndarray:
-    # the per-point solve on each row; duality-check's blocks hold few epigraph rows
-    return np.array([_project_epigraph_exp(epi, x) for x in xs])
-
-
-# P on a (k, n) block, row by row, as _PROJECTORS maps one point; the solve
-# loop keeps the per-point projectors, which cost less for a single point
-_ROW_PROJECTORS: dict[type, Callable[..., np.ndarray]] = {
-    Box: _project_box,
-    Ball: _project_ball_rows,
-    AffineSubspace: _project_affine_subspace_rows,
-    Halfspace: _project_halfspace_rows,
-    EpigraphExp: _project_epigraph_exp_rows,
-}
-
-
-def _affine_subspace_map(sub: AffineSubspace) -> tuple[np.ndarray, np.ndarray]:
-    q = sub._basis_t.dot(sub.basis)
-    return q, sub.anchor - q.dot(sub.anchor)
-
-
-# the projectors that are affine, P(y) = Q y + q, as dense (Q, q)
-_AFFINE_PROJECTORS: dict[type, Callable[..., tuple[np.ndarray, np.ndarray]]] = {
-    AffineSubspace: _affine_subspace_map,
-}
+    if not isinstance(region, ProjectableSet):
+        raise TypeError(f"unknown set variant {type(region).__name__}")
+    return region.project(as_vector(x, dim=region.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +462,16 @@ OperatorSpec = Union[
 # evaluation
 # ---------------------------------------------------------------------------
 
-# J(x) = m x + beta P(x) + c, from (P, region, c), keyed by (m != 0, beta > 0, c != 0)
+# J(x) = m x + beta P(x) + c, from (P, c), keyed by (m != 0, beta > 0, c != 0)
 _BARE_EVALUATORS = {
-    (False, True, False): lambda proj, s, c: partial(proj, s),
-    (False, True, True): lambda proj, s, c: lambda x: proj(s, x) + c,
-    (False, False, False): lambda proj, s, c: lambda x: -proj(s, x),
-    (False, False, True): lambda proj, s, c: lambda x: c - proj(s, x),
-    (True, True, False): lambda proj, s, c: lambda x: x + proj(s, x),
-    (True, True, True): lambda proj, s, c: lambda x: x + proj(s, x) + c,
-    (True, False, False): lambda proj, s, c: lambda x: x - proj(s, x),
-    (True, False, True): lambda proj, s, c: lambda x: x - proj(s, x) + c,
+    (False, True, False): lambda proj, c: proj,
+    (False, True, True): lambda proj, c: lambda x: proj(x) + c,
+    (False, False, False): lambda proj, c: lambda x: -proj(x),
+    (False, False, True): lambda proj, c: lambda x: c - proj(x),
+    (True, True, False): lambda proj, c: lambda x: x + proj(x),
+    (True, True, True): lambda proj, c: lambda x: x + proj(x) + c,
+    (True, False, False): lambda proj, c: lambda x: x - proj(x),
+    (True, False, True): lambda proj, c: lambda x: x - proj(x) + c,
 }
 
 
@@ -509,7 +483,7 @@ class ResolventForm:
     (affine, constant and zero leaves), and then beta, sigma and a are unused.
     Over a normal-cone leaf m is 0.0 or 1.0 and beta, sigma are +1 or -1.
     compile_resolvent keeps such a form in normal form, sigma = 1 and a = 0,
-    by moving flips and shifts into the set (operators._IMAGES), so that a
+    by moving flips and shifts into the set (its `image`), so that a
     stack of any depth costs one bare projection plus at most two vector
     operations, and the bare leaf costs the projection alone. Only the
     epigraph keeps sigma and a. Otherwise m is a float when it is a multiple
@@ -550,15 +524,13 @@ class ResolventForm:
                 return lambda x: x + c
             return lambda x: m * x + c
 
-        project_onto = _projector(self.region)
-        region, alpha, beta, sigma = self.region, m, self.beta, self.sigma
+        proj, beta = self.region.project, self.beta
         if self.projects_bare:
-            return _BARE_EVALUATORS[bool(alpha), beta > 0, bool(c.any())](
-                project_onto, region, c)
+            return _BARE_EVALUATORS[bool(m), beta > 0, bool(c.any())](proj, c)
 
         # the epigraph keeps sigma and a, and so does a set whose image overflows
-        a = self.a
-        return lambda x: alpha * x + beta * project_onto(region, sigma * x + a) + c
+        sigma, a = self.sigma, self.a
+        return lambda x: m * x + beta * proj(sigma * x + a) + c
 
     def apply_rows(self, xs: np.ndarray) -> np.ndarray:
         """J on every row of a finite (k, n) float64 block, as `apply` on each row."""
@@ -566,7 +538,7 @@ class ResolventForm:
         out = m * xs if isinstance(m, float) else xs.dot(m.T)
         if self.region is not None:
             y = xs if self.projects_bare else self.sigma * xs + self.a
-            out = out + self.beta * _ROW_PROJECTORS[type(self.region)](self.region, y)
+            out = out + self.beta * self.region.project_rows(y)
         return out + self.c
 
 
@@ -617,10 +589,9 @@ def dense_affine(form: ResolventForm) -> Optional[tuple[np.ndarray, np.ndarray]]
     if form.region is None:
         m = form.m
         return (m * np.eye(dim) if isinstance(m, float) else m), form.c
-    affine_map = _AFFINE_PROJECTORS.get(type(form.region))
-    if affine_map is None:
+    if form.region.affine_map is None:
         return None
-    q_mat, q = affine_map(form.region)
+    q_mat, q = form.region.affine_map()
     beta = form.beta
     m = _times(form.m, np.eye(dim)) + (beta * form.sigma) * q_mat
     return m, beta * (q_mat.dot(form.a + np.zeros(dim)) + q) + form.c
@@ -633,14 +604,13 @@ def _normal_form(form: ResolventForm) -> ResolventForm:
     with S' = sigma (S - a). A form whose new set or c would overflow float64
     keeps sigma and a.
     """
-    image = _IMAGES.get(type(form.region))
-    if image is None or form.projects_bare:
+    if form.region is None or form.region.image is None or form.projects_bare:
         return form
     a = form.a + np.zeros(form.c.size)
     with np.errstate(over="ignore", invalid="ignore"):
         c = form.c + form.beta * a
         try:
-            region = image(form.region, form.sigma, a)
+            region = form.region.image(form.sigma, a)
         except ValueError:
             return form
     if not np.isfinite(c).all():

@@ -306,7 +306,7 @@ class TestOperatorRoundTrip:
 
     def test_every_variant_has_one_codec_entry(self):
         assert set(typing.get_args(OperatorSpec)) == {cls for cls, _ in problemio._OPERATORS.values()}
-        assert set(typing.get_args(ProjectableSet)) == {cls for cls, _ in problemio._SETS.values()}
+        assert set(ProjectableSet.__subclasses__()) == {cls for cls, _ in problemio._SETS.values()}
 
     def test_set_record_in_operator_position(self):
         box = {"type": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0]}
@@ -428,6 +428,7 @@ class TestOptionBounds:
             ("solve", ["--x0=1"], "--x0"),
             ("duality-check", ["--samples", "-5"], "--samples"),
             ("duality-check", ["--samples", "0"], "--samples"),
+            ("duality-check", ["--seed", "-1"], "--seed"),
         ],
     )
     def test_command_flags_exit_1(self, tmp_path, capsys, command, flags, name):
@@ -455,7 +456,11 @@ class TestOptionBounds:
 
 
 class TestNonFiniteSetParameters:
-    """json.load reads Infinity and NaN; the set, not the orbit, must refuse them."""
+    """json.load reads Infinity and NaN; the set, not the orbit, must refuse them.
+
+    The same holds for a halfspace normal whose |normal|^2 overflows to
+    inf: every point would project to itself, and solve would report
+    converged for a wrong v."""
 
     @pytest.mark.parametrize(
         "region, field",
@@ -464,6 +469,7 @@ class TestNonFiniteSetParameters:
             ({"type": "halfspace", "normal": [1.0, 0.0], "offset": float("nan")}, "offset"),
             ({"type": "epigraph_exp", "beta": float("nan")}, "beta"),
             ({"type": "epigraph_exp", "beta": float("inf")}, "beta"),
+            ({"type": "halfspace", "normal": [1.4e154, 0.0], "offset": 0.0}, "normal"),
         ],
     )
     @pytest.mark.parametrize("command", ["solve", "duality-check"])

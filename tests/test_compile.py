@@ -6,7 +6,6 @@ and the shared loop's iteration counts pinned per registry scenario."""
 import importlib.util
 import math
 import pickle
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -78,15 +77,25 @@ def test_projection_onto_the_image_set(data):
     vectors = arrays(np.float64, region.dim, elements=st.floats(-10.0, 10.0))
     sigma = data.draw(st.sampled_from((1, -1)))
     a, x = data.draw(vectors), data.draw(vectors)
-    image = operators._IMAGES[type(region)](region, sigma, a)
+    image = region.image(sigma, a)
     assert type(image) is type(region)
     gap = np.linalg.norm(project(region, sigma * x + a) - (sigma * project(image, x) + a))
     assert gap <= 1e-12 * (1.0 + np.linalg.norm(x) + np.linalg.norm(a))
 
 
+SET_VARIANTS = ProjectableSet.__subclasses__()
+
+
 def test_image_rules_cover_every_set_but_the_epigraph():
-    assert set(operators._IMAGES) | {EpigraphExp} == set(typing.get_args(ProjectableSet))
-    assert EpigraphExp not in operators._IMAGES
+    for cls in SET_VARIANTS:
+        assert (cls.image is None) == (cls is EpigraphExp), cls.__name__
+
+
+def test_sample_sets_cover_every_set_variant():
+    # the zoo, its hypothesis stacks and scripts/check_compile.py all draw
+    # their sets from sample_sets, so a variant missing there goes unchecked
+    sampled = {type(region) for dim in (2, 3) for _, region in sample_sets(dim)}
+    assert sampled == set(SET_VARIANTS)
 
 
 def leaf_of(op):
@@ -122,8 +131,7 @@ def test_the_bare_leaf_evaluates_as_its_projector():
         form = compile_resolvent(NormalCone(region))
         x = np.array([3.0, -2.0])
         np.testing.assert_array_equal(form.apply(x), project(region, x))
-        if not isinstance(region, EpigraphExp):
-            assert form.apply.func is operators._PROJECTORS[type(region)]
+        assert form.apply == region.project
 
 
 def test_check_compile_script_passes(capsys):
@@ -177,18 +185,23 @@ EPIGRAPH_POINTS = st.one_of(
 def test_epigraph_rows_match_the_per_point_solve(points):
     epi = EpigraphExp(BETA)
     xs = np.array(points)
-    rows = operators._ROW_PROJECTORS[EpigraphExp](epi, xs)
+    rows = epi.project_rows(xs)
     assert close_rows(rows, xs, lambda x: project(epi, x))
 
 
-def test_row_projectors_cover_exactly_the_set_variants():
-    assert set(operators._ROW_PROJECTORS) == set(operators._PROJECTORS)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_project_rows_matches_project_on_each_row(dim):
+    xs = rng(dim).normal(scale=4.0, size=(50, dim))
+    for name, region in sample_sets(dim):
+        rows = region.project_rows(xs)
+        assert rows.shape == xs.shape, name
+        assert close_rows(rows, xs, region.project), name
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_every_stack_projects_once_per_resolvent(monkeypatch, dim):
     gen = rng(77)
-    originals = dict(operators._PROJECTORS)
+    originals = {cls: cls.project for cls in SET_VARIANTS}
     for name, region in sample_sets(dim):
         calls = []
 
@@ -196,9 +209,9 @@ def test_every_stack_projects_once_per_resolvent(monkeypatch, dim):
             calls.append(1)
             return original(reg, y)
 
-        monkeypatch.setitem(operators._PROJECTORS, type(region), counting)
+        monkeypatch.setattr(type(region), "project", counting)
         for depth in range(1, 7):
-            op = NormalCone(region)  # a fresh leaf, compiled against the patched table
+            op = NormalCone(region)  # a fresh leaf, compiled against the patched method
             for i in range(depth):
                 op = wrapped(op, WRAPPERS[(i + depth) % 4], gen.normal(size=dim))
             for x in gen.normal(scale=4.0, size=(3, dim)):

@@ -52,6 +52,15 @@ class TestSetValidation:
     def test_halfspace_needs_nonzero_normal(self):
         with pytest.raises(ValueError):
             Halfspace([0.0, 0.0], 1.0)
+        # |normal|^2 must be a positive float too: it overflows above about
+        # 1.34e154 and underflows below about 1e-162
+        for normal in ([1.4e154, 0.0], [1e-170, 0.0], [1e200, 1e200]):
+            with pytest.raises(ValueError, match="normal"):
+                Halfspace(normal, 1.0)
+        # just inside both limits the set is kept, and projects as it should
+        for scale in (1e150, 1e-150):
+            half = Halfspace([scale, 0.0], 0.0)
+            np.testing.assert_allclose(project(half, [4.0, 1.0]), [0.0, 1.0], atol=1e-12)
 
     def test_epigraph_needs_nonnegative_beta(self):
         with pytest.raises(ValueError):
@@ -175,6 +184,43 @@ class TestEpigraphProjection:
         monkeypatch.setattr(operators, "_exp", counting)
         project(EpigraphExp(0.7), np.array(x))
         assert len(calls) <= 60
+
+    @staticmethod
+    def _bisected_root(beta, p, q):
+        # g is increasing; bisect a sign-change bracket down to adjacent floats
+        def g(t):
+            return t - p + math.exp(t) * (beta + math.exp(t) - q)
+
+        hi, lo = p, p - 1.0
+        while g(lo) > 0:
+            lo -= 2.0 * (p - lo)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                return min((lo, hi), key=lambda t: abs(g(t)))
+            if g(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+
+    @pytest.mark.parametrize("x", [(30.0, 0.0), (60.0, 0.0), (100.0, 0.0), (50.0, -1e5)])
+    def test_moderate_p_starts_below_cap(self, monkeypatch, x):
+        # started at hi = p, Newton falls about half a unit a step while
+        # e^2t dominates g: 39 to 83 calls to _exp at these points
+        beta = 0.7
+        calls = []
+        original = operators._exp
+
+        def counting(t):
+            calls.append(t)
+            return original(t)
+
+        monkeypatch.setattr(operators, "_exp", counting)
+        px = project(EpigraphExp(beta), np.array(x))
+        assert len(calls) <= 20
+        t = self._bisected_root(beta, *x)
+        root = np.array([t, beta + math.exp(t)])
+        assert np.linalg.norm(px - root) <= 1e-12 * (1.0 + np.linalg.norm(x))
 
     def test_stationarity_at_huge_p(self):
         # g's terms reach p here, so its residual is judged relative to p

@@ -468,15 +468,15 @@ class TestFusedStep:
 
     def test_unrecorded_subspace_solve_projects_only_at_certificates(self, monkeypatch):
         calls = []
-        original = operators._PROJECTORS[AffineSubspace]
+        original = AffineSubspace.project
 
         def counting(region, y):
             calls.append(1)
             return original(region, y)
 
-        monkeypatch.setitem(operators._PROJECTORS, AffineSubspace, counting)
+        monkeypatch.setattr(AffineSubspace, "project", counting)
         x0 = np.linspace(-1.0, 1.0, 100)
-        # fresh operators, compiled against the patched table
+        # fresh operators, compiled against the patched method
         slow = lines_at_angle(100, 0.01)  # the residual never reaches tol_fix
         report = solve_normal(slow, x0, SolveOptions(max_iter=2_000))
         assert report.iterations_used == 4_000 and report.status != CONVERGED
