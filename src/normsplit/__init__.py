@@ -37,12 +37,7 @@ from .operators import (
     resolvent,
     resolvent_skew_formula,
 )
-from .perturb import (
-    calculus_identity_pair,
-    dual_of_perturbed,
-    inner_perturb,
-    outer_perturb,
-)
+from .perturb import calculus_identity_pair, dual_of_perturbed
 from .splitting import (
     IterationTrace,
     OrbitEnd,

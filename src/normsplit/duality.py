@@ -16,14 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .operators import (
-    FlipBoth,
-    Inverse,
-    TOL_CERT,
-    membership,
-    resolvent,
-)
-from .splitting import OperatorPair, dr_apply
+from .operators import FlipBoth, Inverse, resolvent
+from .splitting import OperatorPair, certify, dr_apply
 from .vecspace import as_vector
 
 
@@ -50,13 +44,9 @@ def dual_pair(pair: OperatorPair) -> OperatorPair:
     return OperatorPair(FlipBoth(Inverse(pair.A)), Inverse(pair.B))
 
 
-def validate(pair: OperatorPair, zk: PrimalDualPair,
-             tol: float = TOL_CERT) -> dict:
+def validate(pair: OperatorPair, zk: PrimalDualPair) -> dict:
     """Re-run both membership certificates for (z, k) under the pair."""
-    return {
-        "b_side": membership(pair.B, zk.z, zk.k + zk.w, tol=tol),
-        "a_side": membership(pair.A, zk.z - zk.w, -zk.k, tol=tol),
-    }
+    return certify(pair, zk.z, zk.k, zk.w)
 
 
 def psi(zk: PrimalDualPair) -> np.ndarray:

@@ -325,8 +325,16 @@ def project(region: ProjectableSet, x: np.ndarray) -> np.ndarray:
 # operator AST
 # ---------------------------------------------------------------------------
 
+class OperatorSpec:
+    """A maximally monotone operator, with the resolvent rule of its variant.
+
+    A leaf has `leaf_form()`, its resolvent as a ResolventForm. A Wrapper has
+    `fold(form)`, which maps the form of its inner operator to its own.
+    """
+
+
 @dataclass(frozen=True, eq=False)
-class NormalCone:
+class NormalCone(OperatorSpec):
     """Normal cone operator of a closed convex set; resolvent is the projection."""
 
     region: ProjectableSet
@@ -335,9 +343,12 @@ class NormalCone:
     def dim(self) -> int:
         return self.region.dim
 
+    def leaf_form(self) -> ResolventForm:
+        return ResolventForm(0.0, np.zeros(self.dim), self.region)
+
 
 @dataclass(frozen=True, eq=False)
-class AffineMonotone:
+class AffineMonotone(OperatorSpec):
     """x -> matrix @ x + offset with positive semidefinite symmetric part."""
 
     matrix: np.ndarray
@@ -346,9 +357,10 @@ class AffineMonotone:
     def __post_init__(self):
         m = as_matrix(self.matrix, square=True)
         a = as_vector(self.offset, dim=m.shape[0])
-        sym = 0.5 * (m + m.T)
+        # halves first, so that no finite entry overflows on the way
+        sym = 0.5 * m + 0.5 * m.T
         lo_eig = float(np.linalg.eigvalsh(sym)[0])
-        if lo_eig < -PSD_SLACK:
+        if not lo_eig >= -PSD_SLACK:  # refuses a NaN eigenvalue too
             raise ValueError(
                 f"affine map is not monotone: symmetric part has eigenvalue {lo_eig:.3e}"
             )
@@ -363,9 +375,17 @@ class AffineMonotone:
     def dim(self) -> int:
         return self.offset.size
 
+    def leaf_form(self) -> ResolventForm:
+        # (Id + L)^-1 from the checked LU; nonexpansive since L is monotone
+        m = lu_solve(self._lu, np.eye(self.dim))
+        c = -lu_solve(self._lu, self.offset)
+        if np.array_equal(m, m[0, 0] * np.eye(self.dim)):
+            return ResolventForm(float(m[0, 0]), c)
+        return ResolventForm(m, c)
+
 
 @dataclass(frozen=True, eq=False)
-class ConstantValued:
+class ConstantValued(OperatorSpec):
     """Operator whose graph is X x {value}: every point maps to the same output."""
 
     value: np.ndarray
@@ -377,9 +397,12 @@ class ConstantValued:
     def dim(self) -> int:
         return self.value.size
 
+    def leaf_form(self) -> ResolventForm:
+        return ResolventForm(1.0, -self.value)
+
 
 @dataclass(frozen=True, eq=False)
-class Zero:
+class Zero(OperatorSpec):
     """The zero operator; its resolvent is the identity."""
 
     dim: int
@@ -389,73 +412,61 @@ class Zero:
             raise ValueError("dimension must be positive")
         object.__setattr__(self, "dim", int(self.dim))
 
+    def leaf_form(self) -> ResolventForm:
+        return ResolventForm(1.0, np.zeros(self.dim))
+
 
 @dataclass(frozen=True, eq=False)
-class Inverse:
+class Wrapper(OperatorSpec):
+    """An operator built from one inner operator, in the inner's dimension."""
+
+    inner: OperatorSpec
+
+    @property
+    def dim(self) -> int:
+        return self.inner.dim
+
+
+class Inverse(Wrapper):
     """Set-valued inverse; resolvent via J_A + J_{A^-1} = Id."""
 
-    inner: "OperatorSpec"
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
+    def fold(self, f: ResolventForm) -> ResolventForm:
+        return replace(f, m=_identity_minus(f.m), beta=-f.beta, c=-f.c)
 
 
-@dataclass(frozen=True, eq=False)
-class FlipBoth:
+class FlipBoth(Wrapper):
     """Conjugation x -> -A(-x); preserves maximal monotonicity."""
 
-    inner: "OperatorSpec"
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
+    def fold(self, f: ResolventForm) -> ResolventForm:
+        return replace(f, beta=-f.beta, sigma=-f.sigma, c=-f.c)
 
 
 @dataclass(frozen=True, eq=False)
-class InnerShift:
+class Shift(Wrapper):
+    """A wrapper with a shift vector of the inner operator's dimension."""
+
+    shift: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "shift", _frozen(as_vector(self.shift, dim=self.inner.dim))
+        )
+
+
+class InnerShift(Shift):
     """Argument shift x -> A(x - shift)."""
 
-    inner: "OperatorSpec"
-    shift: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "shift", _frozen(as_vector(self.shift, dim=self.inner.dim))
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
+    def fold(self, f: ResolventForm) -> ResolventForm:
+        w = self.shift
+        return replace(f, a=f.a - f.sigma * w, c=f.c + (w - _times(f.m, w)))
 
 
-@dataclass(frozen=True, eq=False)
-class OuterShift:
+class OuterShift(Shift):
     """Value shift x -> A(x) - shift."""
 
-    inner: "OperatorSpec"
-    shift: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "shift", _frozen(as_vector(self.shift, dim=self.inner.dim))
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
-
-
-OperatorSpec = Union[
-    NormalCone,
-    AffineMonotone,
-    ConstantValued,
-    Zero,
-    Inverse,
-    FlipBoth,
-    InnerShift,
-    OuterShift,
-]
+    def fold(self, f: ResolventForm) -> ResolventForm:
+        w = self.shift
+        return replace(f, a=f.a + f.sigma * w, c=f.c + _times(f.m, w))
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +499,7 @@ class ResolventForm:
     operations, and the bare leaf costs the projection alone. Only the
     epigraph keeps sigma and a. Otherwise m is a float when it is a multiple
     of the identity, so that no matrix-vector product is done for it. The
-    form is closed under all four wrappers; _FOLDS holds the rule for each.
+    form is closed under all four wrappers; each holds its rule as `fold`.
     `apply` evaluates J at one point, `apply_rows` at each row of a (k, n)
     block in one pass.
     """
@@ -550,34 +561,6 @@ def _identity_minus(m):
     return 1.0 - m if isinstance(m, float) else np.eye(m.shape[0]) - m
 
 
-# the one place that maps a wrapper to its rule on the form of its inner operator
-_FOLDS: dict[type, Callable[[ResolventForm, OperatorSpec], ResolventForm]] = {
-    Inverse: lambda f, op: replace(f, m=_identity_minus(f.m), beta=-f.beta, c=-f.c),
-    FlipBoth: lambda f, op: replace(f, beta=-f.beta, sigma=-f.sigma, c=-f.c),
-    InnerShift: lambda f, op: replace(
-        f, a=f.a - f.sigma * op.shift, c=f.c + (op.shift - _times(f.m, op.shift))),
-    OuterShift: lambda f, op: replace(
-        f, a=f.a + f.sigma * op.shift, c=f.c + _times(f.m, op.shift)),
-}
-
-
-def _affine_leaf_form(op: AffineMonotone) -> ResolventForm:
-    # (Id + L)^-1 from the checked LU; nonexpansive since L is monotone
-    m = lu_solve(op._lu, np.eye(op.dim))
-    c = -lu_solve(op._lu, op.offset)
-    if np.array_equal(m, m[0, 0] * np.eye(op.dim)):
-        return ResolventForm(float(m[0, 0]), c)
-    return ResolventForm(m, c)
-
-
-_LEAF_FORMS = {
-    NormalCone: lambda op: ResolventForm(0.0, np.zeros(op.dim), op.region),
-    AffineMonotone: _affine_leaf_form,
-    ConstantValued: lambda op: ResolventForm(1.0, -op.value),
-    Zero: lambda op: ResolventForm(1.0, np.zeros(op.dim)),
-}
-
-
 def dense_affine(form: ResolventForm) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """(M, c) with J(x) = M x + c as a dense matrix and vector, or None.
 
@@ -618,37 +601,33 @@ def _normal_form(form: ResolventForm) -> ResolventForm:
     return replace(form, region=region, beta=form.beta * form.sigma, sigma=1, a=0.0, c=c)
 
 
-def _fold_stack(op: OperatorSpec) -> ResolventForm:
-    # op's form by the fold rules alone, down to a leaf or to an operator
-    # compiled before, whose cached form is taken; nothing is cached here
-    fold = _FOLDS.get(type(op))
-    if fold is None or hasattr(op, "_form"):
-        return compile_resolvent(op)
-    return fold(_fold_stack(op.inner), op)
-
-
 def compile_resolvent(op: OperatorSpec) -> ResolventForm:
     """Fold op's wrapper stack into one closed-form resolvent.
 
-    The folded form is put in normal form (_normal_form) once, so that its
-    projection term over any set but the epigraph is a bare P(x). The form
-    is cached on the (immutable) operator object, so each operator is
+    The walk goes down the stack to a leaf, whose `leaf_form` starts it, or
+    to an operator compiled before, whose cached form is taken; each wrapper
+    on the way back up applies its `fold`. The folded form is put in normal
+    form (_normal_form) once, so that its projection term over any set but
+    the epigraph is a bare P(x). The form is cached on the (immutable)
+    operator object, and on a leaf reached by the walk, so each is
     compiled once; `form.apply(x)` evaluates J_op at a float64 vector x of
     the operator's dimension and returns a new array, and
     `form.apply_rows(xs)` does so for every row of a (k, dim) block.
     """
-    form = getattr(op, "_form", None)
+    stack = []  # the wrappers above the first compiled operator or leaf
+    while (form := getattr(op, "_form", None)) is None and isinstance(op, Wrapper):
+        stack.append(op)
+        op = op.inner
     if form is None:
-        fold = _FOLDS.get(type(op))
-        if fold is not None:
-            form = _normal_form(fold(_fold_stack(op.inner), op))
-        else:
-            try:
-                leaf = _LEAF_FORMS[type(op)]
-            except KeyError:
-                raise TypeError(f"unknown operator variant {type(op).__name__}") from None
-            form = leaf(op)
+        if not hasattr(op, "leaf_form"):
+            raise TypeError(f"unknown operator variant {type(op).__name__}")
+        form = op.leaf_form()
         object.__setattr__(op, "_form", form)
+    if stack:
+        for wrapper in reversed(stack):
+            form = wrapper.fold(form)
+        form = _normal_form(form)
+        object.__setattr__(stack[0], "_form", form)
     return form
 
 

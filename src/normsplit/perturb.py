@@ -1,7 +1,7 @@
 """Shift calculus for monotone operators.
 
-Writing <w>A for the inner perturbation x -> A(x - w) and A<w> for the outer
-perturbation x -> A(x) - w, the calculus below enumerates how shifts commute
+Writing <w>A = InnerShift(A, w) for the inner perturbation x -> A(x - w) and
+A<w> = OuterShift(A, w) for the outer perturbation x -> A(x) - w, the calculus below enumerates how shifts commute
 with inversion and with the flip conjugation A -> -A(-Id). All identities are
 verifiable pointwise at the resolvent level, where both sides are total and
 single valued.
@@ -19,16 +19,6 @@ from .operators import (
     OuterShift,
 )
 from .vecspace import as_vector
-
-
-def inner_perturb(op: OperatorSpec, w: np.ndarray) -> OperatorSpec:
-    """<w>op : x -> op(x - w). Resolvent: J(x) = J_op(x - w) + w."""
-    return InnerShift(op, as_vector(w, dim=op.dim))
-
-
-def outer_perturb(op: OperatorSpec, w: np.ndarray) -> OperatorSpec:
-    """op<w> : x -> op(x) - w. Resolvent: J(x) = J_op(x + w)."""
-    return OuterShift(op, as_vector(w, dim=op.dim))
 
 
 def calculus_identity_pair(index: int, op: OperatorSpec,

@@ -35,6 +35,9 @@ from .operators import (
 )
 from .splitting import SolveOptions, SolveReport
 
+# the deepest wrapper stack a record may hold; decoding recurses once per level
+MAX_NESTING = 100
+
 
 @dataclass
 class Problem:
@@ -101,7 +104,12 @@ def _set(obj, path: str) -> ProjectableSet:
 
 def operator_from_jsonable(obj, path: str) -> OperatorSpec:
     """Decode a tagged operator record; complaints name the field path under `path`."""
-    return _decode(_OPERATORS, "operator", obj, path)
+    inner = obj
+    for _ in range(MAX_NESTING + 1):
+        if not (isinstance(inner, dict) and "inner" in inner):
+            return _decode(_OPERATORS, "operator", obj, path)
+        inner = inner["inner"]
+    raise ProblemFormatError(path, f"wrappers nest more than {MAX_NESTING} deep")
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +196,8 @@ def _loaded_json(path, label: str):
             raise ProblemFormatError(
                 label, f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from None
+        except RecursionError:
+            raise ProblemFormatError(label, "JSON nests too deep to parse") from None
 
 
 def parse_problem(obj: dict) -> Problem:

@@ -47,6 +47,8 @@ MAX_ITER = "max_iter"
 
 # tail fraction that must be straight-line drift to count as divergence evidence
 _DRIFT_RATIO = 0.9
+# phase 1 stops when the displacement moved at most tol_v over this many steps
+_WINDOW = 50
 # trace rows allocated up front; the arrays double when full
 _FIRST_ROWS = 256
 # above this dimension a dense dim x dim step costs more than two resolvents
@@ -112,8 +114,6 @@ class SolveOptions:
     max_iter: int = 200_000
     tol_v: float = 1e-8
     tol_fix: float = 1e-9
-    window: int = 50
-    r_max: float = 1e8
 
 
 class OrbitEnd:
@@ -252,6 +252,17 @@ def complement_is_dr(pair: OperatorPair, x: np.ndarray) -> np.ndarray:
 # the iteration loop shared by both solve phases
 # ---------------------------------------------------------------------------
 
+def certify(pair: OperatorPair, z: np.ndarray, k: np.ndarray, w: np.ndarray) -> dict:
+    """Membership certificates of (z, k) for the w-perturbed problem.
+
+    "b_side" certifies k + w in B(z) and "a_side" -k in A(z - w).
+    """
+    return {
+        "b_side": membership(pair.B, z, k + w),
+        "a_side": membership(pair.A, z - w, -k),
+    }
+
+
 def _grown(rows: np.ndarray, capacity: int) -> np.ndarray:
     out = np.empty((capacity, rows.shape[1]))
     out[: rows.shape[0]] = rows
@@ -276,25 +287,26 @@ def _fused_step(pair: OperatorPair, w: Optional[np.ndarray]):
 # the loop reports a non-finite iterate itself, as NonFiniteIterateError
 @np.errstate(over="ignore", invalid="ignore")
 def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
-           tol: float, window: int = 0, r_max: float = math.inf,
-           record: bool = False):
+           tol: float, record: bool = False):
     """Iterate x -> T(x + w), or plain T when w is None.
 
     With w None (phase 1) the loop stops once the displacement x_n - x_{n+1}
-    moved at most `tol` over the trailing `window` steps. Otherwise (phase 2)
+    moved at most `tol` over the trailing _WINDOW steps. Otherwise (phase 2)
     it stops at the first certified fixed point, |x - T(x + w)| <= tol with
-    both membership certificates, or when |T(x + w)| exceeds r_max; an orbit
-    that spends the budget N = max_iter is declared drifting when
+    both membership certificates (certify). No radius bounds the orbit: the
+    orbit of a firmly nonexpansive T grows at most linearly, wherever its
+    fixed points lie. An orbit that spends the budget N = max_iter is
+    declared drifting when
     |x_{N-1} - x_{N-1-k}| is at least _DRIFT_RATIO times the path length
     |x_{N-1-k} - x_{N-k}| + ... + |x_{N-2} - x_{N-1}|, k = min(1000, N // 4),
     while |x_{N-1} - x_N| > tol; N < 100 steps are too few for that verdict.
     A non-finite iterate raises NonFiniteIterateError. The checks that catch
     it reuse the norms the stop rules take anyway; only phase 1's first
-    `window` steps, which have no window norm yet, take one extra dot
+    _WINDOW steps, which have no window norm yet, take one extra dot
     product each.
 
     Only what the stop rules read is kept: phase 1 a ring of the last
-    `window` displacements, phase 2 the iterate x_{N-1-k} and a running sum
+    _WINDOW displacements, phase 2 the iterate x_{N-1-k} and a running sum
     of displacement norms. With `record` every row also goes into an
     IterationTrace.
 
@@ -306,22 +318,20 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
 
     Returns (end, status, certificates, solution). end is an OrbitEnd, the
     IterationTrace itself when recording; status is CONVERGED or
-    NO_FIXED_POINT (blow-up or drift) when phase 2 stops so, else MAX_ITER;
+    NO_FIXED_POINT (drift) when phase 2 stops so, else MAX_ITER;
     certificates are the last ones checked, and solution is the certified
     (x, z, k) or None.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     estimating = w is None
-    if estimating and window < 1:
-        raise ValueError("window must be at least 1")
     dim = pair.dim
     apply_a = compile_resolvent(pair.A).apply
     apply_b = compile_resolvent(pair.B).apply
     x_next = np.zeros(dim) if x0 is None else as_vector(x0, dim=dim).copy()
     sqrt, inf = math.sqrt, math.inf
-    # displacement n - window sits at n % window; n never reaches max_iter
-    ring = [None] * min(window, max_iter)
+    # displacement n - _WINDOW sits at n % _WINDOW; n never reaches max_iter
+    ring = [None] * min(_WINDOW, max_iter)
     # the drift verdict reads x_{N-1-k} and the norms of rows N-1-k .. N-2
     last = max_iter - 1
     drift_from = last - min(1000, max_iter // 4) if max_iter >= 100 else max_iter
@@ -352,8 +362,8 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
             shadows[n] = jb
             disps[n] = disp
         if estimating:
-            slot = n % window
-            if n >= window:
+            slot = n % _WINDOW
+            if n >= _WINDOW:
                 d = disp - ring[slot]
                 size = sqrt(d.dot(d))
                 if size <= tol:
@@ -369,17 +379,12 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
                 if jb is None:
                     jb = apply_b(x + w)
                 k = x - jb
-                certificates = {
-                    "b_side": membership(pair.B, jb, k + w),
-                    "a_side": membership(pair.A, jb - w, -k),
-                }
+                certificates = certify(pair, jb, k, w)
                 if all(certificates.values()):
                     status, solution = CONVERGED, (x, jb, k)
                     break
-            if not sqrt(x_next.dot(x_next)) <= r_max:
+            if not size < inf:
                 _check_finite(x_next, n)
-                status = NO_FIXED_POINT
-                break
             if n >= drift_from:
                 if n == drift_from:
                     x_from = x
@@ -408,19 +413,19 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
 # ---------------------------------------------------------------------------
 
 def estimate_v(pair: OperatorPair, x0=None, max_iter: int = 200_000,
-               tol_v: float = 1e-8, window: int = 50, record: bool = False,
+               tol_v: float = 1e-8, record: bool = False,
                ) -> tuple[np.ndarray, OrbitEnd]:
     """Estimate v along the orbit x_{n+1} = T x_n.
 
     The difference estimator x_n - x_{n+1} is primary: its norm is
     non-increasing and it converges to v in norm. Iteration stops once the
-    estimator has moved less than tol_v over the trailing window, else at
-    max_iter. The returned OrbitEnd has the row count and the Cesaro
+    estimator has moved at most tol_v over the trailing _WINDOW = 50 steps,
+    else at max_iter. The returned OrbitEnd has the row count and the Cesaro
     estimator -x_n / n as a cross-check; with `record` it is the full
-    IterationTrace. Without it, memory is O(window * dim) whatever max_iter
+    IterationTrace. Without it, memory is O(_WINDOW * dim) whatever max_iter
     is. Raises NonFiniteIterateError if the orbit overflows.
     """
-    end = _orbit(pair, x0, None, max_iter, tol_v, window=window, record=record)[0]
+    end = _orbit(pair, x0, None, max_iter, tol_v, record=record)[0]
     return end.v_diff.copy(), end
 
 
@@ -428,8 +433,8 @@ def norm_symmetry_check(pair: OperatorPair, x0=None,
                         opts: SolveOptions | None = None) -> tuple[float, float]:
     """Norms of the v estimates for (A, B) and (B, A); the exact v's have equal norms."""
     opts = opts or SolveOptions()
-    v_ab, _ = estimate_v(pair, x0, opts.max_iter, opts.tol_v, opts.window)
-    v_ba, _ = estimate_v(pair.swapped(), x0, opts.max_iter, opts.tol_v, opts.window)
+    v_ab, _ = estimate_v(pair, x0, opts.max_iter, opts.tol_v)
+    v_ba, _ = estimate_v(pair.swapped(), x0, opts.max_iter, opts.tol_v)
     return float(np.linalg.norm(v_ab)), float(np.linalg.norm(v_ba))
 
 
@@ -457,16 +462,15 @@ def solve_perturbed(pair: OperatorPair, w: np.ndarray, x0=None,
     On convergence the report carries the governing fixed point x, the
     solution z = J_B(x + w), the dual vector k = x - z, and the two
     membership certificates (k + w in Bz, -k in A(z - w)). Lack of a fixed
-    point is reported as evidence only: iterate blow-up past r_max, or a
-    straight-line drifting tail with residual still above tol_fix at the
-    iteration budget. The v_estimate field echoes the perturbation solved
+    point is reported as evidence only: a straight-line drifting tail with
+    residual still above tol_fix at the iteration budget. The v_estimate field echoes the perturbation solved
     for; solve_normal overwrites it with the phase-1 estimate. The report's
     trace is the IterationTrace with `record`, else None.
     """
     opts = opts or SolveOptions()
     w = as_vector(w, dim=pair.dim)
     end, status, certificates, solution = _orbit(
-        pair, x0, w, opts.max_iter, opts.tol_fix, r_max=opts.r_max, record=record
+        pair, x0, w, opts.max_iter, opts.tol_fix, record=record
     )
     governing, z, k = solution or (None, None, None)
     return SolveReport(
@@ -493,7 +497,7 @@ def solve_normal(pair: OperatorPair, x0=None,
     None; a full phase-1 trace comes from estimate_v(record=True).
     """
     opts = opts or SolveOptions()
-    v, v_end = estimate_v(pair, x0, opts.max_iter, opts.tol_v, opts.window)
+    v, v_end = estimate_v(pair, x0, opts.max_iter, opts.tol_v)
     report = solve_perturbed(pair, v, x0, opts, record=record)
     report.v_estimate = v
     report.v_residual = float(np.linalg.norm(v - v_end.v_cesaro))

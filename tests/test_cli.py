@@ -1,5 +1,4 @@
 import json
-import typing
 import warnings
 
 import numpy as np
@@ -110,6 +109,33 @@ class TestSolveCommand:
         path = write_problem(tmp_path, payload)
         assert main(["solve", path]) == 1
         assert "A.inner.dim" in capsys.readouterr().err
+
+    def test_non_monotone_affine_map_exits_1(self, tmp_path, capsys):
+        affine = {"type": "affine", "matrix": [[1e308, 0.0], [0.0, -1e308]],
+                  "offset": [0.0, 0.0]}
+        path = write_problem(tmp_path, {"dim": 2, "A": affine, "B": BALL_B})
+        assert main(["solve", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: A: affine map is not monotone")
+
+    @pytest.mark.parametrize("depth", [400, 3000])
+    @pytest.mark.parametrize("command", ["solve", "duality-check"])
+    def test_deeply_nested_file_exits_1(self, tmp_path, capsys, command, depth):
+        # written by hand: json.dumps itself recurses once per level
+        op = '{"type": "inverse", "inner": ' * depth + '{"type": "zero", "dim": 2}' + "}" * depth
+        path = tmp_path / "deep.json"
+        path.write_text('{"dim": 2, "B": {"type": "zero", "dim": 2}, "A": ' + op + "}")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nest" in err and len(err.splitlines()) == 1
+
+    def test_nesting_limit_is_inclusive(self):
+        op = {"type": "zero", "dim": 2}
+        for _ in range(problemio.MAX_NESTING):
+            op = {"type": "flip_both", "inner": op}
+        assert operator_from_jsonable(op, "A").dim == 2
+        with pytest.raises(ProblemFormatError, match="nest more than"):
+            operator_from_jsonable({"type": "inverse", "inner": op}, "A")
 
     def test_bad_json_exits_1(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -305,7 +331,15 @@ class TestOperatorRoundTrip:
             operator_from_jsonable({"type": "normal_cone", "set": {"type": "cube"}}, "B")
 
     def test_every_variant_has_one_codec_entry(self):
-        assert set(typing.get_args(OperatorSpec)) == {cls for cls, _ in problemio._OPERATORS.values()}
+        # the variants are the subclasses that carry a resolvent rule; the
+        # Wrapper and Shift bases in between carry none
+        variants, todo = set(), [OperatorSpec]
+        while todo:
+            cls = todo.pop()
+            todo += cls.__subclasses__()
+            if hasattr(cls, "fold") or hasattr(cls, "leaf_form"):
+                variants.add(cls)
+        assert variants == {cls for cls, _ in problemio._OPERATORS.values()}
         assert set(ProjectableSet.__subclasses__()) == {cls for cls, _ in problemio._SETS.values()}
 
     def test_set_record_in_operator_position(self):

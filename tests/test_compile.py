@@ -252,7 +252,13 @@ def test_fused_step_matches_the_two_resolvents(data):
 
 
 def test_folds_cover_exactly_the_wrappers():
-    assert set(operators._FOLDS) == {Inverse, FlipBoth, InnerShift, OuterShift}
+    # every wrapper folds its inner form, every leaf starts one, none does both
+    wrappers = {Inverse, FlipBoth, InnerShift, OuterShift}
+    leaves = {type(op) for _, op in leaf_operators(2)}
+    for cls in wrappers | leaves:
+        assert issubclass(cls, operators.Wrapper) == (cls in wrappers), cls
+        assert hasattr(cls, "fold") == (cls in wrappers), cls
+        assert hasattr(cls, "leaf_form") == (cls in leaves), cls
 
 
 def test_compilation_is_cached_per_operator():

@@ -79,6 +79,13 @@ class TestSetValidation:
         with pytest.raises(ValueError):
             AffineMonotone([[-1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
 
+    def test_affine_monotone_rejects_a_huge_nonmonotone_matrix(self):
+        # 0.5 * (m + m.T) would overflow to a NaN eigenvalue, which no
+        # comparison with the slack refuses; a warning would fail the suite
+        with pytest.raises(ValueError, match="not monotone"):
+            AffineMonotone([[1e308, 0.0], [0.0, -1e308]], [0.0, 0.0])
+        AffineMonotone([[1e308, 1e308], [-1e308, 1e308]], [0.0, 0.0])  # monotone
+
 
 class TestProject:
     def test_box_coordinate_clamp(self):

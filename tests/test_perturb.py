@@ -5,17 +5,17 @@ from normsplit import (
     AffineMonotone,
     Ball,
     ConstantValued,
+    InnerShift,
     Inverse,
     NormalCone,
     OperatorPair,
+    OuterShift,
     Zero,
     calculus_identity_pair,
     dr_apply,
     dr_map_shifted,
     dual_of_perturbed,
     dual_pair,
-    inner_perturb,
-    outer_perturb,
     project,
     resolvent,
 )
@@ -26,13 +26,13 @@ W2 = np.array([0.8, -1.3])
 
 class TestShiftBuilders:
     def test_inner_zero_operator_shift_invariant(self):
-        op = inner_perturb(Zero(2), W2)
+        op = InnerShift(Zero(2), W2)
         for x in sample_points(rng(1), 2, 10):
             np.testing.assert_allclose(resolvent(op, x), x)
 
     def test_inner_normal_cone_translate_project_translate(self):
         ball = Ball([0.0, 0.0], 1.0)
-        op = inner_perturb(NormalCone(ball), W2)
+        op = InnerShift(NormalCone(ball), W2)
         for x in sample_points(rng(2), 2, 10):
             np.testing.assert_allclose(
                 resolvent(op, x), project(ball, x - W2) + W2, atol=1e-12
@@ -40,24 +40,24 @@ class TestShiftBuilders:
 
     def test_inner_constant_ignores_argument(self):
         a = np.array([0.4, 2.0])
-        op = inner_perturb(ConstantValued(a), W2)
+        op = InnerShift(ConstantValued(a), W2)
         for x in sample_points(rng(3), 2, 10):
             np.testing.assert_allclose(resolvent(op, x), x - a, atol=1e-12)
 
     def test_outer_zero(self):
-        op = outer_perturb(Zero(2), W2)
+        op = OuterShift(Zero(2), W2)
         for x in sample_points(rng(4), 2, 10):
             np.testing.assert_allclose(resolvent(op, x), x + W2)
 
     def test_outer_constant(self):
         a = np.array([0.4, 2.0])
-        op = outer_perturb(ConstantValued(a), W2)
+        op = OuterShift(ConstantValued(a), W2)
         for x in sample_points(rng(5), 2, 10):
             np.testing.assert_allclose(resolvent(op, x), x - a + W2, atol=1e-12)
 
     def test_outer_zero_shift_is_noop(self):
         base = NormalCone(Ball([1.0, 1.0], 2.0))
-        op = outer_perturb(base, np.zeros(2))
+        op = OuterShift(base, np.zeros(2))
         for x in sample_points(rng(6), 2, 10):
             np.testing.assert_allclose(resolvent(op, x), resolvent(base, x))
 
@@ -66,7 +66,7 @@ class TestShiftBuilders:
         for dim in (2, 3):
             for name, op in operator_zoo(dim):
                 w = gen.normal(size=dim)
-                roundtrip = inner_perturb(inner_perturb(op, w), -w)
+                roundtrip = InnerShift(InnerShift(op, w), -w)
                 for x in sample_points(gen, dim, 10):
                     gap = resolvent(roundtrip, x) - resolvent(op, x)
                     assert np.linalg.norm(gap) <= 1e-12, name
@@ -139,8 +139,8 @@ class TestDualOfPerturbed:
             w = gen.normal(size=2)
             dual = dual_of_perturbed((a, b), w)
             recovered = dual_pair(OperatorPair(*dual))
-            expect_a = inner_perturb(a, w)
-            expect_b = outer_perturb(b, w)
+            expect_a = InnerShift(a, w)
+            expect_b = OuterShift(b, w)
             for x in sample_points(gen, 2, 10):
                 np.testing.assert_allclose(
                     resolvent(recovered.A, x), resolvent(expect_a, x), atol=1e-10

@@ -1,9 +1,9 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from normsplit import operators
 from normsplit import (
     AffineMonotone,
     AffineSubspace,
@@ -13,17 +13,17 @@ from normsplit import (
     OperatorPair,
     OrbitEnd,
     SolveOptions,
+    InnerShift,
     Inverse,
+    OuterShift,
     Zero,
     complement_is_dr,
     dr_apply,
     dr_map_shifted,
     dual_pair,
     estimate_v,
-    inner_perturb,
     membership,
     norm_symmetry_check,
-    outer_perturb,
     range_witness,
     reflected_resolvent,
     solve_normal,
@@ -32,6 +32,7 @@ from normsplit import (
 from normsplit.errors import DimensionMismatchError, PreconditionError
 from normsplit.scenarios import build_registry, get_scenario
 from normsplit.errors import NonFiniteIterateError
+from normsplit import splitting
 from normsplit.splitting import CONVERGED, NO_FIXED_POINT
 
 from reference import drifting_tail, trace_csv
@@ -118,7 +119,7 @@ class TestShiftedMap:
             for name, pair in operator_pairs(dim, count=8):
                 w = gen.normal(size=dim)
                 shifted_pair = OperatorPair(
-                    inner_perturb(pair.A, w), outer_perturb(pair.B, w)
+                    InnerShift(pair.A, w), OuterShift(pair.B, w)
                 )
                 for x in sample_points(gen, dim, 15):
                     gap = dr_apply(shifted_pair, x) - dr_map_shifted(pair, w, x)
@@ -146,13 +147,13 @@ class TestComplement:
 
     def test_second_call_reuses_the_compiled_inverse(self, monkeypatch):
         folds = []
-        fold = operators._FOLDS[Inverse]
+        fold = Inverse.fold
 
-        def counting(inner, op):
+        def counting(op, form):
             folds.append(op)
-            return fold(inner, op)
+            return fold(op, form)
 
-        monkeypatch.setitem(operators._FOLDS, Inverse, counting)
+        monkeypatch.setattr(Inverse, "fold", counting)
         pair = get_scenario("disjoint-balls").pair
         x = np.array([0.3, -1.7])
         first = complement_is_dr(pair, x)
@@ -212,17 +213,13 @@ class TestEstimateV:
         with pytest.raises(ValueError):
             estimate_v(lines_pair(), max_iter=0)
 
-    @pytest.mark.parametrize("window", [0, -1])
-    def test_requires_positive_window(self, window):
-        # 0 would compare a row with itself, -1 a row not yet computed
-        with pytest.raises(ValueError, match="window"):
-            estimate_v(lines_pair(), window=window)
-
     def test_window_beyond_the_budget_holds_no_more_than_the_budget(self):
-        # the stagnation ring is never larger than the rows the orbit can have
+        # the stagnation ring is never larger than the rows the orbit can
+        # have, and no stop test runs before the window is full
+        assert splitting._WINDOW > 30
         pair = get_scenario("overlapping-balls").pair
-        _, end = estimate_v(pair, max_iter=300, window=10**12)
-        assert len(end) == 300
+        _, end = estimate_v(pair, max_iter=30, tol_v=math.inf)
+        assert len(end) == 30
 
     def test_both_estimators_agree_on_closed_forms(self):
         # translation-type orbits from x0 = 0 make both estimators exact
@@ -298,12 +295,25 @@ class TestSolvePerturbed:
     def test_blowup_detected(self):
         pair = OperatorPair(ConstantValued([1.0, 0.0]), ConstantValued([1.0, 0.0]))
         report = solve_perturbed(
-            pair, np.zeros(2), opts=SolveOptions(max_iter=100_000, r_max=10.0)
+            pair, np.zeros(2), opts=SolveOptions(max_iter=100_000)
         )
         assert report.status == "no_fixed_point_detected"
 
 
 class TestSolveNormal:
+    @pytest.mark.parametrize("pair, x0, solution", [
+        # J_A x = (x + 2e8 e_1) / 2, so T has the one fixed point 2e8 e_1
+        (OperatorPair(AffineMonotone(np.eye(2), [-2e8, 0.0]), Zero(2)), None, [2e8, 0.0]),
+        (OperatorPair(NormalCone(Ball([2e8, 0.0], 2.0)), NormalCone(Ball([2e8, 1.0], 2.0))),
+         [2e8 + 10.0, 5.0], None),
+    ])
+    def test_solvable_problem_far_from_the_origin_converges(self, pair, x0, solution):
+        # an orbit far from 0 is no evidence against a fixed point
+        report = solve_normal(pair, x0)
+        assert report.status == CONVERGED and all(report.certificates.values())
+        if solution is not None:
+            np.testing.assert_allclose(report.normal_solution, solution, rtol=1e-12)
+
     def test_consistent_equals_zero_perturbation(self):
         pair = get_scenario("overlapping-balls").pair
         normal = solve_normal(pair)
