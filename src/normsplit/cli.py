@@ -78,13 +78,19 @@ def _print_report(report: SolveReport) -> None:
         print(f"certificates:    {certs}")
 
 
-def _write_files(args, report: SolveReport, metadata: dict) -> None:
-    if args.json:
-        write_report(args.json, report, metadata=metadata)
-        print(f"report written to {args.json}")
-    if args.trace:
-        report.trace.to_csv(args.trace)
-        print(f"trace written to {args.trace}")
+def _write_files(args, report: SolveReport, metadata: dict) -> bool:
+    """Write the --json report and --trace CSV; False, after an error line, if one fails."""
+    try:
+        if args.json:
+            write_report(args.json, report, metadata=metadata)
+            print(f"report written to {args.json}")
+        if args.trace:
+            report.trace.to_csv(args.trace)
+            print(f"trace written to {args.trace}")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_solve(args) -> int:
@@ -103,7 +109,8 @@ def cmd_solve(args) -> int:
     else:
         report = solve_normal(pair, x0, opts, record=record)
     _print_report(report)
-    _write_files(args, report, {"problem": str(args.problem)})
+    if not _write_files(args, report, {"problem": str(args.problem)}):
+        return EXIT_INPUT_ERROR
     return _STATUS_EXIT[report.status]
 
 
@@ -143,11 +150,12 @@ def cmd_scenario(args) -> int:
         return EXIT_INPUT_ERROR
     ok, report, lines = run_scenario(scenario, record=args.trace is not None)
     print("\n".join(lines))
-    _write_files(args, report, {
+    if not _write_files(args, report, {
         "scenario": scenario.name,
         "expected_v": None if scenario.expected_v is None else scenario.expected_v.tolist(),
         "expected_v_note": scenario.expected_v_note,
-    })
+    }):
+        return EXIT_INPUT_ERROR
     if ok:
         return EXIT_OK
     return EXIT_MAX_ITER if report.status == CONVERGED else _STATUS_EXIT[report.status]

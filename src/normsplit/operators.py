@@ -23,10 +23,9 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.linalg import lu_solve
 
-from .errors import DimensionMismatchError, PreconditionError
-from .vecspace import as_matrix, as_vector, lu_factor_checked
+from .errors import DimensionMismatchError, PreconditionError, SingularSystemError
+from .vecspace import as_matrix, as_vector
 
 # membership certificates sit downstream of iterative solves; looser than TOL_LIN
 TOL_CERT = 1e-7
@@ -366,19 +365,31 @@ class AffineMonotone(OperatorSpec):
             )
         object.__setattr__(self, "matrix", _frozen(m))
         object.__setattr__(self, "offset", _frozen(a))
-        # Id + matrix is nonsingular for monotone matrices; cache its LU
-        object.__setattr__(
-            self, "_lu", lu_factor_checked(np.eye(m.shape[0]) + m)
-        )
+        # <(Id + matrix) x, x> >= |x|^2 for a monotone matrix, so every singular
+        # value of Id + matrix is at least 1 and one dense solve is as accurate
+        # as a checked factorization; it gives (Id + matrix)^-1 and its product
+        # with the offset at once
+        n = m.shape[0]
+        eye = np.eye(n)
+        try:
+            sol = np.linalg.solve(eye + m, np.column_stack((eye, a)))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"Id + matrix is singular: {exc}") from None
+        if not np.isfinite(sol).all():
+            raise SingularSystemError(
+                "(Id + matrix)^-1 or its product with the offset overflows float64"
+            )
+        object.__setattr__(self, "_inv", _frozen(sol[:, :n]))
+        object.__setattr__(self, "_inv_offset", _frozen(sol[:, n]))
 
     @property
     def dim(self) -> int:
         return self.offset.size
 
     def leaf_form(self) -> ResolventForm:
-        # (Id + L)^-1 from the checked LU; nonexpansive since L is monotone
-        m = lu_solve(self._lu, np.eye(self.dim))
-        c = -lu_solve(self._lu, self.offset)
+        # J(x) = (Id + L)^-1 (x - offset); nonexpansive since L is monotone
+        m = self._inv
+        c = -self._inv_offset
         if np.array_equal(m, m[0, 0] * np.eye(self.dim)):
             return ResolventForm(float(m[0, 0]), c)
         return ResolventForm(m, c)
@@ -422,9 +433,9 @@ class Wrapper(OperatorSpec):
 
     inner: OperatorSpec
 
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
+    def __post_init__(self):
+        # stored, not read through the stack, so that no rule recurses per level
+        object.__setattr__(self, "dim", self.inner.dim)
 
 
 class Inverse(Wrapper):
@@ -448,9 +459,8 @@ class Shift(Wrapper):
     shift: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "shift", _frozen(as_vector(self.shift, dim=self.inner.dim))
-        )
+        super().__post_init__()
+        object.__setattr__(self, "shift", _frozen(as_vector(self.shift, dim=self.dim)))
 
 
 class InnerShift(Shift):

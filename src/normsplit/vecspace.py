@@ -1,8 +1,11 @@
-"""Dense real linear algebra kernel: solves, least-norm solutions, range projections.
+"""Dense real linear algebra kernel: input coercion, least-norm solutions, range projections.
 
-Everything is plain float64 numpy. Factorizations are dense (LAPACK partial-pivot
-LU for square solves, SVD-based orthonormal bases for ranges and nullspaces);
-problem sizes here are desk scale, dim <= ~100.
+Everything is plain float64 numpy: SVD-based orthonormal bases for ranges and
+nullspaces, least squares for least-norm solutions; problem sizes here are
+desk scale, dim <= ~100. The solver's one square solve, the affine resolvent,
+is a plain numpy solve in `operators.AffineMonotone`. Only
+`lu_factor_checked` uses scipy, and it imports scipy.linalg when first
+called, so that importing the package does not load scipy.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor
 
 from .errors import (
     DimensionMismatchError,
@@ -64,7 +66,14 @@ def as_rows(x, dim: int) -> Matrix:
 
 
 def lu_factor_checked(m: Matrix):
-    """Partial-pivot LU of a square matrix; raises if any pivot is negligible."""
+    """Partial-pivot LU of a square matrix; raises if any pivot is negligible.
+
+    The solver does not call it: its callers are the tests and the
+    benchmark's `vecspace.lu_factor_checked_us` span. scipy.linalg is
+    imported here, on the first call, rather than with the package.
+    """
+    from scipy.linalg import LinAlgWarning, lu_factor
+
     a = as_matrix(m, square=True)
     scale = np.max(np.abs(a)) if a.size else 0.0
     if scale == 0.0:

@@ -118,6 +118,28 @@ class TestSolveCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: A: affine map is not monotone")
 
+    def test_wide_spread_affine_map_solves(self, tmp_path, capsys):
+        # Id + M has every singular value >= 1, however far apart M's entries are
+        affine = {"type": "affine", "matrix": [[1e13, 0.0], [0.0, 0.0]], "offset": [5e12, 0.0]}
+        ball = {"type": "normal_cone", "set": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}}
+        path = write_problem(tmp_path, {"dim": 2, "A": affine, "B": ball})
+        report_path = str(tmp_path / "report.json")
+        assert main(["solve", path, "--json", report_path]) == 0
+        report = read_report(report_path)
+        assert report.certificates == {"a_side": True, "b_side": True}
+        np.testing.assert_allclose(report.normal_solution, [-0.5, 0.0], atol=1e-6)
+
+    @pytest.mark.parametrize("flag", ["--json", "--trace"])
+    @pytest.mark.parametrize("command", ["solve", "scenario"])
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, command, flag):
+        if command == "solve":
+            target = write_problem(tmp_path, {"dim": 2, "A": BALL_A, "B": BALL_B})
+        else:
+            target = "two-lines"
+        assert main([command, target, flag, str(tmp_path / "missing-dir" / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing-dir" in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("depth", [400, 3000])
     @pytest.mark.parametrize("command", ["solve", "duality-check"])
     def test_deeply_nested_file_exits_1(self, tmp_path, capsys, command, depth):

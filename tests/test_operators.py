@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import minimize_scalar
 
 from normsplit import (
@@ -21,6 +25,7 @@ from normsplit import (
     NormalCone,
     OuterShift,
     Zero,
+    compile_resolvent,
     membership,
     project,
     reflected_resolvent,
@@ -28,7 +33,7 @@ from normsplit import (
     resolvent_skew_formula,
 )
 from normsplit import operators
-from normsplit.errors import DimensionMismatchError, PreconditionError
+from normsplit.errors import DimensionMismatchError, PreconditionError, SingularSystemError
 from normsplit.scenarios import rotator_matrix
 
 from zoo import operator_zoo, rng, sample_points, sample_sets
@@ -290,6 +295,94 @@ class TestResolvent:
         op = Inverse(NormalCone(Box([-1.0, 0.0, 0.5], [2.0, 1.0, 0.5])))
         x = resolvent(op, u)
         assert membership(op, x, u - x)
+
+
+class TestAffineResolvent:
+    @staticmethod
+    def _compiled(matrix, offset):
+        return operators.dense_affine(compile_resolvent(AffineMonotone(matrix, offset)))
+
+    @staticmethod
+    def _lu_reference(matrix, offset):
+        lu = lu_factor(np.eye(len(offset)) + matrix)
+        return lu_solve(lu, np.eye(len(offset))), -lu_solve(lu, offset)
+
+    def _assert_matches_reference(self, matrix, offset):
+        (m, c), (m_ref, c_ref) = self._compiled(matrix, offset), self._lu_reference(matrix, offset)
+        dim = len(offset)
+        assert np.linalg.norm(m - m_ref) <= 1e-12 * np.linalg.norm(m_ref), dim
+        assert np.linalg.norm(c - c_ref) <= 1e-12 * np.linalg.norm(c_ref), dim
+
+    def test_matches_lu_reference_on_psd_plus_skew(self):
+        gen = rng(300)
+        for dim in range(1, 101):
+            g, k = gen.normal(size=(2, dim, dim)) / np.sqrt(dim)
+            self._assert_matches_reference(g @ g.T + (k - k.T), gen.normal(size=dim))
+
+    def test_matches_lu_reference_on_huge_skew(self):
+        gen = rng(400)
+        for dim in (2, 4, 10):  # even order: a skew matrix of odd order is singular
+            k = gen.normal(size=(dim, dim))
+            self._assert_matches_reference(1e300 * (k - k.T), gen.normal(size=dim))
+
+    def test_wide_spread_of_scales_is_not_refused(self):
+        # Id + M has every singular value >= 1, however far apart M's entries are
+        op = AffineMonotone([[1e13, 0.0], [0.0, 0.0]], [5e12, 1.0])
+        np.testing.assert_allclose(resolvent(op, [1.5, 2.0]), [(1.5 - 5e12) / (1.0 + 1e13), 1.0],
+                                   rtol=1e-14)
+
+    @pytest.mark.parametrize("matrix, offset", [
+        # skew of odd order: Id is lost against 1e300, so Id + M is singular in float64
+        (1e300 * np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 3.0], [-2.0, -3.0, 0.0]]), [1.0, 1.0, 1.0]),
+        # the elimination overflows although (Id + M)^-1 offset = (0, 1.7e308)
+        ([[0.0, 1.0], [-1.0, 0.0]], [1.7e308, 1.7e308]),
+    ])
+    def test_unrepresentable_resolvent_is_a_typed_error(self, matrix, offset):
+        with pytest.raises(SingularSystemError):
+            AffineMonotone(matrix, offset)
+
+    def test_import_and_affine_solve_load_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(operators.__file__)))
+        code = (
+            "import sys\n"
+            "import normsplit, normsplit.cli\n"
+            "pair = normsplit.OperatorPair(normsplit.AffineMonotone([[1.0, 2.0], [-2.0, 0.5]], [1.0, 0.0]),\n"
+            "                              normsplit.NormalCone(normsplit.Ball([3.0, 0.0], 1.0)))\n"
+            "assert normsplit.solve_normal(pair).status == 'converged'\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+
+class TestDeepWrapperStacks:
+    DEPTH = 2000  # above the default recursion limit
+
+    def _stack(self):
+        op = Zero(2)
+        for _ in range(self.DEPTH):
+            op = Inverse(op)
+        return op
+
+    def test_resolvent_and_membership_return(self):
+        op = self._stack()  # an even number of inverses of Zero: J is the identity
+        np.testing.assert_array_equal(resolvent(op, [1.0, -2.0]), [1.0, -2.0])
+        assert membership(op, [1.0, -2.0], [0.0, 0.0])
+
+    def test_shift_reads_dim_without_recursion(self):
+        op = self._stack()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            shifted = InnerShift(op, [1.0, 0.0])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert shifted.dim == 2
+        with pytest.raises(DimensionMismatchError):
+            OuterShift(op, [1.0, 0.0, 0.0])
 
 
 class TestSkewFormula:
