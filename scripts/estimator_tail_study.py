@@ -33,7 +33,7 @@ def main(argv) -> int:
     for n in checkpoints:
         if n >= len(trace):
             continue
-        d_err = np.linalg.norm(trace.v_diffs[n] - oracle.v)
+        d_err = np.linalg.norm(trace.displacements[n] - oracle.v)
         c_err = np.linalg.norm(trace.v_cesaros[n] - oracle.v)
         print(f"{n:>8} {d_err:>14.3e} {c_err:>15.3e}")
     print(f"final estimate {v.round(8).tolist()}, norm {np.linalg.norm(v):.8f}")

@@ -33,23 +33,16 @@ from .operators import (
     compile_resolvent,
     membership,
     project,
-    reflected_resolvent,
     resolvent,
-    resolvent_skew_formula,
 )
-from .perturb import calculus_identity_pair, dual_of_perturbed
 from .splitting import (
     IterationTrace,
     OrbitEnd,
     OperatorPair,
     SolveOptions,
     SolveReport,
-    complement_is_dr,
     dr_apply,
-    dr_map_shifted,
     estimate_v,
-    norm_symmetry_check,
-    range_witness,
     solve_normal,
     solve_perturbed,
 )

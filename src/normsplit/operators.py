@@ -24,7 +24,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, PreconditionError, SingularSystemError
+from .errors import DimensionMismatchError, SingularSystemError
 from .vecspace import as_matrix, as_vector
 
 # membership certificates sit downstream of iterative solves; looser than TOL_LIN
@@ -371,13 +371,23 @@ class AffineMonotone(OperatorSpec):
         # with the offset at once
         n = m.shape[0]
         eye = np.eye(n)
+        lhs, rhs = eye + m, np.column_stack((eye, a))
         try:
-            sol = np.linalg.solve(eye + m, np.column_stack((eye, a)))
+            sol = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"Id + matrix is singular: {exc}") from None
         if not np.isfinite(sol).all():
             raise SingularSystemError(
                 "(Id + matrix)^-1 or its product with the offset overflows float64"
+            )
+        # an elimination that overflows on the way can still end finite and
+        # wrong, so the solution must pass a normwise backward-error test
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = np.abs(lhs.dot(sol) - rhs).max()
+            bound = n * (np.abs(lhs).max() * np.abs(sol).max()) + np.abs(rhs).max()
+        if not resid <= 1e-10 * bound:
+            raise SingularSystemError(
+                f"Id + matrix has no accurate float64 solve: backward error {resid:.3e}"
             )
         object.__setattr__(self, "_inv", _frozen(sol[:, :n]))
         object.__setattr__(self, "_inv_offset", _frozen(sol[:, n]))
@@ -645,28 +655,6 @@ def resolvent(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
     """Evaluate J_op(x) = (Id + op)^-1 x; firmly nonexpansive in x."""
     x = as_vector(x, dim=op.dim)
     return compile_resolvent(op).apply(x)
-
-
-def reflected_resolvent(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
-    """2 J_op - Id; nonexpansive."""
-    x = as_vector(x, dim=op.dim)
-    return 2.0 * compile_resolvent(op).apply(x) - x
-
-
-def resolvent_skew_formula(alpha: float, matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Closed-form resolvent (x - Ax) / (1 + alpha) for skew A with A^2 = -alpha Id.
-
-    Cross-check path for the linear-solve resolvent of such maps.
-    """
-    a = as_matrix(matrix, square=True)
-    x = as_vector(x, dim=a.shape[0])
-    if alpha < 0:
-        raise PreconditionError("alpha must be nonnegative")
-    if np.linalg.norm(a + a.T) > 1e-10:
-        raise PreconditionError("matrix must be skew-symmetric")
-    if np.linalg.norm(a @ a + alpha * np.eye(a.shape[0])) > 1e-10:
-        raise PreconditionError("matrix must satisfy A^2 = -alpha Id")
-    return (x - a @ x) / (1.0 + alpha)
 
 
 def membership(op: OperatorSpec, x: np.ndarray, xstar: np.ndarray,

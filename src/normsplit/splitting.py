@@ -30,15 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteIterateError, PreconditionError
-from .operators import (
-    Inverse,
-    OperatorSpec,
-    compile_resolvent,
-    dense_affine,
-    membership,
-    resolvent,
-)
+from .errors import NonFiniteIterateError
+from .operators import OperatorSpec, compile_resolvent, dense_affine, membership
 from .vecspace import as_rows, as_vector
 
 CONVERGED = "converged"
@@ -74,11 +67,6 @@ class OperatorPair:
 
     def swapped(self) -> "OperatorPair":
         return OperatorPair(self.B, self.A)
-
-    @cached_property
-    def _complement(self) -> "OperatorPair":
-        # (A^-1, B), built once so that complement_is_dr reuses its compiled form
-        return OperatorPair(Inverse(self.A), self.B)
 
     @cached_property
     def affine_step(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -149,10 +137,6 @@ class IterationTrace(OrbitEnd):
         self.shadows = shadows
         self.displacements = displacements
         self.v_cesaros = v_cesaros
-
-    @property
-    def v_diffs(self) -> np.ndarray:
-        return self.displacements
 
     def displacement_norms(self) -> np.ndarray:
         return np.linalg.norm(self.displacements, axis=1)
@@ -233,19 +217,6 @@ def dr_apply(pair: OperatorPair, x: np.ndarray) -> np.ndarray:
     jb = apply_b(x)
     u = jb - x
     return apply_a(jb + u) - u
-
-
-def dr_map_shifted(pair: OperatorPair, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The splitting operator of the w-perturbation: x -> T(x + w).
-
-    Pointwise equal to dr_apply on the pair (<w>A, B<w>).
-    """
-    return dr_apply(pair, as_vector(x, dim=pair.dim) + as_vector(w, dim=pair.dim))
-
-
-def complement_is_dr(pair: OperatorPair, x: np.ndarray) -> np.ndarray:
-    """Id - T realized as the splitting operator of (A^-1, B)."""
-    return dr_apply(pair._complement, x)
 
 
 # ---------------------------------------------------------------------------
@@ -427,27 +398,6 @@ def estimate_v(pair: OperatorPair, x0=None, max_iter: int = 200_000,
     """
     end = _orbit(pair, x0, None, max_iter, tol_v, record=record)[0]
     return end.v_diff.copy(), end
-
-
-def norm_symmetry_check(pair: OperatorPair, x0=None,
-                        opts: SolveOptions | None = None) -> tuple[float, float]:
-    """Norms of the v estimates for (A, B) and (B, A); the exact v's have equal norms."""
-    opts = opts or SolveOptions()
-    v_ab, _ = estimate_v(pair, x0, opts.max_iter, opts.tol_v)
-    v_ba, _ = estimate_v(pair.swapped(), x0, opts.max_iter, opts.tol_v)
-    return float(np.linalg.norm(v_ab)), float(np.linalg.norm(v_ba))
-
-
-def range_witness(pair: OperatorPair, z: np.ndarray) -> np.ndarray:
-    """A vector w = z - J_A z guaranteed to lie in ran(Id - T), given 0 in Bz.
-
-    The w-perturbed problem for such w is solvable; callers can feed the
-    result straight into solve_perturbed.
-    """
-    z = as_vector(z, dim=pair.dim)
-    if not membership(pair.B, z, np.zeros(pair.dim)):
-        raise PreconditionError("range_witness needs 0 in B(z); membership check failed")
-    return z - resolvent(pair.A, z)
 
 
 # ---------------------------------------------------------------------------

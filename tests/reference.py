@@ -1,4 +1,5 @@
-"""Reference formulas: recursive resolvents and the drift verdict on a trace.
+"""Reference formulas: recursive resolvents, the shift calculus, and the
+drift verdict on a trace.
 
 Compiled resolvents (normsplit.compile_resolvent) are checked against this
 tree walk, which evaluates every wrapper on its own:
@@ -8,9 +9,12 @@ tree walk, which evaluates every wrapper on its own:
     InnerShift(A, w)  J(x) = J_A(x - w) + w
     OuterShift(A, w)  J(x) = J_A(x + w)
 
-Affine leaves are solved with numpy's dense solver rather than through the
-operator's cached factorization, so the reference shares no arithmetic with
-the compiled form beyond the leaf projections.
+Affine leaves are solved with numpy's dense solver on the operator's matrix
+and offset, so the reference shares no arithmetic with the compiled form
+beyond the leaf projections.
+
+`SHIFT_CALCULUS` states the paper's six shift-calculus identities as pairs
+of operators with equal resolvents.
 
 `drifting_tail` reads the drift verdict off a recorded trace, the way the
 solve loop takes it from the few rows it keeps, and `trace_csv` writes a
@@ -54,6 +58,28 @@ def reference_resolvent(op, x: np.ndarray) -> np.ndarray:
     if isinstance(op, OuterShift):
         return reference_resolvent(op.inner, x + op.shift)
     raise TypeError(f"unknown operator variant {type(op).__name__}")
+
+
+# Writing <w>A = InnerShift(A, w) (x -> A(x - w)), A<w> = OuterShift(A, w)
+# (x -> A(x) - w), A^v = FlipBoth(A) (x -> -A(-x)) and A^-v for the flip of
+# the inverse, identity i maps (A, w) to its (left, right) sides:
+#
+#   1: (<w>A)^-1 = (A^-1)<-w>      2: (A<w>)^-1 = <-w>(A^-1)
+#   3: (<w>A)^v  = <-w>(A^v)       4: (A<w>)^v  = (A^v)<-w>
+#   5: (<w>A)^-v = (A^-v)<w>       6: (A<w>)^-v = <w>(A^-v)
+#
+# The dual (A^-v, B^-1) of the w-perturbed pair (<w>A, B<w>) is thus
+# ((A^-v)<w>, <-w>(B^-1)): the right sides of identity 5 at A and 2 at B.
+SHIFT_CALCULUS = {
+    1: lambda op, w: (Inverse(InnerShift(op, w)), OuterShift(Inverse(op), -w)),
+    2: lambda op, w: (Inverse(OuterShift(op, w)), InnerShift(Inverse(op), -w)),
+    3: lambda op, w: (FlipBoth(InnerShift(op, w)), InnerShift(FlipBoth(op), -w)),
+    4: lambda op, w: (FlipBoth(OuterShift(op, w)), OuterShift(FlipBoth(op), -w)),
+    5: lambda op, w: (FlipBoth(Inverse(InnerShift(op, w))),
+                      OuterShift(FlipBoth(Inverse(op)), w)),
+    6: lambda op, w: (FlipBoth(Inverse(OuterShift(op, w))),
+                      InnerShift(FlipBoth(Inverse(op)), w)),
+}
 
 
 def drifting_tail(trace, tol_fix: float) -> bool:

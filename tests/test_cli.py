@@ -118,6 +118,16 @@ class TestSolveCommand:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: A: affine map is not monotone")
 
+    def test_affine_map_without_an_accurate_resolvent_exits_1(self, tmp_path, capsys):
+        # elimination overflows yet ends finite, at a wrong (Id + M)^-1
+        affine = {"type": "affine", "matrix": [[1e308, 1e308], [-1e308, 1e308]],
+                  "offset": [0.0, 0.0]}
+        path = write_problem(tmp_path, {"dim": 2, "A": affine, "B": BALL_B})
+        assert main(["solve", path]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: A: Id + matrix has no accurate")
+        assert err.count("\n") == 1
+
     def test_wide_spread_affine_map_solves(self, tmp_path, capsys):
         # Id + M has every singular value >= 1, however far apart M's entries are
         affine = {"type": "affine", "matrix": [[1e13, 0.0], [0.0, 0.0]], "offset": [5e12, 0.0]}

@@ -28,12 +28,10 @@ from normsplit import (
     compile_resolvent,
     membership,
     project,
-    reflected_resolvent,
     resolvent,
-    resolvent_skew_formula,
 )
 from normsplit import operators
-from normsplit.errors import DimensionMismatchError, PreconditionError, SingularSystemError
+from normsplit.errors import DimensionMismatchError, SingularSystemError
 from normsplit.scenarios import rotator_matrix
 
 from zoo import operator_zoo, rng, sample_points, sample_sets
@@ -89,7 +87,7 @@ class TestSetValidation:
         # comparison with the slack refuses; a warning would fail the suite
         with pytest.raises(ValueError, match="not monotone"):
             AffineMonotone([[1e308, 0.0], [0.0, -1e308]], [0.0, 0.0])
-        AffineMonotone([[1e308, 1e308], [-1e308, 1e308]], [0.0, 0.0])  # monotone
+        AffineMonotone([[1e308, 0.0], [0.0, 1e308]], [0.0, 0.0])  # monotone
 
 
 class TestProject:
@@ -258,18 +256,20 @@ class TestResolvent:
         op = Inverse(Zero(2))
         np.testing.assert_allclose(resolvent(op, [7.0, -3.0]), [0.0, 0.0])
 
+    # the reflected resolvent R = 2 J - Id
     def test_reflected_rotator_is_minus_rotation(self):
         op = AffineMonotone(rotator_matrix(), [0.0, 0.0])
-        np.testing.assert_allclose(
-            reflected_resolvent(op, [1.0, 0.0]), [0.0, -1.0], atol=1e-14
-        )
+        x = np.array([1.0, 0.0])
+        np.testing.assert_allclose(2 * resolvent(op, x) - x, [0.0, -1.0], atol=1e-14)
 
     def test_reflected_zero_is_identity(self):
-        np.testing.assert_allclose(reflected_resolvent(Zero(2), [5.0, 6.0]), [5.0, 6.0])
+        x = np.array([5.0, 6.0])
+        np.testing.assert_allclose(2 * resolvent(Zero(2), x) - x, [5.0, 6.0])
 
     def test_reflected_line_cone_reflects(self):
         op = NormalCone(AffineSubspace([0.0, 0.0], [[1.0, 0.0]]))
-        np.testing.assert_allclose(reflected_resolvent(op, [2.0, 3.0]), [2.0, -3.0])
+        x = np.array([2.0, 3.0])
+        np.testing.assert_allclose(2 * resolvent(op, x) - x, [2.0, -3.0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -287,7 +287,7 @@ class TestResolvent:
     @given(arrays(float, 2, elements=coords), arrays(float, 2, elements=coords))
     def test_reflected_resolvent_nonexpansive(self, x, y):
         op = NormalCone(EpigraphExp(0.5))
-        rx, ry = reflected_resolvent(op, x), reflected_resolvent(op, y)
+        rx, ry = 2 * resolvent(op, x) - x, 2 * resolvent(op, y) - y
         assert np.linalg.norm(rx - ry) <= np.linalg.norm(x - y) + 1e-9
 
     @given(arrays(float, 3, elements=coords))
@@ -336,6 +336,8 @@ class TestAffineResolvent:
         (1e300 * np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 3.0], [-2.0, -3.0, 0.0]]), [1.0, 1.0, 1.0]),
         # the elimination overflows although (Id + M)^-1 offset = (0, 1.7e308)
         ([[0.0, 1.0], [-1.0, 0.0]], [1.7e308, 1.7e308]),
+        # the elimination overflows, yet ends finite at (Id + M)^-1 = [[1e-308, 0], [0, 0]]
+        ([[1e308, 1e308], [-1e308, 1e308]], [0.0, 0.0]),
     ])
     def test_unrepresentable_resolvent_is_a_typed_error(self, matrix, offset):
         with pytest.raises(SingularSystemError):
@@ -386,41 +388,33 @@ class TestDeepWrapperStacks:
 
 
 class TestSkewFormula:
+    """A skew A with A^2 = -alpha Id has J_A(x) = (x - Ax) / (1 + alpha)."""
+
     def test_rotator(self):
-        np.testing.assert_allclose(
-            resolvent_skew_formula(1.0, rotator_matrix(), [1.0, 0.0]), [0.5, -0.5]
-        )
+        op = AffineMonotone(rotator_matrix(), [0.0, 0.0])
+        np.testing.assert_allclose(resolvent(op, [1.0, 0.0]), [0.5, -0.5])
 
     def test_zero_matrix_identity(self):
-        np.testing.assert_allclose(
-            resolvent_skew_formula(0.0, np.zeros((2, 2)), [7.0, 8.0]), [7.0, 8.0]
-        )
+        op = AffineMonotone(np.zeros((2, 2)), [0.0, 0.0])
+        np.testing.assert_allclose(resolvent(op, [7.0, 8.0]), [7.0, 8.0])
 
     def test_scaled_rotator(self):
-        np.testing.assert_allclose(
-            resolvent_skew_formula(4.0, 2.0 * rotator_matrix(), [1.0, 0.0]), [0.2, -0.4]
-        )
+        op = AffineMonotone(2.0 * rotator_matrix(), [0.0, 0.0])
+        np.testing.assert_allclose(resolvent(op, [1.0, 0.0]), [0.2, -0.4])
 
     def test_cross_check_with_linear_solve(self):
         gen = rng(3)
         for scale in (0.5, 1.0, 3.0):
             mat = scale * rotator_matrix()
             alpha = scale ** 2
+            np.testing.assert_allclose(mat @ mat, -alpha * np.eye(2), atol=1e-10)
             op = AffineMonotone(mat, [0.0, 0.0])
             for x in sample_points(gen, 2, 20):
                 np.testing.assert_allclose(
-                    resolvent_skew_formula(alpha, mat, x),
+                    (x - mat @ x) / (1.0 + alpha),
                     resolvent(op, x),
                     atol=1e-10,
                 )
-
-    def test_rejects_nonskew(self):
-        with pytest.raises(PreconditionError):
-            resolvent_skew_formula(1.0, np.eye(2), [1.0, 0.0])
-
-    def test_rejects_wrong_alpha(self):
-        with pytest.raises(PreconditionError):
-            resolvent_skew_formula(2.0, rotator_matrix(), [1.0, 0.0])
 
 
 class TestImmutability:

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,19 +19,15 @@ from normsplit import (
     Inverse,
     OuterShift,
     Zero,
-    complement_is_dr,
     dr_apply,
-    dr_map_shifted,
     dual_pair,
     estimate_v,
     membership,
-    norm_symmetry_check,
-    range_witness,
-    reflected_resolvent,
+    resolvent,
     solve_normal,
     solve_perturbed,
 )
-from normsplit.errors import DimensionMismatchError, PreconditionError
+from normsplit.errors import DimensionMismatchError
 from normsplit.scenarios import build_registry, get_scenario
 from normsplit.errors import NonFiniteIterateError
 from normsplit import splitting
@@ -61,9 +59,8 @@ class TestDrApply:
         for dim in (2, 3):
             for name, pair in operator_pairs(dim):
                 for x in sample_points(gen, dim, 20):
-                    rarb = reflected_resolvent(
-                        pair.A, reflected_resolvent(pair.B, x)
-                    )
+                    rb = 2 * resolvent(pair.B, x) - x
+                    rarb = 2 * resolvent(pair.A, rb) - rb
                     gap = dr_apply(pair, x) - 0.5 * (x + rarb)
                     assert np.linalg.norm(gap) <= 1e-11, name
 
@@ -101,17 +98,19 @@ class TestDrApply:
 
 
 class TestShiftedMap:
+    """x -> T(x + w), the splitting operator of the w-perturbation (<w>A, B<w>)."""
+
     def test_zero_shift_coincides(self):
         pair = lines_pair()
         for x in sample_points(rng(5), 2, 10):
             np.testing.assert_allclose(
-                dr_map_shifted(pair, np.zeros(2), x), dr_apply(pair, x)
+                dr_apply(pair, x + np.zeros(2)), dr_apply(pair, x)
             )
 
     def test_parallel_lines_unit_shift_fixes_everything(self):
         pair = lines_pair()
         for x in sample_points(rng(6), 2, 10):
-            np.testing.assert_allclose(dr_map_shifted(pair, [0.0, 1.0], x), x)
+            np.testing.assert_allclose(dr_apply(pair, x + [0.0, 1.0]), x)
 
     def test_matches_perturbed_pair_construction(self):
         gen = rng(7)
@@ -122,44 +121,32 @@ class TestShiftedMap:
                     InnerShift(pair.A, w), OuterShift(pair.B, w)
                 )
                 for x in sample_points(gen, dim, 15):
-                    gap = dr_apply(shifted_pair, x) - dr_map_shifted(pair, w, x)
+                    gap = dr_apply(shifted_pair, x) - dr_apply(pair, x + w)
                     assert np.linalg.norm(gap) <= 1e-10, name
 
 
 class TestComplement:
+    """Id - T(A, B) is the splitting operator T(A^-1, B)."""
+
     def test_zero_pair(self):
-        pair = OperatorPair(Zero(2), Zero(2))
+        complement = OperatorPair(Inverse(Zero(2)), Zero(2))
         for x in sample_points(rng(8), 2, 5):
-            np.testing.assert_allclose(complement_is_dr(pair, x), [0.0, 0.0])
+            np.testing.assert_allclose(dr_apply(complement, x), [0.0, 0.0])
 
     def test_parallel_lines(self):
         pair = lines_pair()
+        complement = OperatorPair(Inverse(pair.A), pair.B)
         for x in sample_points(rng(9), 2, 5):
-            np.testing.assert_allclose(complement_is_dr(pair, x), [0.0, 1.0])
+            np.testing.assert_allclose(dr_apply(complement, x), [0.0, 1.0])
 
     def test_complement_identity_across_pairs(self):
         gen = rng(10)
         for dim in (2, 3):
             for name, pair in operator_pairs(dim):
+                complement = OperatorPair(Inverse(pair.A), pair.B)
                 for x in sample_points(gen, dim, 15):
-                    gap = dr_apply(pair, x) + complement_is_dr(pair, x) - x
+                    gap = dr_apply(pair, x) + dr_apply(complement, x) - x
                     assert np.linalg.norm(gap) <= 1e-10, name
-
-    def test_second_call_reuses_the_compiled_inverse(self, monkeypatch):
-        folds = []
-        fold = Inverse.fold
-
-        def counting(op, form):
-            folds.append(op)
-            return fold(op, form)
-
-        monkeypatch.setattr(Inverse, "fold", counting)
-        pair = get_scenario("disjoint-balls").pair
-        x = np.array([0.3, -1.7])
-        first = complement_is_dr(pair, x)
-        assert len(folds) == 1
-        np.testing.assert_array_equal(complement_is_dr(pair, x), first)
-        assert len(folds) == 1
 
 
 class TestEcksteinSelfDuality:
@@ -341,50 +328,55 @@ class TestSolveNormal:
 
 
 class TestNormSymmetry:
+    """The v of (A, B) and the v of (B, A) have equal norms."""
+
     def test_constant_pair(self):
         pair = OperatorPair(ConstantValued([1.0, 2.0]), ConstantValued([3.0, 4.0]))
-        n_ab, n_ba = norm_symmetry_check(pair)
+        v_ab, _ = estimate_v(pair)
+        v_ba, _ = estimate_v(pair.swapped())
         expected = float(np.linalg.norm([4.0, 6.0]))
-        assert n_ab == pytest.approx(expected, abs=1e-9)
-        assert n_ba == pytest.approx(expected, abs=1e-9)
+        assert np.linalg.norm(v_ab) == pytest.approx(expected, abs=1e-9)
+        assert np.linalg.norm(v_ba) == pytest.approx(expected, abs=1e-9)
 
     def test_disjoint_balls_opposite_directions(self):
         pair = get_scenario("disjoint-balls").pair
-        n_ab, n_ba = norm_symmetry_check(pair)
-        assert n_ab == pytest.approx(1.0, abs=1e-6)
-        assert n_ba == pytest.approx(1.0, abs=1e-6)
         v_ab, _ = estimate_v(pair)
         v_ba, _ = estimate_v(pair.swapped())
+        assert np.linalg.norm(v_ab) == pytest.approx(1.0, abs=1e-6)
+        assert np.linalg.norm(v_ba) == pytest.approx(1.0, abs=1e-6)
         np.testing.assert_allclose(v_ba, -v_ab, atol=1e-6)
 
     def test_rotator_orthogonal_equal_norms(self):
         sc = get_scenario("rotators-default")
-        n_ab, n_ba = norm_symmetry_check(sc.pair)
-        assert abs(n_ab - n_ba) <= 1e-8
         v_ab, _ = estimate_v(sc.pair)
         v_ba, _ = estimate_v(sc.pair.swapped())
+        n_ab, n_ba = np.linalg.norm(v_ab), np.linalg.norm(v_ba)
+        assert abs(n_ab - n_ba) <= 1e-8
         assert abs(float(np.dot(v_ab, v_ba))) <= 1e-8
         assert n_ab == pytest.approx(np.linalg.norm([1.0, 0.0]) / np.sqrt(2), abs=1e-8)
 
 
 class TestRangeWitness:
+    """Given 0 in B(z), w = z - J_A(z) lies in ran(Id - T), so the
+    w-perturbed problem is solvable."""
+
     def test_ball_cone_against_zero(self):
         pair = OperatorPair(NormalCone(Ball([0.0, 0.0], 1.0)), Zero(2))
-        w = range_witness(pair, [2.0, 0.0])
-        np.testing.assert_allclose(w, [1.0, 0.0])
+        z = np.array([2.0, 0.0])
+        assert membership(pair.B, z, np.zeros(2))
+        np.testing.assert_allclose(z - resolvent(pair.A, z), [1.0, 0.0])
 
     def test_zero_first_component(self):
         pair = OperatorPair(Zero(2), ConstantValued([0.0, 0.0]))
-        np.testing.assert_allclose(range_witness(pair, [3.0, -1.0]), [0.0, 0.0])
+        z = np.array([3.0, -1.0])
+        assert membership(pair.B, z, np.zeros(2))
+        np.testing.assert_allclose(z - resolvent(pair.A, z), [0.0, 0.0])
 
     def test_constant_zero_degenerates_to_zero_operator(self):
         pair = OperatorPair(NormalCone(Ball([0.0, 0.0], 1.0)), ConstantValued([0.0, 0.0]))
-        np.testing.assert_allclose(range_witness(pair, [2.0, 0.0]), [1.0, 0.0])
-
-    def test_precondition_failure(self):
-        pair = OperatorPair(Zero(2), ConstantValued([1.0, 1.0]))
-        with pytest.raises(PreconditionError):
-            range_witness(pair, [0.0, 0.0])
+        z = np.array([2.0, 0.0])
+        assert membership(pair.B, z, np.zeros(2))
+        np.testing.assert_allclose(z - resolvent(pair.A, z), [1.0, 0.0])
 
     def test_witness_shift_is_always_solvable(self):
         cases = [
@@ -396,7 +388,8 @@ class TestRangeWitness:
         ]
         zs = [np.array([2.0, 0.0]), np.array([4.0, 4.0])]
         for pair, z in zip(cases, zs):
-            w = range_witness(pair, z)
+            assert membership(pair.B, z, np.zeros(2))
+            w = z - resolvent(pair.A, z)
             report = solve_perturbed(pair, w)
             assert report.status == "converged"
             assert all(report.certificates.values())
@@ -442,10 +435,21 @@ class TestTraceExport:
         pair = lines_pair()
         _, trace = estimate_v(pair, max_iter=3, tol_v=0.0, record=True)
         assert len(trace) == 3
-        np.testing.assert_array_equal(trace.v_diffs, trace.displacements)
         # row n of the Cesaro column is -x_n / n; row 0 is seeded with -x_1
         np.testing.assert_allclose(trace.v_cesaros[1:], -trace.xs[1:] / [[1.0], [2.0]])
         np.testing.assert_array_equal(trace.v_cesaros[0], -trace.xs[1])
+
+
+def test_estimator_tail_study_script_runs(tmp_path, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "estimator_tail_study.py"
+    spec = importlib.util.spec_from_file_location("estimator_tail_study", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    csv_path = tmp_path / "trace.csv"
+    assert script.main(["200", str(csv_path)]) == 0
+    out = capsys.readouterr().out
+    assert "|v_diff - g|" in out and "trace written to" in out
+    assert csv_path.read_text().count("\n") == 201
 
 
 def lines_at_angle(dim: int, angle: float) -> OperatorPair:
