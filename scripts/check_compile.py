@@ -42,7 +42,8 @@ def describe(form) -> str:
     m = f"{form.m:g}" if isinstance(form.m, float) else _vec(form.m).replace("\n", "")
     if form.region is None:
         return f"J(x) = M x + c  M={m} c={_vec(form.c)}"
-    sign = "+" if form.beta > 0 else "-"
+    # the projection term's sign, sigma (1 - 2m); the form does not store it
+    sign = "+" if form.sigma * (1.0 - 2.0 * form.m) > 0 else "-"
     name = type(form.region).__name__
     if form.projects_bare:
         return f"J(x) = {m} x {sign} P_{name}(x) + c  (normal form)  c={_vec(form.c)}"

@@ -54,7 +54,7 @@ def psi(zk: PrimalDualPair) -> np.ndarray:
     return zk.z + zk.k + zk.w
 
 
-def psi_inv(pair: OperatorPair, x: np.ndarray, w=None,
+def psi_inv(pair: OperatorPair, x: np.ndarray, w: np.ndarray,
             tol_fix: float = 1e-9) -> PrimalDualPair:
     """Recover the solution pair from a fixed point of x -> T(x) + w.
 
@@ -62,7 +62,7 @@ def psi_inv(pair: OperatorPair, x: np.ndarray, w=None,
     to pass both membership certificates.
     """
     x = as_vector(x, dim=pair.dim)
-    w = np.zeros(pair.dim) if w is None else as_vector(w, dim=pair.dim)
+    w = as_vector(w, dim=pair.dim)
     residual = float(np.linalg.norm(x - dr_apply(pair, x) - w))
     if residual > tol_fix:
         raise PreconditionError(

@@ -452,14 +452,14 @@ class Inverse(Wrapper):
     """Set-valued inverse; resolvent via J_A + J_{A^-1} = Id."""
 
     def fold(self, f: ResolventForm) -> ResolventForm:
-        return replace(f, m=_identity_minus(f.m), beta=-f.beta, c=-f.c)
+        return replace(f, m=_identity_minus(f.m), c=-f.c)
 
 
 class FlipBoth(Wrapper):
     """Conjugation x -> -A(-x); preserves maximal monotonicity."""
 
     def fold(self, f: ResolventForm) -> ResolventForm:
-        return replace(f, beta=-f.beta, sigma=-f.sigma, c=-f.c)
+        return replace(f, sigma=-f.sigma, c=-f.c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -493,30 +493,28 @@ class OuterShift(Shift):
 # evaluation
 # ---------------------------------------------------------------------------
 
-# J(x) = m x + beta P(x) + c, from (P, c), keyed by (m != 0, beta > 0, c != 0)
+# J(x) = P(x) + c or x - P(x) + c, from (P, c), keyed by (m != 0, c != 0)
 _BARE_EVALUATORS = {
-    (False, True, False): lambda proj, c: proj,
-    (False, True, True): lambda proj, c: lambda x: proj(x) + c,
-    (False, False, False): lambda proj, c: lambda x: -proj(x),
-    (False, False, True): lambda proj, c: lambda x: c - proj(x),
-    (True, True, False): lambda proj, c: lambda x: x + proj(x),
-    (True, True, True): lambda proj, c: lambda x: x + proj(x) + c,
-    (True, False, False): lambda proj, c: lambda x: x - proj(x),
-    (True, False, True): lambda proj, c: lambda x: x - proj(x) + c,
+    (False, False): lambda proj, c: proj,
+    (False, True): lambda proj, c: lambda x: proj(x) + c,
+    (True, False): lambda proj, c: lambda x: x - proj(x),
+    (True, True): lambda proj, c: lambda x: x - proj(x) + c,
 }
 
 
 @dataclass(frozen=True, eq=False)
 class ResolventForm:
-    """Resolvent J(x) = m x + beta P(sigma x + a) + c of a whole wrapper stack.
+    """Resolvent J(x) = m x + sigma (1 - 2m) P(sigma x + a) + c of a wrapper stack.
 
     P projects onto `region`; region None means there is no projection term
-    (affine, constant and zero leaves), and then beta, sigma and a are unused.
-    Over a normal-cone leaf m is 0.0 or 1.0 and beta, sigma are +1 or -1.
-    compile_resolvent keeps such a form in normal form, sigma = 1 and a = 0,
-    by moving flips and shifts into the set (its `image`), so that a
-    stack of any depth costs one bare projection plus at most two vector
-    operations, and the bare leaf costs the projection alone. Only the
+    (affine, constant and zero leaves), and then sigma and a are unused.
+    Over a normal-cone leaf m is 0.0 or 1.0 and sigma is +1 or -1: J_{N_S} is
+    P_S, Moreau's identity makes J_{(N_S)^-1} = Id - P_S, and a flip turns
+    the sign of sigma and of the projection term together, so that sign is
+    sigma (1 - 2m). compile_resolvent keeps such a form in normal form,
+    sigma = 1 and a = 0, by moving flips and shifts into the set (its
+    `image`), so that a stack of any depth costs P_S'(x) + c or
+    x - P_S'(x) + c, and the bare leaf costs the projection alone. Only the
     epigraph keeps sigma and a. Otherwise m is a float when it is a multiple
     of the identity, so that no matrix-vector product is done for it. The
     form is closed under all four wrappers; each holds its rule as `fold`.
@@ -527,7 +525,6 @@ class ResolventForm:
     m: Union[float, np.ndarray]
     c: np.ndarray
     region: Optional[ProjectableSet] = None
-    beta: int = 1
     sigma: int = 1
     a: Union[float, np.ndarray] = 0.0
     apply: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
@@ -555,12 +552,13 @@ class ResolventForm:
                 return lambda x: x + c
             return lambda x: m * x + c
 
-        proj, beta = self.region.project, self.beta
+        proj = self.region.project
         if self.projects_bare:
-            return _BARE_EVALUATORS[bool(m), beta > 0, bool(c.any())](proj, c)
+            return _BARE_EVALUATORS[bool(m), bool(c.any())](proj, c)
 
         # the epigraph keeps sigma and a, and so does a set whose image overflows
         sigma, a = self.sigma, self.a
+        beta = sigma * (1.0 - 2.0 * m)
         return lambda x: m * x + beta * proj(sigma * x + a) + c
 
     def apply_rows(self, xs: np.ndarray) -> np.ndarray:
@@ -569,7 +567,7 @@ class ResolventForm:
         out = m * xs if isinstance(m, float) else xs.dot(m.T)
         if self.region is not None:
             y = xs if self.projects_bare else self.sigma * xs + self.a
-            out = out + self.beta * self.region.project_rows(y)
+            out = out + self.sigma * (1.0 - 2.0 * m) * self.region.project_rows(y)
         return out + self.c
 
 
@@ -585,8 +583,8 @@ def dense_affine(form: ResolventForm) -> Optional[tuple[np.ndarray, np.ndarray]]
     """(M, c) with J(x) = M x + c as a dense matrix and vector, or None.
 
     J is affine when the form has no projection term, or when its projector
-    is affine, P(y) = Q y + q: then m x + beta P(sigma x + a) + c is
-    (m + beta sigma Q) x + beta (Q a + q) + c.
+    is affine, P(y) = Q y + q: then with beta = sigma (1 - 2m),
+    m x + beta P(sigma x + a) + c is (m + (1 - 2m) Q) x + beta (Q a + q) + c.
     """
     dim = form.c.size
     if form.region is None:
@@ -595,30 +593,30 @@ def dense_affine(form: ResolventForm) -> Optional[tuple[np.ndarray, np.ndarray]]
     if form.region.affine_map is None:
         return None
     q_mat, q = form.region.affine_map()
-    beta = form.beta
-    m = _times(form.m, np.eye(dim)) + (beta * form.sigma) * q_mat
+    m = _times(form.m, np.eye(dim)) + (1.0 - 2.0 * form.m) * q_mat
+    beta = form.sigma * (1.0 - 2.0 * form.m)
     return m, beta * (q_mat.dot(form.a + np.zeros(dim)) + q) + form.c
 
 
 def _normal_form(form: ResolventForm) -> ResolventForm:
     """form with sigma = 1 and a = 0 when its set has an image rule, else form.
 
-    m x + beta P_S(sigma x + a) + c = m x + beta sigma P_S'(x) + (c + beta a)
-    with S' = sigma (S - a). A form whose new set or c would overflow float64
-    keeps sigma and a.
+    With beta = sigma (1 - 2m), m x + beta P_S(sigma x + a) + c is
+    m x + (1 - 2m) P_S'(x) + (c + beta a) with S' = sigma (S - a). A form
+    whose new set or c would overflow float64 keeps sigma and a.
     """
     if form.region is None or form.region.image is None or form.projects_bare:
         return form
     a = form.a + np.zeros(form.c.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        c = form.c + form.beta * a
+        c = form.c + form.sigma * (1.0 - 2.0 * form.m) * a
         try:
             region = form.region.image(form.sigma, a)
         except ValueError:
             return form
     if not np.isfinite(c).all():
         return form
-    return replace(form, region=region, beta=form.beta * form.sigma, sigma=1, a=0.0, c=c)
+    return replace(form, region=region, sigma=1, a=0.0, c=c)
 
 
 def compile_resolvent(op: OperatorSpec) -> ResolventForm:
@@ -657,10 +655,9 @@ def resolvent(op: OperatorSpec, x: np.ndarray) -> np.ndarray:
     return compile_resolvent(op).apply(x)
 
 
-def membership(op: OperatorSpec, x: np.ndarray, xstar: np.ndarray,
-               tol: float = TOL_CERT) -> bool:
+def membership(op: OperatorSpec, x: np.ndarray, xstar: np.ndarray) -> bool:
     """Certify xstar in op(x) through the resolvent: J_op(x + xstar) == x."""
     x = as_vector(x, dim=op.dim)
     xstar = as_vector(xstar, dim=op.dim)
     d = compile_resolvent(op).apply(x + xstar) - x
-    return bool(math.sqrt(d.dot(d)) <= tol * (1.0 + math.sqrt(x.dot(x))))
+    return bool(math.sqrt(d.dot(d)) <= TOL_CERT * (1.0 + math.sqrt(x.dot(x))))

@@ -1,16 +1,17 @@
 """JSON schemas for problem files, solve reports, and the operator AST.
 
-Operators and sets serialize as tagged records mirroring the AST one to one;
-matrices are row-major nested lists, vectors flat lists. One table entry per
-variant (_SETS, _OPERATORS) drives both directions. Floats rely on Python's
-shortest round-trip repr, so parse(serialize(x)) is bit-faithful.
+Operators and sets are read from tagged records mirroring the AST one to
+one; matrices are row-major nested lists, vectors flat lists. One table
+entry per variant (_SETS, _OPERATORS) drives the decoder. Report floats
+rely on Python's shortest round-trip repr, so read_report(write_report(r))
+is bit-faithful.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -136,9 +137,6 @@ _OPERATORS = {
     "outer_shift": (OuterShift, (("inner", operator_from_jsonable), ("shift", _vector))),
 }
 
-_TAGS = {cls: (tag, tuple(key for key, _ in spec))
-         for table in (_SETS, _OPERATORS) for tag, (cls, spec) in table.items()}
-
 
 def _decode(table: dict, kind: str, obj, path: str):
     tag = _require(obj, "type", path)
@@ -151,24 +149,6 @@ def _decode(table: dict, kind: str, obj, path: str):
         return cls(*args)
     except ValueError as exc:
         raise ProblemFormatError(path, str(exc)) from None
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if type(value) in _TAGS:
-        return operator_to_jsonable(value)
-    return value
-
-
-def operator_to_jsonable(op) -> dict:
-    """The tagged record of an operator or set, fields in constructor order."""
-    try:
-        tag, keys = _TAGS[type(op)]
-    except KeyError:
-        raise TypeError(f"unknown variant {type(op).__name__}") from None
-    values = (getattr(op, f.name) for f in fields(op) if f.init)
-    return {"type": tag, **{key: _jsonable(v) for key, v in zip(keys, values)}}
 
 
 def checked_options(max_iter, tol_v, tol_fix, paths=(
@@ -189,12 +169,16 @@ def checked_options(max_iter, tol_v, tol_fix, paths=(
 
 
 def _loaded_json(path, label: str):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(
                 label, f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            ) from None
+        except UnicodeDecodeError as exc:
+            raise ProblemFormatError(
+                label, f"not UTF-8 text: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
             ) from None
         except RecursionError:
             raise ProblemFormatError(label, "JSON nests too deep to parse") from None
@@ -216,8 +200,10 @@ def parse_problem(obj: dict) -> Problem:
             raise ProblemFormatError("problem.w", f"expected dimension {dim}")
 
     defaults = SolveOptions()
-    raw = obj.get("options") or {}
-    if not isinstance(raw, dict):
+    raw = obj.get("options")
+    if raw is None:
+        raw = {}
+    elif not isinstance(raw, dict):
         raise ProblemFormatError("problem.options", "expected an object")
     known = {"max_iter", "tol_v", "tol_fix", "x0"}
     for key in raw:
@@ -287,10 +273,8 @@ def report_from_jsonable(obj: dict) -> SolveReport:
     )
 
 
-def write_report(path, report: SolveReport, metadata: Optional[dict] = None) -> None:
-    payload = {"report": report_to_jsonable(report)}
-    if metadata:
-        payload["metadata"] = metadata
+def write_report(path, report: SolveReport, metadata: dict) -> None:
+    payload = {"report": report_to_jsonable(report), "metadata": metadata}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -42,7 +42,6 @@ class OracleResult:
     v: np.ndarray
     normal_solution: Optional[np.ndarray]
     attained: bool
-    note: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,24 +52,20 @@ class Scenario:
     tolerance: float
     expected_v: Optional[np.ndarray] = None
     expected_v_note: str = ""
-    expected_v_swapped: Optional[np.ndarray] = None
-    expected_normal_solution: Optional[np.ndarray] = None
     solution_note: str = ""
     solve_opts: SolveOptions = field(default_factory=SolveOptions)
 
 
 def alternating_projections(u_set: ProjectableSet, v_set: ProjectableSet,
-                            x0=None, max_rounds: int = AP_MAX_ROUNDS,
-                            tol: float = AP_TOL) -> OracleResult:
-    """Classical alternating projections between two closed convex sets.
+                            max_rounds: int = AP_MAX_ROUNDS) -> OracleResult:
+    """Classical alternating projections between two closed convex sets, from 0.
 
     The difference of the two limiting sides estimates the gap vector
     (minimal-norm element of cl(V - U)); the V-side limit is a fixed point
     of P_V P_U when one exists. Budget exhaustion with the iterates still
     moving is reported as non-attainment evidence, not proof.
     """
-    start = np.zeros(u_set.dim) if x0 is None else as_vector(x0, dim=u_set.dim)
-    u = project(u_set, start)
+    u = project(u_set, np.zeros(u_set.dim))
     v = project(v_set, u)
     attained = False
     for _ in range(max_rounds):
@@ -80,15 +75,13 @@ def alternating_projections(u_set: ProjectableSet, v_set: ProjectableSet,
             float(np.linalg.norm(u_next - u)), float(np.linalg.norm(v_next - v))
         )
         u, v = u_next, v_next
-        if move <= tol:
+        if move <= AP_TOL:
             attained = True
             break
     return OracleResult(
         v=v - u,
         normal_solution=v if attained else None,
         attained=attained,
-        note="alternating-projection gap vector"
-        + ("" if attained else "; budget exhausted, fixed point not reached"),
     )
 
 
@@ -103,17 +96,14 @@ def rotator_matrix() -> np.ndarray:
 
 def scenario_two_sets(u_set: ProjectableSet, v_set: ProjectableSet,
                       name: str = "two-sets", tolerance: float = 1e-6,
-                      ap_rounds: int = AP_MAX_ROUNDS, ap_tol: float = AP_TOL,
-                      **extra) -> Scenario:
+                      ap_rounds: int = AP_MAX_ROUNDS, **extra) -> Scenario:
     """Feasibility pair (N_U, N_V); oracle is alternating projections."""
     if u_set.dim != v_set.dim:
         raise ValueError("sets must share the ambient dimension")
     return Scenario(
         name=name,
         pair=OperatorPair(NormalCone(u_set), NormalCone(v_set)),
-        oracle=lambda: alternating_projections(
-            u_set, v_set, max_rounds=ap_rounds, tol=ap_tol
-        ),
+        oracle=lambda: alternating_projections(u_set, v_set, max_rounds=ap_rounds),
         tolerance=tolerance,
         **extra,
     )
@@ -131,17 +121,10 @@ def scenario_rotators(astar, bstar, name: str = "rotators",
     astar = as_vector(astar, dim=2)
     bstar = as_vector(bstar, dim=2)
     rot = rotator_matrix()
-    eye = np.eye(2)
-    v_ab = 0.5 * (eye - rot) @ (astar - bstar)
-    v_ba = 0.5 * (eye + rot) @ (astar - bstar)
+    v_ab = 0.5 * (np.eye(2) - rot) @ (astar - bstar)
 
     def oracle() -> OracleResult:
-        return OracleResult(
-            v=v_ab.copy(),
-            normal_solution=np.zeros(2),
-            attained=True,
-            note="rotator closed form; every point is a normal solution",
-        )
+        return OracleResult(v=v_ab.copy(), normal_solution=np.zeros(2), attained=True)
 
     return Scenario(
         name=name,
@@ -150,7 +133,6 @@ def scenario_rotators(astar, bstar, name: str = "rotators",
         tolerance=tolerance,
         expected_v=v_ab,
         expected_v_note="closed form (Id - L)(astar - bstar) / 2",
-        expected_v_swapped=v_ba,
         solution_note="every point solves the normal problem",
         **extra,
     )
@@ -164,12 +146,8 @@ def scenario_constants(astar, bstar, name: str = "constants",
     total = astar + bstar
 
     def oracle() -> OracleResult:
-        return OracleResult(
-            v=total.copy(),
-            normal_solution=np.zeros(astar.size),
-            attained=True,
-            note="ran(Id - T) is the single point astar + bstar",
-        )
+        # ran(Id - T) is the single point astar + bstar
+        return OracleResult(v=total.copy(), normal_solution=np.zeros(astar.size), attained=True)
 
     return Scenario(
         name=name,
@@ -178,7 +156,6 @@ def scenario_constants(astar, bstar, name: str = "constants",
         tolerance=tolerance,
         expected_v=total,
         expected_v_note="sum of the two constant values",
-        expected_v_swapped=total,
         solution_note="every point solves the normal problem",
         **extra,
     )
@@ -197,12 +174,7 @@ def scenario_least_squares(m, b, name: str = "least-squares",
     def oracle() -> OracleResult:
         v = project_range(m, b) - b
         x = least_norm(m.T @ m, m.T @ b)
-        return OracleResult(
-            v=v,
-            normal_solution=x,
-            attained=True,
-            note="range projection and minimum-norm normal-equations solution",
-        )
+        return OracleResult(v=v, normal_solution=x, attained=True)
 
     return Scenario(
         name=name,
@@ -251,12 +223,7 @@ def scenario_affine(l_mat, astar, m_mat, bstar, name: str = "affine",
 
     def oracle() -> OracleResult:
         w, x = affine_least_norm_witness(l_mat, astar, m_mat, bstar)
-        return OracleResult(
-            v=w,
-            normal_solution=x,
-            attained=True,
-            note="least-norm witness of the affine constraint program",
-        )
+        return OracleResult(v=w, normal_solution=x, attained=True)
 
     return Scenario(name=name, pair=pair, oracle=oracle, tolerance=tolerance, **extra)
 
@@ -281,8 +248,6 @@ def build_registry() -> dict[str, Callable[[], Scenario]]:
             name="disjoint-balls",
             expected_v=np.array([1.0, 0.0]),
             expected_v_note="unit gap between the balls, pointing U to V",
-            expected_v_swapped=np.array([-1.0, 0.0]),
-            expected_normal_solution=np.array([2.0, 0.0]),
         ),
         "two-lines": lambda: scenario_two_sets(
             AffineSubspace([0.0, 0.0], [[1.0, 0.0]]),
@@ -291,8 +256,6 @@ def build_registry() -> dict[str, Callable[[], Scenario]]:
             tolerance=1e-9,
             expected_v=np.array([0.0, 1.0]),
             expected_v_note="vertical gap between parallel horizontal lines",
-            expected_v_swapped=np.array([0.0, -1.0]),
-            expected_normal_solution=np.array([0.0, 1.0]),
             solution_note="any point of the upper line",
         ),
         "box-halfspace": lambda: scenario_two_sets(
@@ -301,7 +264,6 @@ def build_registry() -> dict[str, Callable[[], Scenario]]:
             name="box-halfspace",
             expected_v=np.array([2.0, 0.0]),
             expected_v_note="gap from the box face x1 = 1 to the halfspace x1 >= 3",
-            expected_normal_solution=np.array([3.0, 0.0]),
         ),
         "epigraph": lambda: scenario_two_sets(
             AffineSubspace([0.0, 0.0], [[1.0, 0.0]]),

@@ -1,5 +1,5 @@
-"""Reference formulas: recursive resolvents, the shift calculus, and the
-drift verdict on a trace.
+"""Reference formulas: recursive resolvents, the shift calculus, the drift
+verdict on a trace, and the operator encoder.
 
 Compiled resolvents (normsplit.compile_resolvent) are checked against this
 tree walk, which evaluates every wrapper on its own:
@@ -19,9 +19,13 @@ of operators with equal resolvents.
 `drifting_tail` reads the drift verdict off a recorded trace, the way the
 solve loop takes it from the few rows it keeps, and `trace_csv` writes a
 trace cell by cell, the bytes that IterationTrace.to_csv must reproduce.
+
+`operator_to_jsonable` writes an operator or set as the tagged record that
+normsplit.problemio decodes, from the decoder's own tables.
 """
 
 import csv
+from dataclasses import fields
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from normsplit import (
     Zero,
     project,
 )
+from normsplit.problemio import _OPERATORS, _SETS
 from normsplit.splitting import _DRIFT_RATIO
 
 
@@ -119,3 +124,25 @@ def trace_csv(trace, path) -> None:
                 + [repr(float(d_norms[i])), repr(float(d_norms[i])),
                    repr(float(c_norms[i]))]
             )
+
+
+_TAGS = {cls: (tag, tuple(key for key, _ in spec))
+         for table in (_SETS, _OPERATORS) for tag, (cls, spec) in table.items()}
+
+
+def _jsonable(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if type(value) in _TAGS:
+        return operator_to_jsonable(value)
+    return value
+
+
+def operator_to_jsonable(op) -> dict:
+    """The tagged record of an operator or set, fields in constructor order."""
+    try:
+        tag, keys = _TAGS[type(op)]
+    except KeyError:
+        raise TypeError(f"unknown variant {type(op).__name__}") from None
+    values = (getattr(op, f.name) for f in fields(op) if f.init)
+    return {"type": tag, **{key: _jsonable(v) for key, v in zip(keys, values)}}

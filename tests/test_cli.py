@@ -22,7 +22,6 @@ from normsplit.errors import NonFiniteIterateError, ProblemFormatError
 from normsplit import problemio
 from normsplit.problemio import (
     operator_from_jsonable,
-    operator_to_jsonable,
     parse_problem,
     read_report,
     report_from_jsonable,
@@ -30,6 +29,7 @@ from normsplit.problemio import (
 )
 from normsplit.scenarios import get_scenario
 
+from reference import operator_to_jsonable
 from zoo import operator_zoo, rng, sample_points
 
 BALL_A = {"type": "normal_cone", "set": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}}
@@ -178,6 +178,15 @@ class TestSolveCommand:
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.json")]) == 1
 
+    @pytest.mark.parametrize("command", ["solve", "duality-check"])
+    def test_non_utf8_file_exits_1(self, tmp_path, capsys, command):
+        path = tmp_path / "latin.json"
+        path.write_bytes(b'{"dim": 2, "A": \xff}')
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: problem: not UTF-8 text")
+        assert err.count("\n") == 1
+
     def test_dimension_mismatch_diagnostic(self, tmp_path, capsys):
         payload = {"dim": 3, "A": BALL_A, "B": BALL_B}
         path = write_problem(tmp_path, payload)
@@ -219,6 +228,23 @@ class TestScenarioCommand:
 
 
 class TestDualityCheckCommand:
+    def test_converged_solve_far_from_0_exits_3_without_traceback(self, tmp_path, capsys):
+        # the fused affine step converges at |x| = 2.25e8, where one ulp is
+        # 3e-8; psi_inv's two-resolvent step misses that fixed point by 6.7e-8
+        line = {"type": "affine_subspace", "anchor": [0.3, 0.0], "basis": [[1.0, 0.0]]}
+        far_line = {"type": "affine_subspace", "anchor": [0.7, 3e8], "basis": [[0.6, 0.8]]}
+        path = write_problem(tmp_path, {
+            "dim": 2,
+            "A": {"type": "normal_cone", "set": line},
+            "B": {"type": "normal_cone", "set": far_line},
+        })
+        assert main(["solve", path]) == 0
+        assert "a_side=True b_side=True" in capsys.readouterr().out
+        assert main(["duality-check", path]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert out[-1].startswith("bijection roundtrip failed at the fixed point: ")
+        assert "residual" in out[-1]
+
     def test_affine_pair(self, tmp_path, capsys):
         payload = {
             "dim": 2,
@@ -462,12 +488,22 @@ class TestOptionBounds:
             ({"tol_fix": -1.0}, "options.tol_fix"),
             ({"tol_fix": float("inf")}, "options.tol_fix"),
             ({"max_iter": 0}, "options.max_iter"),
+            # only null or an absent key means the defaults
+            ([], "problem.options: expected an object"),
+            (False, "problem.options: expected an object"),
+            (0, "problem.options: expected an object"),
+            ("", "problem.options: expected an object"),
         ],
     )
     def test_problem_file_rejects(self, options, field):
         payload = {"dim": 2, "A": BALL_A, "B": BALL_B, "options": options}
         with pytest.raises(ProblemFormatError, match=field):
             parse_problem(json.loads(json.dumps(payload)))
+
+    def test_null_options_mean_the_defaults(self):
+        payload = {"dim": 2, "A": BALL_A, "B": BALL_B, "options": None}
+        assert parse_problem(payload).options == parse_problem(
+            {"dim": 2, "A": BALL_A, "B": BALL_B}).options
 
     @pytest.mark.parametrize(
         "flags, name",
@@ -562,6 +598,12 @@ class TestReadReportValidation:
         path = tmp_path / "report.json"
         path.write_text('{"report": {')
         with pytest.raises(ProblemFormatError, match="line 1 column"):
+            read_report(path)
+
+    def test_non_utf8_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_bytes(b'{"report": "\xff"}')
+        with pytest.raises(ProblemFormatError, match="report_file: not UTF-8 text: byte 0xff"):
             read_report(path)
 
     def test_certificates_must_be_booleans(self, tmp_path):

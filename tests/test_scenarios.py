@@ -22,6 +22,11 @@ from normsplit.scenarios import (
 from normsplit.vecspace import nullspace
 
 
+def swapped_rotator_v(astar, bstar) -> np.ndarray:
+    """v(B, A) of the rotator pair, the closed form (Id + L)(astar - bstar) / 2."""
+    return 0.5 * (np.eye(2) + rotator_matrix()) @ (np.asarray(astar) - np.asarray(bstar))
+
+
 class TestAlternatingProjections:
     def test_overlapping_balls_reach_intersection(self):
         u, v = Ball([0.0, 0.0], 2.0), Ball([3.0, 0.0], 2.0)
@@ -63,9 +68,7 @@ class TestTwoSetsScenario:
         sc = get_scenario("disjoint-balls")
         result = sc.oracle()
         np.testing.assert_allclose(result.v, sc.expected_v, atol=1e-9)
-        np.testing.assert_allclose(
-            result.normal_solution, sc.expected_normal_solution, atol=1e-9
-        )
+        np.testing.assert_allclose(result.normal_solution, [2.0, 0.0], atol=1e-9)
 
 
 class TestRotatorScenario:
@@ -75,13 +78,17 @@ class TestRotatorScenario:
         # displacement of the swapped order; sign verified against the
         # least-norm witness program and direct iteration (see the
         # sign-convention note in README.md)
-        np.testing.assert_allclose(sc.expected_v_swapped, [0.5, 0.5])
+        np.testing.assert_allclose(swapped_rotator_v([1.0, 0.0], [0.0, 0.0]), [0.5, 0.5])
+        # the swapped pair (B, A) = (-L - bstar, L + astar) in affine form
+        rot = rotator_matrix()
+        w, _ = affine_least_norm_witness(-rot, [0.0, 0.0], rot, [1.0, 0.0])
+        np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(sc.oracle().v, [0.5, -0.5])
 
     def test_equal_constants_give_zero(self):
         sc = scenario_rotators([0.7, -0.4], [0.7, -0.4])
         np.testing.assert_allclose(sc.expected_v, [0.0, 0.0])
-        np.testing.assert_allclose(sc.expected_v_swapped, [0.0, 0.0])
+        np.testing.assert_allclose(swapped_rotator_v([0.7, -0.4], [0.7, -0.4]), [0.0, 0.0])
 
     def test_vertical_offset_instance(self):
         sc = scenario_rotators([0.0, 2.0], [0.0, 0.0])
@@ -92,12 +99,13 @@ class TestRotatorScenario:
         for _ in range(10):
             astar, bstar = gen.normal(size=2), gen.normal(size=2)
             sc = scenario_rotators(astar, bstar)
-            assert abs(float(np.dot(sc.expected_v, sc.expected_v_swapped))) <= 1e-12
+            v_swapped = swapped_rotator_v(astar, bstar)
+            assert abs(float(np.dot(sc.expected_v, v_swapped))) <= 1e-12
             assert np.linalg.norm(sc.expected_v) == pytest.approx(
                 np.linalg.norm(astar - bstar) / np.sqrt(2), abs=1e-12
             )
             assert np.linalg.norm(sc.expected_v) == pytest.approx(
-                np.linalg.norm(sc.expected_v_swapped), abs=1e-12
+                np.linalg.norm(v_swapped), abs=1e-12
             )
 
 
@@ -105,7 +113,8 @@ class TestConstantsScenario:
     def test_sum_formula(self):
         sc = scenario_constants([1.0, 2.0], [3.0, 4.0])
         np.testing.assert_allclose(sc.oracle().v, [4.0, 6.0])
-        np.testing.assert_allclose(sc.expected_v_swapped, [4.0, 6.0])
+        swapped = scenario_constants([3.0, 4.0], [1.0, 2.0])
+        np.testing.assert_allclose(swapped.oracle().v, [4.0, 6.0])
 
     def test_opposite_constants_consistent(self):
         sc = scenario_constants([1.0, -1.0], [-1.0, 1.0])
@@ -199,6 +208,19 @@ class TestRegistry:
         result = sc.oracle()
         assert not result.attained
         np.testing.assert_allclose(result.v, [0.0, 1.0], atol=1e-3)
+
+    def test_set_scenarios_match_hand_values(self):
+        # (v of the swapped pair (B, A), normal solution reached from 0)
+        hand = {
+            "disjoint-balls": ([-1.0, 0.0], [2.0, 0.0]),
+            "two-lines": ([0.0, -1.0], [0.0, 1.0]),
+            "box-halfspace": ([-2.0, 0.0], [3.0, 0.0]),
+        }
+        for name, (v_swapped, solution) in hand.items():
+            sc = get_scenario(name)
+            np.testing.assert_allclose(sc.oracle().normal_solution, solution, atol=1e-9)
+            swapped = alternating_projections(sc.pair.B.region, sc.pair.A.region)
+            np.testing.assert_allclose(swapped.v, v_swapped, atol=1e-9)
 
     def test_box_halfspace_solution_certified(self):
         sc = get_scenario("box-halfspace")

@@ -5,9 +5,14 @@ walk counts identifiers, attribute names, imported names and string
 constants (the benchmark reaches some attributes through getattr strings)
 in every module but __init__.py, in scripts/ and in perfbench/. Uses inside
 a name's own def or class do not count.
+
+Likewise every field of a public dataclass is accessed by that code, by
+attribute or through a getattr string: a field that is only passed at
+construction, or accessed only by tests, is a setting to delete.
 """
 
 import ast
+import dataclasses
 import types
 from pathlib import Path
 
@@ -40,13 +45,44 @@ def _used_names(tree: ast.AST) -> set:
     return used
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
+def _accessed_fields(tree: ast.AST) -> set:
+    """Attribute names accessed anywhere, and getattr/hasattr string arguments.
+
+    Keyword arguments at construction are not accesses.
+    """
+    accessed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            accessed.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr") and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            accessed.add(node.args[1].value)
+    return accessed
+
+
+def _program_trees() -> list:
     files = [path for path in (ROOT / "src" / "normsplit").glob("*.py")
              if path.name != "__init__.py"]
     files += sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    return [ast.parse(path.read_text(), filename=str(path)) for path in files]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
     used = set()
-    for path in files:
-        used |= _used_names(ast.parse(path.read_text(), filename=str(path)))
+    for tree in _program_trees():
+        used |= _used_names(tree)
     public = [name for name in normsplit.__all__
               if not isinstance(getattr(normsplit, name), types.ModuleType)]
     assert sorted(name for name in public if name not in used) == []
+
+
+def test_every_public_dataclass_field_is_accessed_outside_the_tests():
+    accessed = set()
+    for tree in _program_trees():
+        accessed |= _accessed_fields(tree)
+    classes = [obj for obj in map(normsplit.__dict__.get, normsplit.__all__)
+               if isinstance(obj, type) and dataclasses.is_dataclass(obj)]
+    unused = {f"{cls.__name__}.{f.name}" for cls in classes
+              for f in dataclasses.fields(cls) if f.name not in accessed}
+    assert sorted(unused) == []
