@@ -46,7 +46,7 @@ from .splitting import (
     solve_normal,
     solve_perturbed,
 )
-from .duality import PrimalDualPair, dual_pair, psi, psi_inv, validate
+from .duality import PrimalDualPair, dual_pair, psi, psi_inv
 from .scenarios import (
     OracleResult,
     Scenario,

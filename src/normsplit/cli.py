@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 
-from .duality import dual_pair, psi, psi_inv
+from .duality import PrimalDualPair, dual_pair, psi, psi_inv
 from .errors import NonFiniteIterateError, PreconditionError, ProblemFormatError
 from .problemio import Problem, checked_options, load_problem, write_report
 from .scenarios import Scenario, build_registry, get_scenario
@@ -93,6 +93,13 @@ def _write_files(args, report: SolveReport, metadata: dict) -> bool:
     return True
 
 
+def _solve(pair: OperatorPair, w, x0, opts: SolveOptions, record: bool = False) -> SolveReport:
+    """The perturbed solve at w, or the two-phase normal solve when w is None."""
+    if w is not None:
+        return solve_perturbed(pair, w, x0, opts, record=record)
+    return solve_normal(pair, x0, opts, record=record)
+
+
 def cmd_solve(args) -> int:
     try:
         problem = load_problem(args.problem)
@@ -102,12 +109,7 @@ def cmd_solve(args) -> int:
     except (ProblemFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    pair = OperatorPair(problem.a, problem.b)
-    record = args.trace is not None
-    if w is not None:
-        report = solve_perturbed(pair, w, x0, opts, record=record)
-    else:
-        report = solve_normal(pair, x0, opts, record=record)
+    report = _solve(OperatorPair(problem.a, problem.b), w, x0, opts, record=args.trace is not None)
     _print_report(report)
     if not _write_files(args, report, {"problem": str(args.problem)}):
         return EXIT_INPUT_ERROR
@@ -191,28 +193,23 @@ def cmd_duality_check(args) -> int:
         dev_pointwise = max(dev_pointwise, float(devs.max()))
     print(f"max |T x - T_dual x| over {args.samples} samples: {dev_pointwise:.3e}")
 
-    if w is not None:
-        report = solve_perturbed(pair, w, problem.x0, opts)
-        w_eff = w
-    else:
-        report = solve_normal(pair, problem.x0, opts)
-        w_eff = report.v_estimate
+    report = _solve(pair, w, problem.x0, opts)
     dev_psi = 0.0
     if report.status == CONVERGED:
-        fixed = report.governing_point + w_eff
+        # the solve's certified pair; v_estimate is the w it solved for
+        zk = PrimalDualPair(report.normal_solution, report.dual_solution, report.v_estimate)
+        fixed = psi(zk)
         try:
-            zk = psi_inv(pair, fixed, w_eff, tol_fix=max(opts.tol_fix, 1e-8))
-            dev_psi = float(np.linalg.norm(psi(zk) - fixed))
-            again = psi_inv(pair, psi(zk), w_eff, tol_fix=max(opts.tol_fix, 1e-8))
+            back = psi_inv(pair, fixed, zk.w, tol_fix=max(opts.tol_fix, 1e-8))
         except PreconditionError as exc:
             # far from 0 the two-resolvent step can miss the fused step's fixed
             # point by more than the tolerance: a deviation, not a crash
             print(f"bijection roundtrip failed at the fixed point: {exc}")
             return EXIT_MAX_ITER
         dev_psi = max(
-            dev_psi,
-            float(np.linalg.norm(again.z - zk.z)),
-            float(np.linalg.norm(again.k - zk.k)),
+            float(np.linalg.norm(fixed - (report.governing_point + zk.w))),
+            float(np.linalg.norm(back.z - zk.z)),
+            float(np.linalg.norm(back.k - zk.k)),
         )
         print(f"max bijection roundtrip deviation at the fixed point: {dev_psi:.3e}")
     else:

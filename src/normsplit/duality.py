@@ -25,7 +25,7 @@ from .vecspace import as_vector
 class PrimalDualPair:
     """Primal solution z and dual solution k of a w-perturbed problem.
 
-    Contract: k + w in B(z) and -k in A(z - w); run validate() to re-check.
+    Contract: k + w in B(z) and -k in A(z - w); splitting.certify re-checks it.
     """
 
     z: np.ndarray
@@ -42,11 +42,6 @@ class PrimalDualPair:
 def dual_pair(pair: OperatorPair) -> OperatorPair:
     """The dual pair (A^-v, B^-1); dualizing twice restores the original."""
     return OperatorPair(FlipBoth(Inverse(pair.A)), Inverse(pair.B))
-
-
-def validate(pair: OperatorPair, zk: PrimalDualPair) -> dict:
-    """Re-run both membership certificates for (z, k) under the pair."""
-    return certify(pair, zk.z, zk.k, zk.w)
 
 
 def psi(zk: PrimalDualPair) -> np.ndarray:
@@ -70,7 +65,7 @@ def psi_inv(pair: OperatorPair, x: np.ndarray, w: np.ndarray,
         )
     z = resolvent(pair.B, x)
     zk = PrimalDualPair(z=z, k=x - z - w, w=w)
-    certs = validate(pair, zk)
+    certs = certify(pair, zk.z, zk.k, zk.w)
     if not all(certs.values()):
         raise PreconditionError(f"certificates failed for recovered pair: {certs}")
     return zk

@@ -34,7 +34,7 @@ from .operators import (
     ProjectableSet,
     Zero,
 )
-from .splitting import SolveOptions, SolveReport
+from .splitting import CONVERGED, MAX_ITER, NO_FIXED_POINT, SolveOptions, SolveReport
 
 # the deepest wrapper stack a record may hold; decoding recurses once per level
 MAX_NESTING = 100
@@ -62,11 +62,18 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _vector(obj, path: str) -> np.ndarray:
+def _floats(obj, path: str, expected: str) -> np.ndarray:
+    """obj as a float64 array, else a complaint that it is not `expected`."""
     try:
-        v = np.asarray(obj, dtype=float)
+        return np.asarray(obj, dtype=float)
     except (TypeError, ValueError):
-        raise ProblemFormatError(path, "expected a list of numbers") from None
+        raise ProblemFormatError(path, f"expected {expected}") from None
+    except OverflowError:  # an integer literal beyond the float64 range
+        raise ProblemFormatError(path, "integer too large for a float64") from None
+
+
+def _vector(obj, path: str) -> np.ndarray:
+    v = _floats(obj, path, "a list of numbers")
     if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
         raise ProblemFormatError(path, "expected a nonempty finite vector")
     return v
@@ -74,10 +81,7 @@ def _vector(obj, path: str) -> np.ndarray:
 
 def _matrix(obj, path: str) -> np.ndarray:
     """A finite matrix as a list of rows; [], a list of no rows, passes as is."""
-    try:
-        m = np.asarray(obj, dtype=float)
-    except (TypeError, ValueError):
-        raise ProblemFormatError(path, "expected a row-major list of rows") from None
+    m = _floats(obj, path, "a row-major list of rows")
     if (m.ndim != 2 and m.size) or not np.all(np.isfinite(m)):
         raise ProblemFormatError(path, "expected a finite matrix as list of rows")
     return m
@@ -86,7 +90,7 @@ def _matrix(obj, path: str) -> np.ndarray:
 def _number(obj, path: str) -> float:
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise ProblemFormatError(path, "expected a number")
-    return float(obj)
+    return float(_floats(obj, path, "a number"))
 
 
 def _count(obj, path: str, least: int) -> int:
@@ -253,7 +257,7 @@ def report_from_jsonable(obj: dict) -> SolveReport:
         return None if val is None else _vector(val, f"report.{key}")
 
     status = _require(obj, "status", "report")
-    if status not in ("converged", "no_fixed_point_detected", "max_iter"):
+    if status not in (CONVERGED, NO_FIXED_POINT, MAX_ITER):
         raise ProblemFormatError("report.status", f"unknown status {status!r}")
     certificates = _require(obj, "certificates", "report")
     if not isinstance(certificates, dict) or not all(

@@ -3,9 +3,9 @@
 Every scenario packages an operator pair together with an oracle that
 computes the expected infimal displacement vector (and a normal solution
 where one exists) WITHOUT touching the splitting machinery: alternating
-projections for set pairs, closed rotator formulas, range projections and
-normal equations for least squares, and a least-norm quadratic program for
-general monotone affine pairs.
+projections for set pairs, closed rotator formulas, the normal equations
+for least squares, and a least-norm quadratic program for general
+monotone affine pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .operators import (
     project,
 )
 from .splitting import OperatorPair, SolveOptions
-from .vecspace import as_matrix, as_vector, least_norm, nullspace, project_range
+from .vecspace import as_matrix, as_vector, least_norm, nullspace
 
 AP_MAX_ROUNDS = 1_000_000
 AP_TOL = 1e-12
@@ -166,15 +166,15 @@ def scenario_least_squares(m, b, name: str = "least-squares",
     """Linear system m x = b posed as the pair (constant -b, linear m).
 
     Normal solutions are exactly the least squares solutions; the oracle
-    projects b onto ran(m) and solves the normal equations.
+    solves the normal equations m^T m x = m^T b, so m x = P_ran(m) b and
+    the gap is v = m x - b.
     """
     m = as_matrix(m, square=True)
     b = as_vector(b, dim=m.shape[0])
 
     def oracle() -> OracleResult:
-        v = project_range(m, b) - b
         x = least_norm(m.T @ m, m.T @ b)
-        return OracleResult(v=v, normal_solution=x, attained=True)
+        return OracleResult(v=m @ x - b, normal_solution=x, attained=True)
 
     return Scenario(
         name=name,

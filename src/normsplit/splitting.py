@@ -65,9 +65,6 @@ class OperatorPair:
     def dim(self) -> int:
         return self.A.dim
 
-    def swapped(self) -> "OperatorPair":
-        return OperatorPair(self.B, self.A)
-
     @cached_property
     def affine_step(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """(M_T, t) with T x = M_T x + t when both resolvents are affine, else None.
@@ -240,11 +237,6 @@ def _grown(rows: np.ndarray, capacity: int) -> np.ndarray:
     return out
 
 
-def _check_finite(x_next: np.ndarray, n: int) -> None:
-    if not np.all(np.isfinite(x_next)):
-        raise NonFiniteIterateError(n)
-
-
 def _fused_step(pair: OperatorPair, w: Optional[np.ndarray]):
     # (M_T, M_T w + t): x -> T(x + w) as one matrix-vector product, or None
     step = pair.affine_step
@@ -271,10 +263,10 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     |x_{N-1} - x_{N-1-k}| is at least _DRIFT_RATIO times the path length
     |x_{N-1-k} - x_{N-k}| + ... + |x_{N-2} - x_{N-1}|, k = min(1000, N // 4),
     while |x_{N-1} - x_N| > tol; N < 100 steps are too few for that verdict.
-    A non-finite iterate raises NonFiniteIterateError. The checks that catch
-    it reuse the norms the stop rules take anyway; only phase 1's first
-    _WINDOW steps, which have no window norm yet, take one extra dot
-    product each.
+    A non-finite iterate raises NonFiniteIterateError. The one check that
+    catches it, after either phase's stop rules, runs only when their norm
+    is not finite; only phase 1's first _WINDOW steps, which have no window
+    norm yet, take one extra dot product each.
 
     Only what the stop rules read is kept: phase 1 a ring of the last
     _WINDOW displacements, phase 2 the iterate x_{N-1-k} and a running sum
@@ -342,8 +334,6 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
             else:
                 size = disp.dot(disp)
             ring[slot] = disp
-            if not size < inf:
-                _check_finite(x_next, n)
         else:
             size = sqrt(disp.dot(disp))
             if size <= tol:
@@ -354,13 +344,13 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
                 if all(certificates.values()):
                     status, solution = CONVERGED, (x, jb, k)
                     break
-            if not size < inf:
-                _check_finite(x_next, n)
             if n >= drift_from:
                 if n == drift_from:
                     x_from = x
                 if n < last:
                     path += size
+        if not size < inf and not np.isfinite(x_next).all():
+            raise NonFiniteIterateError(n)
     else:  # the budget is spent: phase 2 takes the drift verdict
         if path > 0.0 and size > tol:
             net = x - x_from
@@ -383,8 +373,8 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
 # infimal displacement vector
 # ---------------------------------------------------------------------------
 
-def estimate_v(pair: OperatorPair, x0=None, max_iter: int = 200_000,
-               tol_v: float = 1e-8, record: bool = False,
+def estimate_v(pair: OperatorPair, x0=None, max_iter: int = SolveOptions.max_iter,
+               tol_v: float = SolveOptions.tol_v, record: bool = False,
                ) -> tuple[np.ndarray, OrbitEnd]:
     """Estimate v along the orbit x_{n+1} = T x_n.
 

@@ -1,6 +1,6 @@
-"""Dense real linear algebra kernel: input coercion, least-norm solutions, range projections.
+"""Dense real linear algebra kernel: input coercion, least-norm solutions, nullspaces.
 
-Everything is plain float64 numpy: SVD-based orthonormal bases for ranges and
+Everything is plain float64 numpy: SVD-based orthonormal bases for
 nullspaces, least squares for least-norm solutions; problem sizes here are
 desk scale, dim <= ~100. The solver's one square solve, the affine resolvent,
 is a plain numpy solve in `operators.AffineMonotone`. Only
@@ -110,30 +110,12 @@ def least_norm(c: Matrix, d: Vector) -> Vector:
     return y
 
 
-def orthonormal_range(m: Matrix) -> Matrix:
-    """Columns form an orthonormal basis of the column space of m."""
-    a = as_matrix(m)
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    rank = _rank_from_singular_values(s, a.shape)
-    return u[:, :rank]
-
-
 def nullspace(m: Matrix) -> Matrix:
     """Columns form an orthonormal basis of the nullspace of m."""
     a = as_matrix(m)
     _, s, vt = np.linalg.svd(a)
     rank = _rank_from_singular_values(s, a.shape)
     return vt[rank:].T
-
-
-def project_range(m: Matrix, b: Vector) -> Vector:
-    """Orthogonal projection of b onto the column space of m."""
-    a = as_matrix(m)
-    x = as_vector(b, dim=a.shape[0])
-    q = orthonormal_range(a)
-    if q.shape[1] == 0:
-        return np.zeros_like(x)
-    return q @ (q.T @ x)
 
 
 def _rank_from_singular_values(s: np.ndarray, shape) -> int:

@@ -73,7 +73,7 @@ def test_criterion_2_inconsistent_feasibility():
     sc = get_scenario("disjoint-balls")
     start = time.perf_counter()
     report = solve_normal(sc.pair)
-    v_ba, _ = estimate_v(sc.pair.swapped())
+    v_ba, _ = estimate_v(OperatorPair(sc.pair.B, sc.pair.A))
     elapsed = time.perf_counter() - start
     oracle = sc.oracle()
     np.testing.assert_allclose(oracle.v, [1.0, 0.0], atol=1e-9)
@@ -99,7 +99,7 @@ def test_criterion_3_parallel_lines():
 def test_criterion_4_rotator_example():
     sc = get_scenario("rotators-default")
     v_ab, _ = estimate_v(sc.pair)
-    v_ba, _ = estimate_v(sc.pair.swapped())
+    v_ba, _ = estimate_v(OperatorPair(sc.pair.B, sc.pair.A))
     np.testing.assert_allclose(v_ab, [0.5, -0.5], atol=1e-7)
     assert abs(float(np.dot(v_ab, v_ba))) <= 1e-8
     assert abs(np.linalg.norm(v_ab) - np.linalg.norm(v_ba)) <= 1e-8
@@ -121,7 +121,7 @@ def test_criterion_4_rotator_example():
 def test_criterion_5_constant_operators():
     pair = get_scenario("constants-default").pair
     v_ab, _ = estimate_v(pair)
-    v_ba, _ = estimate_v(pair.swapped())
+    v_ba, _ = estimate_v(OperatorPair(pair.B, pair.A))
     np.testing.assert_allclose(v_ab, [4.0, 6.0], atol=1e-9)
     np.testing.assert_allclose(v_ba, [4.0, 6.0], atol=1e-9)
     _line(5, "PASS", "v(A,B) = v(B,A) = (4,6) to 1e-9")

@@ -42,6 +42,8 @@ LINE_UPPER = {
     "type": "normal_cone",
     "set": {"type": "affine_subspace", "anchor": [0.0, 1.0], "basis": [[1.0, 0.0]]},
 }
+# an integer literal beyond the float64 range; json writes and reads it exactly
+HUGE = 10**400
 
 
 def write_problem(tmp_path, payload, name="problem.json"):
@@ -87,6 +89,15 @@ class TestSolveCommand:
     def test_w_flag_overrides(self, tmp_path):
         path = write_problem(tmp_path, {"dim": 2, "A": LINE_LOWER, "B": LINE_UPPER})
         assert main(["solve", path, "--w", "0,1"]) == 0
+
+    def test_x0_in_file_matches_the_flag(self, tmp_path):
+        path = write_problem(tmp_path, {"dim": 2, "A": BALL_A, "B": BALL_B})
+        in_file = write_problem(tmp_path, {"dim": 2, "A": BALL_A, "B": BALL_B,
+                                           "options": {"x0": [40.0, 13.0]}}, "x0.json")
+        flag_json, file_json = str(tmp_path / "flag.json"), str(tmp_path / "file.json")
+        assert main(["solve", path, "--x0", "40,13", "--json", flag_json]) == 0
+        assert main(["solve", in_file, "--json", file_json]) == 0
+        assert read_report(file_json) == read_report(flag_json)
 
     def test_budget_exhaustion_exits_3(self, tmp_path):
         path = write_problem(tmp_path, {"dim": 2, "A": BALL_A, "B": BALL_B})
@@ -245,6 +256,17 @@ class TestDualityCheckCommand:
         assert out[-1].startswith("bijection roundtrip failed at the fixed point: ")
         assert "residual" in out[-1]
 
+    @pytest.mark.parametrize("in_file", [False, True])
+    def test_perturbed_roundtrip(self, tmp_path, capsys, in_file):
+        # every point solves the parallel-lines problem at w = (0, 1)
+        payload = {"dim": 2, "A": LINE_LOWER, "B": LINE_UPPER}
+        if in_file:
+            payload["w"] = [0.0, 1.0]
+        flags = [] if in_file else ["--w=0,1"]
+        assert main(["duality-check", write_problem(tmp_path, payload), *flags]) == 0
+        out = capsys.readouterr().out
+        assert "max bijection roundtrip deviation at the fixed point: " in out
+
     def test_affine_pair(self, tmp_path, capsys):
         payload = {
             "dim": 2,
@@ -312,10 +334,13 @@ class TestDualityCheckCommand:
         if block:
             monkeypatch.setattr(cli, "_SAMPLE_BLOCK", block)
         # a stand-in "dual" whose T differs, so that the maximum is of order 1
-        monkeypatch.setattr(cli, "dual_pair", OperatorPair.swapped)
+        def swapped(p):
+            return OperatorPair(p.B, p.A)
+
+        monkeypatch.setattr(cli, "dual_pair", swapped)
         path = write_problem(tmp_path, self.EPIGRAPH_BALL)
         printed = self._pointwise_max(capsys, path, 40, 3)
-        expected = self._loop_max(self.EPIGRAPH_BALL, OperatorPair.swapped, 40, 3)
+        expected = self._loop_max(self.EPIGRAPH_BALL, swapped, 40, 3)
         assert expected > 1.0 and f"{printed:.3e}" == f"{expected:.3e}"
 
     @BLOCKS
@@ -531,13 +556,15 @@ class TestOptionBounds:
             ("duality-check", ["--samples", "-5"], "--samples"),
             ("duality-check", ["--samples", "0"], "--samples"),
             ("duality-check", ["--seed", "-1"], "--seed"),
+            ("solve", ["--x0=1,x"], "--x0"),
+            ("duality-check", ["--w=a,b"], "--w"),
         ],
     )
     def test_command_flags_exit_1(self, tmp_path, capsys, command, flags, name):
         path = write_problem(tmp_path, {"dim": 2, "A": BALL_A, "B": BALL_B})
         assert main([command, path, *flags]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and name in err and "Traceback" not in err
+        assert err.startswith("error:") and name in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -555,6 +582,42 @@ class TestOptionBounds:
             main([path if arg == "PROBLEM" else arg for arg in argv])
         assert info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _set_b(region: dict) -> dict:
+    return {"B": {"type": "normal_cone", "set": region}}
+
+
+class TestProblemFields:
+    """A malformed field exits 1 with one error line that starts with its path."""
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            # integers beyond the float64 range
+            (_set_b({"type": "ball", "center": [0.0, 0.0], "radius": HUGE}), "B.set.radius"),
+            (_set_b({"type": "ball", "center": [HUGE, 0.0], "radius": 1.0}), "B.set.center"),
+            (_set_b({"type": "halfspace", "normal": [1.0, 0.0], "offset": HUGE}), "B.set.offset"),
+            ({"A": {"type": "affine", "matrix": [[HUGE, 0.0], [0.0, 1.0]], "offset": [0.0, 0.0]}},
+             "A.matrix"),
+            ({"options": {"tol_v": HUGE}}, "problem.options.tol_v"),
+            ({"w": [HUGE, 0.0]}, "problem.w"),
+            # malformed records and vectors
+            ({"A": {"type": "normal_cone"}}, "A.set: missing required field"),
+            ({"A": 5}, "A: expected an object"),
+            ({"A": {"type": "affine", "matrix": [[1.0, 0.0], [0.0]], "offset": [0.0, 0.0]}},
+             "A.matrix: expected a row-major list of rows"),
+            ({"w": [0.0, 1.0, 2.0]}, "problem.w: expected dimension 2"),
+            ({"options": {"x0": [0.0, 1.0, 2.0]}}, "problem.options.x0: expected dimension 2"),
+            ({"options": {"x0": [float("inf"), 0.0]}}, "problem.options.x0: expected a nonempty finite"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["solve", "duality-check"])
+    def test_exits_1_naming_the_field(self, tmp_path, capsys, command, changes, field):
+        path = write_problem(tmp_path, {"dim": 2, "A": BALL_A, "B": BALL_B, **changes})
+        assert main([command, path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}") and err.count("\n") == 1
 
 
 class TestNonFiniteSetParameters:
@@ -611,6 +674,18 @@ class TestReadReportValidation:
             read_report(self._written(tmp_path, certificates="yes"))
         with pytest.raises(ProblemFormatError, match="report.certificates"):
             read_report(self._written(tmp_path, certificates={"b_side": 1}))
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"v_estimate": [HUGE, 0.0]}, "report.v_estimate: integer too large"),
+            ({"v_residual": HUGE}, "report.v_residual: integer too large"),
+            ({"status": "done"}, "report.status: unknown status"),
+        ],
+    )
+    def test_field_errors_name_the_path(self, tmp_path, changes, field):
+        with pytest.raises(ProblemFormatError, match=field):
+            read_report(self._written(tmp_path, **changes))
 
     @pytest.mark.parametrize("value", [3.7, True, -1, "3"])
     def test_iterations_used_must_be_a_count(self, tmp_path, value):

@@ -17,9 +17,9 @@ from normsplit import (
     resolvent,
     solve_normal,
     solve_perturbed,
-    validate,
 )
 from normsplit.errors import PreconditionError
+from normsplit.splitting import certify
 from normsplit.scenarios import get_scenario
 
 from zoo import operator_pairs, rng, sample_points
@@ -82,7 +82,7 @@ class TestPsi:
         pair = get_scenario("two-lines").pair
         w = np.array([0.0, 1.0])
         zk = PrimalDualPair(z=[0.0, 1.0], k=[0.0, 0.0], w=w)
-        assert validate(pair, zk) == {"b_side": True, "a_side": True}
+        assert certify(pair, zk.z, zk.k, zk.w) == {"b_side": True, "a_side": True}
         fixed = psi(zk)
         np.testing.assert_allclose(fixed, [0.0, 2.0])
         governing = fixed - w
@@ -99,7 +99,7 @@ class TestPsi:
     def test_validate_flags_bad_pairs(self):
         pair = get_scenario("two-lines").pair
         bogus = PrimalDualPair(z=[0.0, 0.3], k=[1.0, 0.0], w=[0.0, 1.0])
-        outcome = validate(pair, bogus)
+        outcome = certify(pair, bogus.z, bogus.k, bogus.w)
         assert not all(outcome.values())
 
     @given(arrays(float, 2, elements=st.floats(-40, 40, allow_nan=False)))

@@ -8,11 +8,14 @@ a name's own def or class do not count.
 
 Likewise every field of a public dataclass is accessed by that code, by
 attribute or through a getattr string: a field that is only passed at
-construction, or accessed only by tests, is a setting to delete.
+construction, or accessed only by tests, is a setting to delete. And every
+public method or property of a public class is used by that code outside
+its own def.
 """
 
 import ast
 import dataclasses
+import functools
 import types
 from pathlib import Path
 
@@ -85,4 +88,13 @@ def test_every_public_dataclass_field_is_accessed_outside_the_tests():
                if isinstance(obj, type) and dataclasses.is_dataclass(obj)]
     unused = {f"{cls.__name__}.{f.name}" for cls in classes
               for f in dataclasses.fields(cls) if f.name not in accessed}
+    assert sorted(unused) == []
+
+
+def test_every_public_method_is_used_outside_the_tests():
+    used = set().union(*map(_used_names, _program_trees()))
+    kinds = (types.FunctionType, property, functools.cached_property, classmethod, staticmethod)
+    classes = [obj for obj in map(normsplit.__dict__.get, normsplit.__all__) if isinstance(obj, type)]
+    unused = {f"{cls.__name__}.{name}" for cls in classes for name, value in vars(cls).items()
+              if not name.startswith("_") and isinstance(value, kinds) and name not in used}
     assert sorted(unused) == []

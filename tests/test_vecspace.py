@@ -12,8 +12,6 @@ from normsplit.vecspace import (
     least_norm,
     lu_factor_checked,
     nullspace,
-    orthonormal_range,
-    project_range,
 )
 
 
@@ -28,7 +26,7 @@ class TestAsVector:
 
 
 def checked_lu_solve(m, b):
-    """Solve m x = b through the checked LU, as the affine resolvents do."""
+    """Solve m x = b through the checked LU and scipy's lu_solve."""
     return lu_solve(lu_factor_checked(m), as_vector(b))
 
 
@@ -89,31 +87,3 @@ class TestLeastNorm:
             for _ in range(20):
                 z = kernel @ gen.normal(size=kernel.shape[1])
                 assert abs(y @ z) <= 1e-9 * max(np.linalg.norm(y) * np.linalg.norm(z), 1e-30)
-
-
-class TestProjectRange:
-    def test_range_is_first_axis(self):
-        np.testing.assert_allclose(
-            project_range([[1, 0], [0, 0]], [1, 1]), [1, 0], atol=1e-14
-        )
-
-    def test_full_range(self):
-        np.testing.assert_allclose(project_range(np.eye(2), [5, 6]), [5, 6])
-
-    def test_zero_range(self):
-        np.testing.assert_allclose(project_range(np.zeros((2, 2)), [5, 6]), [0, 0])
-
-    def test_idempotent_and_self_adjoint(self):
-        gen = np.random.default_rng(11)
-        for _ in range(10):
-            m = gen.normal(size=(6, 3))
-            b = gen.normal(size=6)
-            c = gen.normal(size=6)
-            pb = project_range(m, b)
-            assert np.linalg.norm(project_range(m, pb) - pb) <= 1e-10
-            assert abs(pb @ c - b @ project_range(m, c)) <= 1e-10
-
-    def test_orthonormal_range_shape(self):
-        q = orthonormal_range([[1, 0], [0, 0]])
-        assert q.shape == (2, 1)
-        np.testing.assert_allclose(q.T @ q, [[1.0]], atol=1e-14)
