@@ -135,12 +135,9 @@ class IterationTrace(OrbitEnd):
         self.displacements = displacements
         self.v_cesaros = v_cesaros
 
-    def displacement_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.displacements, axis=1)
-
     def to_csv(self, path) -> None:
         dim = self.xs.shape[1]
-        d_norms = self.displacement_norms()
+        d_norms = np.linalg.norm(self.displacements, axis=1)
         c_norms = np.linalg.norm(self.v_cesaros, axis=1)
         # csv writes a Python float as its repr, the shortest exact form
         rows = np.column_stack(
@@ -263,10 +260,9 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     |x_{N-1} - x_{N-1-k}| is at least _DRIFT_RATIO times the path length
     |x_{N-1-k} - x_{N-k}| + ... + |x_{N-2} - x_{N-1}|, k = min(1000, N // 4),
     while |x_{N-1} - x_N| > tol; N < 100 steps are too few for that verdict.
-    A non-finite iterate raises NonFiniteIterateError. The one check that
-    catches it, after either phase's stop rules, runs only when their norm
-    is not finite; only phase 1's first _WINDOW steps, which have no window
-    norm yet, take one extra dot product each.
+    A non-finite iterate x_{n+1} raises NonFiniteIterateError(n), unless a
+    stop rule fires at row n or before. The check that catches it runs only
+    when the row's stop-rule norm is not finite.
 
     Only what the stop rules read is kept: phase 1 a ring of the last
     _WINDOW displacements, phase 2 the iterate x_{N-1-k} and a running sum
@@ -275,9 +271,20 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
 
     When the pair has an affine_step, T(x + w) = M_T x + t_w with
     t_w = M_T w + t folded once per call, so a step is one matrix-vector
-    product and no resolvent is evaluated. The shadow J_B(x + w) is then
-    computed only for a recorded row or a certificate check. Otherwise a
-    step evaluates J_B and J_A, as dr_apply does.
+    product and no resolvent is evaluated. Such an orbit runs in blocks of at
+    most _WINDOW steps, written into one (_WINDOW + 1, dim) buffer, and the
+    stop rules run once per block on all its rows. Phase 1 opens with its
+    first _WINDOW steps, where no stop can fire; each phase then takes a
+    one-step probe at its earliest possible stop (row _WINDOW in phase 1,
+    row 0 in phase 2), and every later block ends at a multiple of _WINDOW,
+    so that its window partners are one slice of the ring. A block whose
+    rows are all finite and far from a stop is taken whole; any other is
+    checked row by row, as a per-step loop would, so the rows, status,
+    certificates and solution are the same bit for bit. A stop inside a
+    block discards the block's later steps. The shadow J_B(x + w) is
+    computed only for a recorded row or a certificate check. Otherwise every
+    step evaluates J_B and J_A, as dr_apply does, and the stop rules run
+    after it.
 
     Returns (end, status, certificates, solution). end is an OrbitEnd, the
     IterationTrace itself when recording; status is CONVERGED or
@@ -293,8 +300,6 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     apply_b = compile_resolvent(pair.B).apply
     x_next = np.zeros(dim) if x0 is None else as_vector(x0, dim=dim).copy()
     sqrt, inf = math.sqrt, math.inf
-    # displacement n - _WINDOW sits at n % _WINDOW; n never reaches max_iter
-    ring = [None] * min(_WINDOW, max_iter)
     # the drift verdict reads x_{N-1-k} and the norms of rows N-1-k .. N-2
     last = max_iter - 1
     drift_from = last - min(1000, max_iter // 4) if max_iter >= 100 else max_iter
@@ -302,60 +307,122 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     if record:
         capacity = min(max_iter, _FIRST_ROWS)
         xs, shadows, disps = (np.empty((capacity, dim)) for _ in range(3))
-    step = _fused_step(pair, w)
-    if step is not None:
-        m_t, t_w = step
     status, certificates, solution = MAX_ITER, {}, None
-    for n in range(max_iter):
-        x = x_next
-        if step is None:
+    step = _fused_step(pair, w)
+    if step is None:
+        # displacement n - _WINDOW sits at n % _WINDOW; n never reaches max_iter
+        ring = [None] * min(_WINDOW, max_iter)
+        for n in range(max_iter):
+            x = x_next
             y = x if estimating else x + w
             jb = apply_b(y)
             u = jb - y
             x_next = apply_a(jb + u) - u
-        else:
-            x_next = m_t.dot(x) + t_w
-            jb = apply_b(x if estimating else x + w) if record else None
-        disp = x - x_next
-        if record:
-            if n == capacity:
-                capacity = min(2 * capacity, max_iter)
-                xs, shadows, disps = (_grown(a, capacity) for a in (xs, shadows, disps))
-            xs[n] = x
-            shadows[n] = jb
-            disps[n] = disp
-        if estimating:
-            slot = n % _WINDOW
-            if n >= _WINDOW:
-                d = disp - ring[slot]
-                size = sqrt(d.dot(d))
-                if size <= tol:
-                    break
+            disp = x - x_next
+            if record:
+                if n == capacity:
+                    capacity = min(2 * capacity, max_iter)
+                    xs, shadows, disps = (_grown(a, capacity) for a in (xs, shadows, disps))
+                xs[n] = x
+                shadows[n] = jb
+                disps[n] = disp
+            if estimating:
+                slot = n % _WINDOW
+                if n >= _WINDOW:
+                    d = disp - ring[slot]
+                    size = sqrt(d.dot(d))
+                    if size <= tol:
+                        break
+                else:
+                    size = disp.dot(disp)
+                ring[slot] = disp
             else:
-                size = disp.dot(disp)
-            ring[slot] = disp
-        else:
-            size = sqrt(disp.dot(disp))
-            if size <= tol:
-                if jb is None:
-                    jb = apply_b(x + w)
-                k = x - jb
-                certificates = certify(pair, jb, k, w)
-                if all(certificates.values()):
-                    status, solution = CONVERGED, (x, jb, k)
-                    break
-            if n >= drift_from:
-                if n == drift_from:
-                    x_from = x
-                if n < last:
+                size = sqrt(disp.dot(disp))
+                if size <= tol:
+                    k = x - jb
+                    certificates = certify(pair, jb, k, w)
+                    if all(certificates.values()):
+                        status, solution = CONVERGED, (x, jb, k)
+                        break
+                if n >= drift_from:
+                    if n == drift_from:
+                        x_from = x
+                    if n < last:
+                        path += size
+            if not size < inf and not np.isfinite(x_next).all():
+                raise NonFiniteIterateError(n)
+    else:
+        m_t, t_w = step
+        dot = m_t.dot
+        # a block starting at row n holds x_n .. x_{n+count}
+        block = np.empty((_WINDOW + 1, dim))
+        block[0] = x_next
+        steps = list(zip(block[:-1], block[1:]))
+        ring = np.empty((min(_WINDOW, max_iter), dim))
+        probe = _WINDOW if estimating else 0
+        # a row can stop only if its squared stop-rule norm is about tol^2 or
+        # less; the factor 2 absorbs rounding, as the row check decides
+        bound = 2.0 * tol * tol
+        n = 0
+        while True:
+            end = min(n + 1 if n == probe else (n // _WINDOW + 1) * _WINDOW, max_iter)
+            count = end - n
+            for x, x_next in steps[:count]:
+                dot(x, out=x_next)
+                x_next += t_w
+            diffs = block[:count] - block[1:count + 1]
+            slot = n % _WINDOW
+            d = diffs - ring[slot:slot + count] if estimating and n >= _WINDOW else diffs
+            # each row's d.dot(d), by the same BLAS dot
+            squares = np.vecdot(d, d)
+            stop = None
+            if not (squares.max() < inf and (n < probe or squares.min() > bound)):
+                for j in range(count):
+                    size = sqrt(d[j].dot(d[j]))
+                    if size <= tol and n + j >= probe:
+                        if estimating:
+                            stop = j
+                            break
+                        x = block[j]
+                        jb = apply_b(x + w)
+                        k = x - jb
+                        certificates = certify(pair, jb, k, w)
+                        if all(certificates.values()):
+                            status, solution, stop = CONVERGED, (x.copy(), jb, k), j
+                            break
+                    if not size < inf and not np.isfinite(block[j + 1]).all():
+                        raise NonFiniteIterateError(n + j)
+            kept = count if stop is None else stop + 1
+            if record:
+                if n + kept > capacity:
+                    capacity = min(2 * capacity, max_iter)
+                    xs, shadows, disps = (_grown(a, capacity) for a in (xs, shadows, disps))
+                xs[n:n + kept] = block[:kept]
+                disps[n:n + kept] = diffs[:kept]
+                for j in range(kept):
+                    shadows[n + j] = apply_b(block[j] if estimating else block[j] + w)
+            if stop is not None:
+                break
+            if estimating:
+                ring[slot:slot + count] = diffs
+            elif drift_from < end:
+                if n <= drift_from:
+                    x_from = block[drift_from - n].copy()
+                for size in np.sqrt(squares[max(drift_from - n, 0):last - n]).tolist():
                     path += size
-        if not size < inf and not np.isfinite(x_next).all():
-            raise NonFiniteIterateError(n)
-    else:  # the budget is spent: phase 2 takes the drift verdict
-        if path > 0.0 and size > tol:
-            net = x - x_from
-            if sqrt(net.dot(net)) / path >= _DRIFT_RATIO:
-                status = NO_FIXED_POINT
+            if end == max_iter:
+                break
+            block[0] = block[count]
+            n = end
+        n += kept - 1
+        x, x_next, disp = block[kept - 1], block[kept], diffs[kept - 1].copy()
+        size = sqrt(squares[kept - 1])
+    # the budget is spent: phase 2 takes the drift verdict (phase 1 has no path,
+    # and a converged phase 2 ends with size <= tol)
+    if path > 0.0 and size > tol:
+        net = x - x_from
+        if sqrt(net.dot(net)) / path >= _DRIFT_RATIO:
+            status = NO_FIXED_POINT
 
     rows = n + 1
     if not record:

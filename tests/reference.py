@@ -20,11 +20,19 @@ of operators with equal resolvents.
 solve loop takes it from the few rows it keeps, and `trace_csv` writes a
 trace cell by cell, the bytes that IterationTrace.to_csv must reproduce.
 
+`reference_orbit` is the solve loop of an affine pair taken one step at a
+time: it steps by x -> M_T x + t_w, and every stop rule and the finiteness
+check run after each step. splitting._orbit steps affine pairs in blocks
+and must return the same rows, status, certificates and solution, bit for
+bit; `orbit_outcome` reduces a run of either loop to bytes for that
+comparison.
+
 `operator_to_jsonable` writes an operator or set as the tagged record that
 normsplit.problemio decodes, from the decoder's own tables.
 """
 
 import csv
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -38,10 +46,25 @@ from normsplit import (
     NormalCone,
     OuterShift,
     Zero,
+    compile_resolvent,
     project,
 )
+from normsplit.errors import NonFiniteIterateError
 from normsplit.problemio import _OPERATORS, _SETS
-from normsplit.splitting import _DRIFT_RATIO
+from normsplit.splitting import (
+    _DRIFT_RATIO,
+    _FIRST_ROWS,
+    _WINDOW,
+    CONVERGED,
+    MAX_ITER,
+    NO_FIXED_POINT,
+    IterationTrace,
+    OrbitEnd,
+    _fused_step,
+    _grown,
+    certify,
+)
+from normsplit.vecspace import as_vector
 
 
 def reference_resolvent(op, x: np.ndarray) -> np.ndarray:
@@ -103,10 +126,108 @@ def drifting_tail(trace, tol_fix: float) -> bool:
     return net / path >= _DRIFT_RATIO
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def reference_orbit(pair, x0, w, max_iter: int, tol: float, record: bool = False):
+    """splitting._orbit one step at a time, for a pair whose step fuses;
+    same arguments and return value."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    step = _fused_step(pair, w)
+    assert step is not None, "the block loop runs only on fused steps"
+    m_t, t_w = step
+    estimating = w is None
+    dim = pair.dim
+    apply_b = compile_resolvent(pair.B).apply
+    x_next = np.zeros(dim) if x0 is None else as_vector(x0, dim=dim).copy()
+    sqrt, inf = math.sqrt, math.inf
+    ring = [None] * min(_WINDOW, max_iter)
+    last = max_iter - 1
+    drift_from = last - min(1000, max_iter // 4) if max_iter >= 100 else max_iter
+    path = 0.0
+    if record:
+        capacity = min(max_iter, _FIRST_ROWS)
+        xs, shadows, disps = (np.empty((capacity, dim)) for _ in range(3))
+    status, certificates, solution = MAX_ITER, {}, None
+    for n in range(max_iter):
+        x = x_next
+        x_next = m_t.dot(x) + t_w
+        jb = apply_b(x if estimating else x + w) if record else None
+        disp = x - x_next
+        if record:
+            if n == capacity:
+                capacity = min(2 * capacity, max_iter)
+                xs, shadows, disps = (_grown(a, capacity) for a in (xs, shadows, disps))
+            xs[n] = x
+            shadows[n] = jb
+            disps[n] = disp
+        if estimating:
+            slot = n % _WINDOW
+            if n >= _WINDOW:
+                d = disp - ring[slot]
+                size = sqrt(d.dot(d))
+                if size <= tol:
+                    break
+            else:
+                size = disp.dot(disp)
+            ring[slot] = disp
+        else:
+            size = sqrt(disp.dot(disp))
+            if size <= tol:
+                if jb is None:
+                    jb = apply_b(x + w)
+                k = x - jb
+                certificates = certify(pair, jb, k, w)
+                if all(certificates.values()):
+                    status, solution = CONVERGED, (x, jb, k)
+                    break
+            if n >= drift_from:
+                if n == drift_from:
+                    x_from = x
+                if n < last:
+                    path += size
+        if not size < inf and not np.isfinite(x_next).all():
+            raise NonFiniteIterateError(n)
+    else:
+        if path > 0.0 and size > tol:
+            net = x - x_from
+            if sqrt(net.dot(net)) / path >= _DRIFT_RATIO:
+                status = NO_FIXED_POINT
+
+    rows = n + 1
+    if not record:
+        cesaro = x / -(rows - 1) if rows > 1 else -x_next
+        return OrbitEnd(rows, disp, cesaro), status, certificates, solution
+    xs, shadows, disps = xs[:rows], shadows[:rows], disps[:rows]
+    cesaros = np.empty_like(xs)
+    np.negative(xs[1] if rows > 1 else x_next, out=cesaros[0])
+    np.divide(xs[1:], -np.arange(1, rows)[:, None], out=cesaros[1:])
+    return IterationTrace(xs, shadows, disps, cesaros), status, certificates, solution
+
+
+def orbit_fingerprint(result) -> tuple:
+    """Every array and flag an orbit returns, as bytes: equal fingerprints
+    are equal results, bit for bit."""
+    end, status, certificates, solution = result
+    arrays = [end.v_diff, end.v_cesaro, *(solution or ())]
+    if isinstance(end, IterationTrace):
+        arrays += [end.xs, end.shadows, end.displacements, end.v_cesaros]
+    return (type(end).__name__, len(end), status, certificates, solution is None,
+            [(a.shape, a.tobytes()) for a in arrays])
+
+
+def orbit_outcome(loop, *args, **kwargs):
+    """The fingerprint of loop(*args, **kwargs), or the row of its
+    NonFiniteIterateError."""
+    try:
+        return orbit_fingerprint(loop(*args, **kwargs))
+    except NonFiniteIterateError as err:
+        return err.step
+
+
 def trace_csv(trace, path) -> None:
     """The trace CSV with every float cell written as repr(float(cell))."""
     dim = trace.xs.shape[1]
-    d_norms = trace.displacement_norms()
+    d_norms = np.linalg.norm(trace.displacements, axis=1)
     c_norms = np.linalg.norm(trace.v_cesaros, axis=1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -1,0 +1,299 @@
+"""The block loop of affine orbits against the per-step loop of tests/reference.py.
+
+An affine pair steps x -> M_T x + t_w in blocks, and its stop rules run once
+per block. Every result must be the one the per-step loop gives, bit for
+bit: row counts, statuses, certificates, both v estimators, the solution
+and, when recorded, every trace column.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from normsplit import (
+    AffineMonotone,
+    AffineSubspace,
+    ConstantValued,
+    NormalCone,
+    OperatorPair,
+    SolveOptions,
+    estimate_v,
+    solve_normal,
+    solve_perturbed,
+)
+from normsplit import splitting
+from normsplit.errors import NonFiniteIterateError
+from normsplit.scenarios import build_registry, get_scenario
+from normsplit.splitting import _WINDOW, CONVERGED, NO_FIXED_POINT, IterationTrace, _orbit
+
+from reference import orbit_fingerprint, orbit_outcome, reference_orbit
+from zoo import lines_at_angle, lines_pair, operator_pairs, rng
+
+
+def fused_pairs():
+    pairs = [(name, get_scenario(name).pair) for name in sorted(build_registry())]
+    for dim in (2, 3, 5):
+        pairs += [(f"zoo{dim}:{name}", pair) for name, pair in operator_pairs(dim)]
+    return [(name, pair) for name, pair in pairs if pair.affine_step is not None]
+
+
+FUSED = fused_pairs()
+
+
+def sliding_pair(c1: float) -> OperatorPair:
+    """A = const (c1, 1), B = N of the first axis: T x = (x_1 - c1, -1).
+
+    From x0 = (0, 3), x_n = (-n c1, -1) up to rounding; it overflows once
+    n c1 passes the float64 range.
+    """
+    axis = AffineSubspace([0.0, 0.0], [[1.0, 0.0]])
+    return OperatorPair(ConstantValued([c1, 1.0]), NormalCone(axis))
+
+
+def outcome(solve, *args, **kwargs):
+    try:
+        return solve(*args, **kwargs)
+    except NonFiniteIterateError as err:
+        return err.step
+
+
+def per_step(monkeypatch, solve, *args, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(splitting, "_orbit", reference_orbit)
+        return outcome(solve, *args, **kwargs)
+
+
+def assert_same_end(end, expected, label):
+    assert type(end) is type(expected), label
+    assert len(end) == len(expected), label
+    np.testing.assert_array_equal(end.v_diff, expected.v_diff, err_msg=label)
+    np.testing.assert_array_equal(end.v_cesaro, expected.v_cesaro, err_msg=label)
+    if isinstance(expected, IterationTrace):
+        for column in ("xs", "shadows", "displacements", "v_cesaros"):
+            np.testing.assert_array_equal(
+                getattr(end, column), getattr(expected, column), err_msg=f"{label} {column}")
+
+
+def assert_same_orbit(got, expected, label):
+    assert orbit_fingerprint(got) == orbit_fingerprint(expected), label
+
+
+def assert_same_report(report, expected, label):
+    assert report == expected, label
+    for end, end_ref in ((report.trace, expected.trace), (report.v_trace, expected.v_trace)):
+        assert (end is None) == (end_ref is None), label
+        if end_ref is not None:
+            assert_same_end(end, end_ref, label)
+
+
+class TestParity:
+    """Every fused zoo pair (dims 2, 3, 5) and affine registry scenario."""
+
+    OPTS = SolveOptions(max_iter=1000)
+
+    def test_the_pair_list_covers_fused_zoo_and_registry_pairs(self):
+        names = [name for name, _ in FUSED]
+        assert {"affine-default", "least-squares-default", "two-lines"} <= set(names)
+        assert all(any(name.startswith(f"zoo{dim}:") for name in names) for dim in (2, 3, 5))
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_estimate_v(self, monkeypatch, record):
+        gen = rng(41)
+        for name, pair in FUSED:
+            x0 = gen.normal(scale=3.0, size=pair.dim)
+            got = outcome(estimate_v, pair, x0, 1000, record=record)
+            expected = per_step(monkeypatch, estimate_v, pair, x0, 1000, record=record)
+            if isinstance(expected, int):
+                assert got == expected, name
+                continue
+            np.testing.assert_array_equal(got[0], expected[0], err_msg=name)
+            assert_same_end(got[1], expected[1], name)
+
+    @pytest.mark.parametrize("record", [False, True])
+    @pytest.mark.parametrize("seeded_w", [False, True])
+    def test_solve_perturbed(self, monkeypatch, record, seeded_w):
+        gen = rng(42)
+        for name, pair in FUSED:
+            x0 = gen.normal(scale=3.0, size=pair.dim)
+            w = gen.normal(size=pair.dim) if seeded_w else np.zeros(pair.dim)
+            got = outcome(solve_perturbed, pair, w, x0, self.OPTS, record=record)
+            expected = per_step(monkeypatch, solve_perturbed, pair, w, x0, self.OPTS,
+                                record=record)
+            if isinstance(expected, int):
+                assert got == expected, name
+                continue
+            assert_same_report(got, expected, name)
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_solve_normal(self, monkeypatch, record):
+        gen = rng(43)
+        for name, pair in FUSED:
+            x0 = gen.normal(scale=3.0, size=pair.dim)
+            got = outcome(solve_normal, pair, x0, self.OPTS, record=record)
+            expected = per_step(monkeypatch, solve_normal, pair, x0, self.OPTS, record=record)
+            if isinstance(expected, int):
+                assert got == expected, name
+                continue
+            assert_same_report(got, expected, name)
+
+    @pytest.mark.parametrize("max_iter", [1, 49, 50, 51, 99, 100, 137])
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_budgets_across_block_seams(self, max_iter, phase):
+        gen = rng(44 + max_iter)
+        for name, pair in FUSED:
+            x0 = gen.normal(scale=3.0, size=pair.dim)
+            w = None if phase == 1 else gen.normal(size=pair.dim)
+            for tol in (0.0, 1e-9, 1e-3):
+                for record in (False, True):
+                    args = (pair, x0, w, max_iter, tol)
+                    assert (orbit_outcome(_orbit, *args, record=record)
+                            == orbit_outcome(reference_orbit, *args, record=record)), \
+                        f"{name} tol={tol} record={record}"
+
+
+def stop_statistics(pair, x0, w, rows: int) -> np.ndarray:
+    """Per row, the norm a stop rule compares with tol, from a per-step run that never stops."""
+    trace = reference_orbit(pair, x0, w, rows, -1.0, record=True)[0]
+    disps = trace.displacements
+    if w is None:
+        diffs = disps[_WINDOW:] - disps[:-_WINDOW]
+        return np.concatenate([np.full(_WINDOW, np.inf),
+                               [math.sqrt(d.dot(d)) for d in diffs]])
+    return np.array([math.sqrt(d.dot(d)) for d in disps])
+
+
+class TestBlockSeams:
+    """Stops and overflows at the probes and at either side of a block seam."""
+
+    def test_phase_1_stops_at_its_probe(self):
+        # parallel lines: the displacement is exact after one step
+        pair = lines_pair()
+        got = _orbit(pair, [3.0, -2.0], None, 1000, 1e-8)
+        assert len(got[0]) == _WINDOW + 1
+        assert_same_orbit(got, reference_orbit(pair, [3.0, -2.0], None, 1000, 1e-8), "lines")
+
+    def test_phase_2_stops_at_its_probe(self):
+        pair = lines_pair()
+        w = np.array([0.0, 1.0])  # T(x + w) = x: every point is a certified fixed point
+        got = _orbit(pair, [3.0, -2.0], w, 1000, 1e-9)
+        assert len(got[0]) == 1 and got[1] == CONVERGED
+        assert_same_orbit(got, reference_orbit(pair, [3.0, -2.0], w, 1000, 1e-9), "lines")
+
+    @pytest.mark.parametrize("phase, stop_row", [
+        (1, _WINDOW), (1, _WINDOW + 1), (1, 2 * _WINDOW - 1), (1, 2 * _WINDOW),
+        (1, 3 * _WINDOW - 1), (1, 3 * _WINDOW), (1, 137),
+        (2, _WINDOW - 1), (2, _WINDOW), (2, 2 * _WINDOW - 1), (2, 2 * _WINDOW),
+        (2, 3 * _WINDOW - 1), (2, 3 * _WINDOW), (2, 137),
+    ])
+    @pytest.mark.parametrize("record", [False, True])
+    def test_stop_on_either_side_of_a_seam(self, phase, stop_row, record):
+        # two lines at angle 0.9 through 0: the orbit shrinks by cos(0.9) a
+        # step, so each row's statistic is a new minimum, and tol set to row
+        # stop_row's statistic stops there (phase 2 certifies from row ~45)
+        pair = lines_at_angle(3, 0.9)
+        x0 = np.array([3.0, -2.0, 0.0])
+        w = None if phase == 1 else np.zeros(3)
+        tol = float(stop_statistics(pair, x0, w, 200)[stop_row])
+        expected = reference_orbit(pair, x0, w, 1000, tol, record=record)
+        assert len(expected[0]) == stop_row + 1
+        if phase == 2:
+            assert expected[1] == CONVERGED
+        assert_same_orbit(_orbit(pair, x0, w, 1000, tol, record=record), expected, "seam")
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    @pytest.mark.parametrize("overflow_row", [1, 30, _WINDOW, 75, 2 * _WINDOW - 1, 2 * _WINDOW])
+    def test_overflow_raises_at_the_per_step_row(self, phase, overflow_row):
+        # x_n = (-n c1, -1) is finite up to row overflow_row and not after it
+        c1 = np.finfo(float).max / (overflow_row + 0.5)
+        pair = sliding_pair(c1)
+        assert pair.affine_step is not None
+        w = None if phase == 1 else np.zeros(2)
+        with pytest.raises(NonFiniteIterateError) as info:
+            _orbit(pair, [0.0, 3.0], w, 1000, -1.0)
+        assert info.value.step == overflow_row
+        with pytest.raises(NonFiniteIterateError) as ref:
+            reference_orbit(pair, [0.0, 3.0], w, 1000, -1.0)
+        assert ref.value.step == overflow_row
+
+    def test_stop_before_an_overflow_in_the_same_block(self):
+        # x_n = (-n 2^1018, -1) is exact, and x_64 = (-2^1024, -1) overflows; the
+        # window statistic is 4 at row _WINDOW and exactly 0 from row _WINDOW + 1,
+        # the first row of the block that overflows at row 63
+        pair = sliding_pair(2.0 ** 1018)
+        with pytest.raises(NonFiniteIterateError) as info:
+            _orbit(pair, [0.0, 3.0], None, 1000, -1.0)
+        assert info.value.step == 63
+        for record in (False, True):
+            got = _orbit(pair, [0.0, 3.0], None, 1000, 1e-8, record=record)
+            assert len(got[0]) == _WINDOW + 2
+            assert_same_orbit(
+                got, reference_orbit(pair, [0.0, 3.0], None, 1000, 1e-8, record=record), "slide")
+
+    def test_drift_verdict_at_its_edge(self):
+        # x_{n+1} = (rotate and shrink (x_1, x_2) by 0.05 rad, x_3 - c): the tail's
+        # net move over its path length grows with c and crosses _DRIFT_RATIO;
+        # at max_iter 437 the tail starts at row 327, inside a block. One more
+        # or one less row in the path sum moves the edge by about 1%.
+        skew = np.zeros((3, 3))
+        skew[0, 1], skew[1, 0] = 0.05, -0.05
+
+        def status(loop, c):
+            pair = OperatorPair(ConstantValued([0.0, 0.0, c]), AffineMonotone(skew, np.zeros(3)))
+            return loop(pair, [3.0, 0.0, 0.0], np.zeros(3), 437, 1e-9)[1]
+
+        lo, hi = 0.1, 0.4
+        assert status(reference_orbit, lo) != NO_FIXED_POINT == status(reference_orbit, hi)
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            if status(reference_orbit, mid) == NO_FIXED_POINT:
+                hi = mid
+            else:
+                lo = mid
+        assert hi - lo < 1e-9
+        assert status(_orbit, lo) == status(reference_orbit, lo) != NO_FIXED_POINT
+        assert status(_orbit, hi) == NO_FIXED_POINT
+
+
+class CountingMatrix(np.ndarray):
+    """M_T that counts its matrix-vector products."""
+
+    calls = 0
+
+    def dot(self, *args, **kwargs):
+        CountingMatrix.calls += 1
+        return np.asarray(self).dot(*args, **kwargs)
+
+
+def counting(pair: OperatorPair) -> OperatorPair:
+    m_t, t = pair.affine_step
+    vars(pair)["affine_step"] = (m_t.view(CountingMatrix), t)
+    return pair
+
+
+class TestWork:
+    """A phase steps at most _WINDOW - 1 rows past its stop, and none past a probe stop."""
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    @pytest.mark.parametrize("angle, max_iter, tol", [
+        (0.3, 1000, 1e-8), (0.3, 1000, 1e-3), (0.3, 137, 0.0), (0.05, 1000, 1e-6),
+        (1.2, 1000, 1e-9), (0.3, 51, 1e-12), (0.3, 1, 1e-8),
+    ])
+    def test_matrix_vector_products_per_phase(self, phase, angle, max_iter, tol):
+        pair = counting(lines_at_angle(3, angle))
+        x0 = np.array([3.0, -2.0, 1.0])
+        w = None if phase == 1 else np.array([0.1, -0.2, 0.0])
+        CountingMatrix.calls = 0
+        end = _orbit(pair, x0, w, max_iter, tol)[0]
+        steps = CountingMatrix.calls - (w is not None)  # t_w = M_T w + t takes one
+        assert len(end) <= steps <= len(end) + _WINDOW - 1
+        assert steps <= max_iter
+
+    def test_a_probe_stop_takes_no_extra_step(self):
+        pair = counting(lines_pair())
+        CountingMatrix.calls = 0
+        assert len(_orbit(pair, [3.0, -2.0], None, 1000, 1e-8)[0]) == _WINDOW + 1
+        assert CountingMatrix.calls == _WINDOW + 1
+        CountingMatrix.calls = 0
+        assert len(_orbit(pair, [3.0, -2.0], np.array([0.0, 1.0]), 1000, 1e-9)[0]) == 1
+        assert CountingMatrix.calls == 1 + 1

@@ -34,13 +34,7 @@ from normsplit import splitting
 from normsplit.splitting import CONVERGED, NO_FIXED_POINT
 
 from reference import drifting_tail, trace_csv
-from zoo import operator_pairs, rng, sample_points
-
-
-def lines_pair() -> OperatorPair:
-    lower = AffineSubspace([0.0, 0.0], [[1.0, 0.0]])
-    upper = AffineSubspace([0.0, 1.0], [[1.0, 0.0]])
-    return OperatorPair(NormalCone(lower), NormalCone(upper))
+from zoo import lines_at_angle, lines_pair, operator_pairs, rng, sample_points
 
 
 class TestDrApply:
@@ -182,7 +176,7 @@ class TestEstimateV:
         for name in ("disjoint-balls", "overlapping-balls", "rotators-default"):
             pair = get_scenario(name).pair
             _, trace = estimate_v(pair, x0=[3.0, -2.0], max_iter=400, tol_v=0.0, record=True)
-            norms = trace.displacement_norms()
+            norms = np.linalg.norm(trace.displacements, axis=1)
             assert np.all(np.diff(norms) <= 1e-12), name
 
     def test_minimality_of_v(self):
@@ -452,17 +446,6 @@ def test_estimator_tail_study_script_runs(tmp_path, capsys):
     assert csv_path.read_text().count("\n") == 201
 
 
-def lines_at_angle(dim: int, angle: float) -> OperatorPair:
-    """Two lines through 0 in R^dim; DR on them contracts at rate cos(angle)."""
-    u = np.zeros((1, dim))
-    u[0, 0] = 1.0
-    v = np.zeros((1, dim))
-    v[0, 0], v[0, 1] = np.cos(angle), np.sin(angle)
-    origin = np.zeros(dim)
-    return OperatorPair(NormalCone(AffineSubspace(origin, u)),
-                        NormalCone(AffineSubspace(origin, v)))
-
-
 def constant_pair() -> OperatorPair:
     return OperatorPair(ConstantValued([1.0, 2.0]), ConstantValued([3.0, 4.0]))
 
@@ -568,6 +551,9 @@ class TestStreamedOrbit:
         (constant_pair(), [0.0, 0.0], None, 99),
         (lines_at_angle(2, 0.05), [0.0, 0.0], [3.0, -2.0], 400),
         (lines_at_angle(3, 0.01), [0.0, 0.0, 0.0], [3.0, -2.0, 1.0], 1000),
+        # fused pairs whose tail starts and whose budget ends inside a block
+        (constant_pair(), [0.0, 0.0], [0.5, -1.5], 1013),
+        (lines_pair(), [0.0, 0.0], [3.0, -2.0], 137),
     ])
     def test_streamed_drift_verdict_matches_the_trace(self, pair, w, x0, max_iter):
         opts = SolveOptions(max_iter=max_iter)
@@ -575,6 +561,7 @@ class TestStreamedOrbit:
         assert report.status != CONVERGED and len(report.trace) == max_iter
         expected = drifting_tail(report.trace, opts.tol_fix)
         assert (report.status == NO_FIXED_POINT) == expected
+        assert solve_perturbed(pair, w, x0=x0, opts=opts) == report
 
     def test_memory_does_not_grow_with_the_budget(self):
         pair = lines_at_angle(100, 0.01)  # too slow to converge within 20k steps

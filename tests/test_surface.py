@@ -10,7 +10,7 @@ Likewise every field of a public dataclass is accessed by that code, by
 attribute or through a getattr string: a field that is only passed at
 construction, or accessed only by tests, is a setting to delete. And every
 public method or property of a public class is used by that code outside
-its own def.
+its own class: a method that only its own class calls is a private helper.
 """
 
 import ast
@@ -24,8 +24,10 @@ import normsplit
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _used_names(tree: ast.AST) -> set:
-    used = set()
+def _uses(tree: ast.AST) -> set:
+    """(name, owners) for every use of a name, owners being the names of the
+    defs and classes around it."""
+    uses = set()
 
     def walk(node, owners):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -40,12 +42,12 @@ def _used_names(tree: ast.AST) -> set:
             names = [node.value] if node.value.isidentifier() else []
         else:
             names = []
-        used.update(name for name in names if name and name not in owners)
+        uses.update((name, owners) for name in names if name and name not in owners)
         for child in ast.iter_child_nodes(node):
             walk(child, owners)
 
     walk(tree, frozenset())
-    return used
+    return uses
 
 
 def _accessed_fields(tree: ast.AST) -> set:
@@ -72,9 +74,7 @@ def _program_trees() -> list:
 
 
 def test_every_public_name_has_a_caller_outside_the_tests():
-    used = set()
-    for tree in _program_trees():
-        used |= _used_names(tree)
+    used = {name for tree in _program_trees() for name, _ in _uses(tree)}
     public = [name for name in normsplit.__all__
               if not isinstance(getattr(normsplit, name), types.ModuleType)]
     assert sorted(name for name in public if name not in used) == []
@@ -92,9 +92,10 @@ def test_every_public_dataclass_field_is_accessed_outside_the_tests():
 
 
 def test_every_public_method_is_used_outside_the_tests():
-    used = set().union(*map(_used_names, _program_trees()))
+    uses = set().union(*map(_uses, _program_trees()))
     kinds = (types.FunctionType, property, functools.cached_property, classmethod, staticmethod)
     classes = [obj for obj in map(normsplit.__dict__.get, normsplit.__all__) if isinstance(obj, type)]
     unused = {f"{cls.__name__}.{name}" for cls in classes for name, value in vars(cls).items()
-              if not name.startswith("_") and isinstance(value, kinds) and name not in used}
+              if not name.startswith("_") and isinstance(value, kinds)
+              and not any(used == name and cls.__name__ not in owners for used, owners in uses)}
     assert sorted(unused) == []

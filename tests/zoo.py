@@ -106,3 +106,25 @@ def operator_pairs(dim: int, count: int | None = None):
         name_b, b = ops[idx[i + 1]]
         pairs.append((f"{name_a}|{name_b}", OperatorPair(a, b)))
     return pairs[:count] if count is not None else pairs
+
+
+def lines_at_angle(dim: int, angle: float):
+    """Two lines through 0 in R^dim; DR on them contracts at rate cos(angle)."""
+    from normsplit import OperatorPair
+
+    u = np.zeros((1, dim))
+    u[0, 0] = 1.0
+    v = np.zeros((1, dim))
+    v[0, 0], v[0, 1] = np.cos(angle), np.sin(angle)
+    origin = np.zeros(dim)
+    return OperatorPair(NormalCone(AffineSubspace(origin, u)),
+                        NormalCone(AffineSubspace(origin, v)))
+
+
+def lines_pair():
+    """The parallel lines x_2 = 0 and x_2 = 1 in R^2: v = (0, 1), reached in one step."""
+    from normsplit import OperatorPair
+
+    lower = AffineSubspace([0.0, 0.0], [[1.0, 0.0]])
+    upper = AffineSubspace([0.0, 1.0], [[1.0, 0.0]])
+    return OperatorPair(NormalCone(lower), NormalCone(upper))
