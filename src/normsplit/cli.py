@@ -52,7 +52,7 @@ def _vector_flag(text, name: str, dim: int, default):
 def _fmt_vec(v) -> str:
     if v is None:
         return "-"
-    return "[" + ", ".join(f"{x:.10g}" for x in np.asarray(v)) + "]"
+    return "[" + ", ".join(f"{x:.10g}" for x in np.asarray(v).tolist()) + "]"
 
 
 def _merged_options(problem: Problem, args) -> SolveOptions:

@@ -19,8 +19,9 @@ into one closed form, ResolventForm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Optional, Union
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 
@@ -518,8 +519,9 @@ class ResolventForm:
     epigraph keeps sigma and a. Otherwise m is a float when it is a multiple
     of the identity, so that no matrix-vector product is done for it. The
     form is closed under all four wrappers; each holds its rule as `fold`.
-    `apply` evaluates J at one point, `apply_rows` at each row of a (k, n)
-    block in one pass.
+    `apply` evaluates J at one point; it is built on first use, so the
+    forms a compile folds through build none. `apply_rows` evaluates J at
+    each row of a (k, n) block in one pass.
     """
 
     m: Union[float, np.ndarray]
@@ -527,14 +529,12 @@ class ResolventForm:
     region: Optional[ProjectableSet] = None
     sigma: int = 1
     a: Union[float, np.ndarray] = 0.0
-    apply: Callable[[np.ndarray], np.ndarray] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "apply", self._evaluator())
 
     def __reduce__(self):
-        # rebuild `apply` rather than pickle the closure
-        return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+        # the fields only: a cached `apply` is a closure, built again on use
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+    apply = cached_property(lambda self: self._evaluator())
 
     @property
     def projects_bare(self) -> bool:

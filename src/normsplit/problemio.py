@@ -34,7 +34,7 @@ from .operators import (
     ProjectableSet,
     Zero,
 )
-from .splitting import CONVERGED, MAX_ITER, NO_FIXED_POINT, SolveOptions, SolveReport
+from .splitting import CONVERGED, MAX_ITER, NO_FIXED_POINT, SolveOptions, SolveReport, _write_in_place
 
 # the deepest wrapper stack a record may hold; decoding recurses once per level
 MAX_NESTING = 100
@@ -279,9 +279,7 @@ def report_from_jsonable(obj: dict) -> SolveReport:
 
 def write_report(path, report: SolveReport, metadata: dict) -> None:
     payload = {"report": report_to_jsonable(report), "metadata": metadata}
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_in_place(path, json.dumps(payload, indent=2) + "\n", newline=None)
 
 
 def read_report(path) -> SolveReport:

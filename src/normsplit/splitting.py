@@ -23,7 +23,9 @@ estimate v along the plain orbit, then iterate the v-shifted map.
 from __future__ import annotations
 
 import csv
+import io
 import math
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -101,6 +103,17 @@ class SolveOptions:
     tol_fix: float = 1e-9
 
 
+def _write_in_place(path, text: str, newline: Optional[str]) -> None:
+    """Write text over path's old bytes in one write, then cut a regular file to length.
+
+    open(path, "w") truncates to zero first, which can cost more than the write.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline=newline) as fh:
+        fh.write(text)
+        if os.path.isfile(path):  # /dev/null, pipes and ttys refuse a truncate
+            fh.truncate()
+
+
 class OrbitEnd:
     """Where an orbit stopped: its row count and both v estimators there.
 
@@ -142,15 +155,16 @@ class IterationTrace(OrbitEnd):
         # csv writes a Python float as its repr, the shortest exact form
         rows = np.column_stack(
             (self.xs, self.shadows, d_norms, d_norms, c_norms)).tolist()
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["n"]
-                + [f"x_{j}" for j in range(dim)]
-                + [f"shadow_{j}" for j in range(dim)]
-                + ["displacement_norm", "v_diff_norm", "v_cesaro_norm"]
-            )
-            writer.writerows([n] + row for n, row in enumerate(rows))
+        text = io.StringIO(newline="")
+        writer = csv.writer(text)
+        writer.writerow(
+            ["n"]
+            + [f"x_{j}" for j in range(dim)]
+            + [f"shadow_{j}" for j in range(dim)]
+            + ["displacement_norm", "v_diff_norm", "v_cesaro_norm"]
+        )
+        writer.writerows([n] + row for n, row in enumerate(rows))
+        _write_in_place(path, text.getvalue(), newline="")
 
 
 @dataclass(eq=False)
@@ -276,12 +290,14 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     stop rules run once per block on all its rows. Phase 1 opens with its
     first _WINDOW steps, where no stop can fire; each phase then takes a
     one-step probe at its earliest possible stop (row _WINDOW in phase 1,
-    row 0 in phase 2), and every later block ends at a multiple of _WINDOW,
-    so that its window partners are one slice of the ring. A block whose
-    rows are all finite and far from a stop is taken whole; any other is
-    checked row by row, as a per-step loop would, so the rows, status,
-    certificates and solution are the same bit for bit. A stop inside a
-    block discards the block's later steps. The shadow J_B(x + w) is
+    row 0 in phase 2). Every later block of phase 1 ends at a multiple of
+    _WINDOW, so that its window partners are one slice of the ring; phase 2
+    has no ring, and its blocks double (1, 2, 4, ...) up to such a multiple.
+    A block whose rows are all finite and far from a stop is taken whole;
+    any other is checked row by row, as a per-step loop would, so the rows,
+    status, certificates and solution are the same bit for bit. A stop
+    inside a block discards the block's later steps, in phase 2 at most as
+    many as the rows before the block. The shadow J_B(x + w) is
     computed only for a recorded row or a certificate check. Otherwise every
     step evaluates J_B and J_A, as dr_apply does, and the stop rules run
     after it.
@@ -365,7 +381,8 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
         bound = 2.0 * tol * tol
         n = 0
         while True:
-            end = min(n + 1 if n == probe else (n // _WINDOW + 1) * _WINDOW, max_iter)
+            end = min(n + 1 if n == probe else (n // _WINDOW + 1) * _WINDOW,
+                      max_iter if estimating else max(2 * n, 1), max_iter)
             count = end - n
             for x, x_next in steps[:count]:
                 dot(x, out=x_next)

@@ -272,7 +272,11 @@ def counting(pair: OperatorPair) -> OperatorPair:
 
 
 class TestWork:
-    """A phase steps at most _WINDOW - 1 rows past its stop, and none past a probe stop."""
+    """A phase steps at most _WINDOW - 1 rows past its stop, and none past a probe stop.
+
+    Phase 2 doubles its blocks, so it also steps at most as many rows past its
+    stop as it ran before that stop.
+    """
 
     @pytest.mark.parametrize("phase", [1, 2])
     @pytest.mark.parametrize("angle, max_iter, tol", [
@@ -288,6 +292,8 @@ class TestWork:
         steps = CountingMatrix.calls - (w is not None)  # t_w = M_T w + t takes one
         assert len(end) <= steps <= len(end) + _WINDOW - 1
         assert steps <= max_iter
+        if phase == 2:
+            assert steps <= max(2 * (len(end) - 1), 1)
 
     def test_a_probe_stop_takes_no_extra_step(self):
         pair = counting(lines_pair())

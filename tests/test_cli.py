@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 
 import numpy as np
@@ -29,7 +30,7 @@ from normsplit.problemio import (
 )
 from normsplit.scenarios import get_scenario
 
-from reference import operator_to_jsonable
+from reference import operator_to_jsonable, trace_csv
 from zoo import operator_zoo, rng, sample_points
 
 BALL_A = {"type": "normal_cone", "set": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}}
@@ -394,6 +395,54 @@ class TestParser:
         finally:
             cli._parser.cache_clear()
         assert built == [1]
+
+
+class TestWriters:
+    """Reports and traces are written in one write over the old file, then cut to length."""
+
+    @staticmethod
+    def outputs(tmp_path):
+        report = solve_normal(get_scenario("disjoint-balls").pair, record=True)
+        metadata = {"problem": "balls.json"}
+        report_bytes = (json.dumps(
+            {"report": report_to_jsonable(report), "metadata": metadata}, indent=2) + "\n").encode()
+        trace_csv(report.trace, tmp_path / "reference.csv")
+        trace_bytes = (tmp_path / "reference.csv").read_bytes()
+        return [
+            (lambda path: problemio.write_report(path, report, metadata), report_bytes),
+            (report.trace.to_csv, trace_bytes),
+        ]
+
+    def test_report_file_is_the_indented_dump(self, tmp_path):
+        (write, expected), _ = self.outputs(tmp_path)
+        write(tmp_path / "report.json")
+        assert (tmp_path / "report.json").read_bytes() == expected
+
+    @pytest.mark.parametrize("prior", ["longer", "shorter", "missing"])
+    def test_rewrite_leaves_exactly_the_new_bytes(self, tmp_path, prior):
+        for i, (write, expected) in enumerate(self.outputs(tmp_path)):
+            path = tmp_path / f"out{i}"
+            if prior == "longer":
+                path.write_bytes(b"stale\n" * (len(expected) // 3))
+            elif prior == "shorter":
+                path.write_bytes(b"x" * (len(expected) // 3))
+            write(path)
+            assert path.read_bytes() == expected
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_null_device_outputs_exit_0(self, tmp_path, capsys):
+        with pytest.raises(OSError):  # the null device refuses a truncate
+            os.truncate("/dev/null", 0)
+        path = write_problem(tmp_path, {"dim": 2, "A": BALL_A, "B": BALL_B})
+        assert main(["solve", path, "--json", "/dev/null", "--trace", "/dev/null"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+def test_printed_vectors_match_numpy_scalar_formatting():
+    v = np.array([-0.0, 5e-324, 0.1, 1e300, 123456789012.0, -2.5])
+    assert cli._fmt_vec(v) == "[" + ", ".join(f"{x:.10g}" for x in v) + "]"
+    assert cli._fmt_vec(v) == "[-0, 4.940656458e-324, 0.1, 1e+300, 1.23456789e+11, -2.5]"
+    assert cli._fmt_vec(None) == "-"
 
 
 class TestOperatorRoundTrip:

@@ -3,6 +3,7 @@ against the set images it projects onto, block evaluation against the
 per-point one, the fused affine DR step against the two-resolvent step,
 and the shared loop's iteration counts pinned per registry scenario."""
 
+import dataclasses
 import importlib.util
 import math
 import pickle
@@ -16,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from normsplit import (
     AffineSubspace,
+    Ball,
     Box,
     ConstantValued,
     EpigraphExp,
@@ -276,6 +278,37 @@ def test_compiled_operators_still_pickle():
         expected = resolvent(op, x)  # compiles and caches the form
         clone = pickle.loads(pickle.dumps(op))
         np.testing.assert_array_equal(resolvent(clone, x), expected)
+
+
+def test_pickled_forms_evaluate_bit_for_bit():
+    gen = rng(29)
+    for op in ZOO:
+        form = compile_resolvent(op)
+        xs = gen.normal(scale=3.0, size=(8, op.dim))
+        expected = [form.apply(x) for x in xs]  # caches the evaluator closure
+        clone = pickle.loads(pickle.dumps(form))
+        for x, want in zip(xs, expected):
+            np.testing.assert_array_equal(clone.apply(x), want)
+        np.testing.assert_array_equal(clone.apply_rows(xs), form.apply_rows(xs))
+
+
+def test_only_an_evaluated_form_builds_its_evaluator(monkeypatch):
+    assert "apply" not in {f.name for f in dataclasses.fields(operators.ResolventForm)}
+    built = []
+    real = operators.ResolventForm._evaluator
+
+    def counting(form):
+        built.append(form)
+        return real(form)
+
+    monkeypatch.setattr(operators.ResolventForm, "_evaluator", counting)
+    ball = NormalCone(Ball([1.0, -2.0, 0.5], 1.5))
+    op = OuterShift(FlipBoth(InnerShift(ball, [0.3, 0.1, -0.2])), [1.0, 0.0, 2.0])
+    form = compile_resolvent(op)
+    assert built == []
+    form.apply(np.zeros(3))
+    form.apply(np.ones(3))
+    assert built == [form]
 
 
 # (iterations_used, len(v_trace)) of solve_normal from x0 = 0, recorded with
