@@ -10,6 +10,7 @@ import numpy as np
 
 from .duality import PrimalDualPair, dual_pair, psi, psi_inv
 from .errors import NonFiniteIterateError, PreconditionError, ProblemFormatError
+from .operators import compile_resolvent
 from .problemio import Problem, checked_options, load_problem, write_report
 from .scenarios import Scenario, build_registry, get_scenario
 from .splitting import (
@@ -68,7 +69,6 @@ def _merged_options(problem: Problem, args) -> SolveOptions:
 def _print_report(report: SolveReport) -> None:
     print(f"status:          {report.status}")
     print(f"v_estimate:      {_fmt_vec(report.v_estimate)}")
-    print(f"v_residual:      {report.v_residual:.3e}")
     print(f"iterations:      {report.iterations_used}")
     print(f"normal_solution: {_fmt_vec(report.normal_solution)}")
     print(f"governing_point: {_fmt_vec(report.governing_point)}")
@@ -177,6 +177,7 @@ def cmd_duality_check(args) -> int:
         return EXIT_INPUT_ERROR
     pair = OperatorPair(problem.a, problem.b)
     dual = dual_pair(pair)
+    apply_b = compile_resolvent(pair.B).apply_rows
     rng = np.random.default_rng(args.seed)
     dev_pointwise = 0.0
     # consecutive blocks draw the same stream as one draw per sample
@@ -184,14 +185,18 @@ def cmd_duality_check(args) -> int:
         xs = rng.normal(scale=5.0, size=(min(_SAMPLE_BLOCK, args.samples - start), problem.dim))
         # an overflow shows as a non-finite deviation, reported below
         with np.errstate(over="ignore", invalid="ignore"):
-            devs = np.linalg.norm(dr_apply(pair, xs) - dr_apply(dual, xs), axis=1)
+            tx = dr_apply(pair, xs)
+            devs = np.linalg.norm(tx - dr_apply(dual, xs), axis=1)
+            # bounds every intermediate of both steps: |J_A(R_B x)| <= |T x| + |x| + |J_B x|
+            scales = 1.0 + sum(np.linalg.norm(a, axis=1) for a in (xs, apply_b(xs), tx))
         overflowed = np.flatnonzero(~np.isfinite(devs))
         if overflowed.size:
             print(f"error: |T x - T_dual x| is not finite at sample {start + overflowed[0]}: "
                   "the splitting operator overflowed float64", file=sys.stderr)
             return EXIT_INPUT_ERROR
-        dev_pointwise = max(dev_pointwise, float(devs.max()))
-    print(f"max |T x - T_dual x| over {args.samples} samples: {dev_pointwise:.3e}")
+        dev_pointwise = max(dev_pointwise, float((devs / scales).max()))
+    print(f"max |T x - T_dual x| / (1 + |x| + |J_B x| + |T x|) over {args.samples} samples: "
+          f"{dev_pointwise:.3e}")
 
     report = _solve(pair, w, problem.x0, opts)
     dev_psi = 0.0
@@ -210,12 +215,12 @@ def cmd_duality_check(args) -> int:
             float(np.linalg.norm(fixed - (report.governing_point + zk.w))),
             float(np.linalg.norm(back.z - zk.z)),
             float(np.linalg.norm(back.k - zk.k)),
-        )
-        print(f"max bijection roundtrip deviation at the fixed point: {dev_psi:.3e}")
+        ) / (1.0 + float(np.linalg.norm(fixed)))
+        print(f"max bijection roundtrip deviation / (1 + |x|) at the fixed point x: {dev_psi:.3e}")
     else:
         print(f"solve did not converge (status {report.status}); roundtrip check skipped")
     worst = max(dev_pointwise, dev_psi)
-    print(f"max deviation: {worst:.3e}")
+    print(f"max scaled deviation: {worst:.3e}")
     return EXIT_OK if worst <= 1e-8 else EXIT_MAX_ITER
 
 

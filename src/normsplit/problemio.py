@@ -4,7 +4,7 @@ Operators and sets are read from tagged records mirroring the AST one to
 one; matrices are row-major nested lists, vectors flat lists. One table
 entry per variant (_SETS, _OPERATORS) drives the decoder. Report floats
 rely on Python's shortest round-trip repr, so read_report(write_report(r))
-is bit-faithful.
+is bit-faithful. A report file without a schema_version is version 1.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from .splitting import CONVERGED, MAX_ITER, NO_FIXED_POINT, SolveOptions, SolveR
 
 # the deepest wrapper stack a record may hold; decoding recurses once per level
 MAX_NESTING = 100
+# written into every report; read_report also reads version 1, ignoring its extra field
+_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -241,7 +243,6 @@ def _opt_list(v) -> Optional[list]:
 def report_to_jsonable(report: SolveReport) -> dict:
     return {
         "v_estimate": report.v_estimate.tolist(),
-        "v_residual": report.v_residual,
         "status": report.status,
         "normal_solution": _opt_list(report.normal_solution),
         "governing_point": _opt_list(report.governing_point),
@@ -265,7 +266,6 @@ def report_from_jsonable(obj: dict) -> SolveReport:
         raise ProblemFormatError("report.certificates", "expected an object of booleans")
     return SolveReport(
         v_estimate=_vector(_require(obj, "v_estimate", "report"), "report.v_estimate"),
-        v_residual=_number(_require(obj, "v_residual", "report"), "report.v_residual"),
         status=status,
         normal_solution=opt_vec("normal_solution"),
         governing_point=opt_vec("governing_point"),
@@ -278,10 +278,16 @@ def report_from_jsonable(obj: dict) -> SolveReport:
 
 
 def write_report(path, report: SolveReport, metadata: dict) -> None:
-    payload = {"report": report_to_jsonable(report), "metadata": metadata}
+    payload = {"schema_version": _SCHEMA_VERSION,
+               "report": report_to_jsonable(report), "metadata": metadata}
     _write_in_place(path, json.dumps(payload, indent=2) + "\n", newline=None)
 
 
 def read_report(path) -> SolveReport:
     payload = _loaded_json(path, "report_file")
-    return report_from_jsonable(_require(payload, "report", "report_file"))
+    obj = _require(payload, "report", "report_file")
+    version = payload.get("schema_version", 1)
+    if type(version) is not int or version not in (1, _SCHEMA_VERSION):
+        raise ProblemFormatError("report_file.schema_version",
+                                 f"expected 1 or {_SCHEMA_VERSION}, got {version!r}")
+    return report_from_jsonable(obj)

@@ -7,13 +7,9 @@ For a pair (A, B) of maximally monotone operators the splitting operator is
 firmly nonexpansive, equivalently (Id + R_A R_B) / 2. Its displacement map
 Id - T has convex closed range; the unique minimal-norm element v of that
 closure is the infimal displacement vector. Along any orbit x_{n+1} = T x_n
-both estimators
-
-    v_diff(n)   = x_n - x_{n+1}        (norm non-increasing in n)
-    v_cesaro(n) = -x_n / n
-
-converge to v. The w-perturbed problem "find x with w in A(x - w) + Bx" is
-governed by the argument-shifted map x -> T(x + w): from one of its fixed
+the displacement x_n - x_{n+1} converges to v, its norm non-increasing in n.
+The w-perturbed problem "find x with w in A(x - w) + Bx" is governed by
+the argument-shifted map x -> T(x + w): from one of its fixed
 points x the solution is read off the shadow z = J_B(x + w), with dual
 certificate k = x - z satisfying k + w in Bz and -k in A(z - w). The normal
 problem is the w-perturbed problem at w = v, solved here in two phases:
@@ -48,6 +44,8 @@ _WINDOW = 50
 _FIRST_ROWS = 256
 # above this dimension a dense dim x dim step costs more than two resolvents
 _FUSED_MAX_DIM = 200
+# to_csv formats this many rows at a time, so its peak stays near the file size
+_CSV_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,17 +113,15 @@ def _write_in_place(path, text: str, newline: Optional[str]) -> None:
 
 
 class OrbitEnd:
-    """Where an orbit stopped: its row count and both v estimators there.
+    """Where an orbit stopped: its row count N and the estimate of v there.
 
-    v_diff is the last displacement x_{N-1} - x_N and v_cesaro the last
-    Cesaro estimate -x_{N-1} / (N - 1), or -x_1 when N = 1. A solve run
-    without a trace keeps only this of each phase; len() is N.
+    v_diff is the last displacement x_{N-1} - x_N. A solve run without a
+    trace keeps only this of each phase; len() is N.
     """
 
-    def __init__(self, rows: int, v_diff: np.ndarray, v_cesaro: np.ndarray):
+    def __init__(self, rows: int, v_diff: np.ndarray):
         self.rows = rows
         self.v_diff = v_diff
-        self.v_cesaro = v_cesaro
 
     def __len__(self) -> int:
         return self.rows
@@ -134,27 +130,25 @@ class OrbitEnd:
 class IterationTrace(OrbitEnd):
     """Per-step orbit record, stored column-wise; its last row is its OrbitEnd.
 
-    Row n describes the governing iterate x_n: the shadow J_B(x_n + w), the
-    displacement x_n - T(x_n + w), and both v estimators. Along an orbit the
-    v_diff estimator coincides with the displacement, so the two fields read
-    the same column. The Cesaro column holds -x_n / n; row 0, where that is
-    undefined, seeds it with -x_1.
+    Row n describes the governing iterate x_n: the shadow J_B(x_n + w) and
+    the displacement x_n - T(x_n + w), which along an orbit is the v_diff
+    estimate.
     """
 
-    def __init__(self, xs, shadows, displacements, v_cesaros):
-        super().__init__(xs.shape[0], displacements[-1], v_cesaros[-1])
+    def __init__(self, xs, shadows, displacements):
+        super().__init__(xs.shape[0], displacements[-1])
         self.xs = xs
         self.shadows = shadows
         self.displacements = displacements
-        self.v_cesaros = v_cesaros
 
     def to_csv(self, path) -> None:
-        dim = self.xs.shape[1]
-        d_norms = np.linalg.norm(self.displacements, axis=1)
-        c_norms = np.linalg.norm(self.v_cesaros, axis=1)
-        # csv writes a Python float as its repr, the shortest exact form
-        rows = np.column_stack(
-            (self.xs, self.shadows, d_norms, d_norms, c_norms)).tolist()
+        """Rows n, x_n, shadow, the displacement norm twice, and |-x_n / n|.
+
+        The last, v_cesaro_norm, reads |-x_1| in row 0, with x_1 = x_0 minus
+        its displacement in a one-row trace. Rows go _CSV_ROWS at a time.
+        """
+        xs, disps = self.xs, self.displacements
+        rows, dim = xs.shape
         text = io.StringIO(newline="")
         writer = csv.writer(text)
         writer.writerow(
@@ -163,7 +157,18 @@ class IterationTrace(OrbitEnd):
             + [f"shadow_{j}" for j in range(dim)]
             + ["displacement_norm", "v_diff_norm", "v_cesaro_norm"]
         )
-        writer.writerows([n] + row for n, row in enumerate(rows))
+        for start in range(0, rows, _CSV_ROWS):
+            stop = min(start + _CSV_ROWS, rows)
+            d_norms = np.linalg.norm(disps[start:stop], axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):  # row 0 divides by 0
+                cesaros = xs[start:stop] / -np.arange(start, stop)[:, None]
+            if start == 0:
+                cesaros[0] = -(xs[1] if rows > 1 else xs[0] - disps[0])
+            c_norms = np.linalg.norm(cesaros, axis=1)
+            # csv writes a Python float as its repr, the shortest exact form
+            cells = np.column_stack(
+                (xs[start:stop], self.shadows[start:stop], d_norms, d_norms, c_norms)).tolist()
+            writer.writerows([n] + row for n, row in enumerate(cells, start))
         _write_in_place(path, text.getvalue(), newline="")
 
 
@@ -172,7 +177,6 @@ class SolveReport:
     """Outcome of a perturbed or normal solve, with membership certificates."""
 
     v_estimate: np.ndarray
-    v_residual: float
     status: str
     normal_solution: Optional[np.ndarray]
     governing_point: Optional[np.ndarray]
@@ -181,26 +185,6 @@ class SolveReport:
     iterations_used: int
     trace: Optional[IterationTrace] = field(default=None, repr=False)
     v_trace: Optional[OrbitEnd] = field(default=None, repr=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SolveReport):
-            return NotImplemented
-
-        def same(a, b):
-            if a is None or b is None:
-                return (a is None) == (b is None)
-            return np.array_equal(a, b)
-
-        return (
-            same(self.v_estimate, other.v_estimate)
-            and self.v_residual == other.v_residual
-            and self.status == other.status
-            and same(self.normal_solution, other.normal_solution)
-            and same(self.governing_point, other.governing_point)
-            and same(self.dual_solution, other.dual_solution)
-            and self.certificates == other.certificates
-            and self.iterations_used == other.iterations_used
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +427,8 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
 
     rows = n + 1
     if not record:
-        cesaro = x / -(rows - 1) if rows > 1 else -x_next
-        return OrbitEnd(rows, disp, cesaro), status, certificates, solution
-    xs, shadows, disps = xs[:rows], shadows[:rows], disps[:rows]
-    # Cesaro estimates -x_n / n; row 0 seeds them with -x_1
-    cesaros = np.empty_like(xs)
-    np.negative(xs[1] if rows > 1 else x_next, out=cesaros[0])
-    np.divide(xs[1:], -np.arange(1, rows)[:, None], out=cesaros[1:])
-    return IterationTrace(xs, shadows, disps, cesaros), status, certificates, solution
+        return OrbitEnd(rows, disp), status, certificates, solution
+    return IterationTrace(xs[:rows], shadows[:rows], disps[:rows]), status, certificates, solution
 
 
 # ---------------------------------------------------------------------------
@@ -460,15 +438,13 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
 def estimate_v(pair: OperatorPair, x0=None, max_iter: int = SolveOptions.max_iter,
                tol_v: float = SolveOptions.tol_v, record: bool = False,
                ) -> tuple[np.ndarray, OrbitEnd]:
-    """Estimate v along the orbit x_{n+1} = T x_n.
+    """Estimate v as the displacement x_n - x_{n+1} along x_{n+1} = T x_n.
 
-    The difference estimator x_n - x_{n+1} is primary: its norm is
-    non-increasing and it converges to v in norm. Iteration stops once the
-    estimator has moved at most tol_v over the trailing _WINDOW = 50 steps,
-    else at max_iter. The returned OrbitEnd has the row count and the Cesaro
-    estimator -x_n / n as a cross-check; with `record` it is the full
-    IterationTrace. Without it, memory is O(_WINDOW * dim) whatever max_iter
-    is. Raises NonFiniteIterateError if the orbit overflows.
+    Iteration stops once the displacement has moved at most tol_v over the
+    trailing _WINDOW = 50 steps, else at max_iter. The returned OrbitEnd
+    has the row count; with `record` it is the full IterationTrace. Without
+    it, memory is O(_WINDOW * dim) whatever max_iter is. Raises
+    NonFiniteIterateError if the orbit overflows.
     """
     end = _orbit(pair, x0, None, max_iter, tol_v, record=record)[0]
     return end.v_diff.copy(), end
@@ -499,7 +475,6 @@ def solve_perturbed(pair: OperatorPair, w: np.ndarray, x0=None,
     governing, z, k = solution or (None, None, None)
     return SolveReport(
         v_estimate=w.copy(),
-        v_residual=0.0,
         status=status,
         normal_solution=z,
         governing_point=governing,
@@ -517,14 +492,13 @@ def solve_normal(pair: OperatorPair, x0=None,
 
     opts.max_iter budgets each phase separately; iterations_used totals both.
     The report's v_trace is phase 1's OrbitEnd (its row count and last
-    estimators). With `record` its trace is phase 2's IterationTrace, else
+    displacement). With `record` its trace is phase 2's IterationTrace, else
     None; a full phase-1 trace comes from estimate_v(record=True).
     """
     opts = opts or SolveOptions()
     v, v_end = estimate_v(pair, x0, opts.max_iter, opts.tol_v)
     report = solve_perturbed(pair, v, x0, opts, record=record)
     report.v_estimate = v
-    report.v_residual = float(np.linalg.norm(v - v_end.v_cesaro))
     report.iterations_used += len(v_end)
     report.v_trace = v_end
     return report

@@ -18,7 +18,10 @@ of operators with equal resolvents.
 
 `drifting_tail` reads the drift verdict off a recorded trace, the way the
 solve loop takes it from the few rows it keeps, and `trace_csv` writes a
-trace cell by cell, the bytes that IterationTrace.to_csv must reproduce.
+trace cell by cell, the bytes that IterationTrace.to_csv must reproduce,
+with its Cesaro column derived from the iterates here.
+
+`same_report` compares two SolveReports field by field.
 
 `reference_orbit` is the solve loop of an affine pair taken one step at a
 time: it steps by x -> M_T x + t_w, and every stop rule and the finiteness
@@ -195,22 +198,17 @@ def reference_orbit(pair, x0, w, max_iter: int, tol: float, record: bool = False
 
     rows = n + 1
     if not record:
-        cesaro = x / -(rows - 1) if rows > 1 else -x_next
-        return OrbitEnd(rows, disp, cesaro), status, certificates, solution
-    xs, shadows, disps = xs[:rows], shadows[:rows], disps[:rows]
-    cesaros = np.empty_like(xs)
-    np.negative(xs[1] if rows > 1 else x_next, out=cesaros[0])
-    np.divide(xs[1:], -np.arange(1, rows)[:, None], out=cesaros[1:])
-    return IterationTrace(xs, shadows, disps, cesaros), status, certificates, solution
+        return OrbitEnd(rows, disp), status, certificates, solution
+    return IterationTrace(xs[:rows], shadows[:rows], disps[:rows]), status, certificates, solution
 
 
 def orbit_fingerprint(result) -> tuple:
     """Every array and flag an orbit returns, as bytes: equal fingerprints
     are equal results, bit for bit."""
     end, status, certificates, solution = result
-    arrays = [end.v_diff, end.v_cesaro, *(solution or ())]
+    arrays = [end.v_diff, *(solution or ())]
     if isinstance(end, IterationTrace):
-        arrays += [end.xs, end.shadows, end.displacements, end.v_cesaros]
+        arrays += [end.xs, end.shadows, end.displacements]
     return (type(end).__name__, len(end), status, certificates, solution is None,
             [(a.shape, a.tobytes()) for a in arrays])
 
@@ -226,9 +224,13 @@ def orbit_outcome(loop, *args, **kwargs):
 
 def trace_csv(trace, path) -> None:
     """The trace CSV with every float cell written as repr(float(cell))."""
-    dim = trace.xs.shape[1]
+    rows, dim = trace.xs.shape
     d_norms = np.linalg.norm(trace.displacements, axis=1)
-    c_norms = np.linalg.norm(trace.v_cesaros, axis=1)
+    # the Cesaro means -x_n / n; row 0 reads -x_1, which a one-row trace
+    # recovers as x_0 minus its displacement
+    x_1 = trace.xs[1] if rows > 1 else trace.xs[0] - trace.displacements[0]
+    cesaros = np.array([-x_1] + [-trace.xs[n] / n for n in range(1, rows)])
+    c_norms = np.linalg.norm(cesaros, axis=1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -237,7 +239,7 @@ def trace_csv(trace, path) -> None:
             + [f"shadow_{j}" for j in range(dim)]
             + ["displacement_norm", "v_diff_norm", "v_cesaro_norm"]
         )
-        for i in range(len(trace)):
+        for i in range(rows):
             writer.writerow(
                 [i]
                 + [repr(float(v)) for v in trace.xs[i]]
@@ -245,6 +247,23 @@ def trace_csv(trace, path) -> None:
                 + [repr(float(d_norms[i])), repr(float(d_norms[i])),
                    repr(float(c_norms[i]))]
             )
+
+
+_REPORT_ARRAYS = ("v_estimate", "normal_solution", "governing_point", "dual_solution")
+
+
+def same_report(a, b) -> bool:
+    """Equal reports: the same status, certificates and iteration count, and
+    every array bit for bit, None only where the other is None. Traces are
+    not compared."""
+    for name in _REPORT_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        if (x is None or y is None) and x is not y:
+            return False
+        if x is not None and not np.array_equal(x, y):
+            return False
+    return ((a.status, a.certificates, a.iterations_used)
+            == (b.status, b.certificates, b.iterations_used))
 
 
 _TAGS = {cls: (tag, tuple(key for key, _ in spec))

@@ -2,8 +2,8 @@
 
 An affine pair steps x -> M_T x + t_w in blocks, and its stop rules run once
 per block. Every result must be the one the per-step loop gives, bit for
-bit: row counts, statuses, certificates, both v estimators, the solution
-and, when recorded, every trace column.
+bit: row counts, statuses, certificates, the v estimate, the solution and,
+when recorded, every trace column.
 """
 
 import math
@@ -27,7 +27,7 @@ from normsplit.errors import NonFiniteIterateError
 from normsplit.scenarios import build_registry, get_scenario
 from normsplit.splitting import _WINDOW, CONVERGED, NO_FIXED_POINT, IterationTrace, _orbit
 
-from reference import orbit_fingerprint, orbit_outcome, reference_orbit
+from reference import orbit_fingerprint, orbit_outcome, reference_orbit, same_report
 from zoo import lines_at_angle, lines_pair, operator_pairs, rng
 
 
@@ -68,9 +68,8 @@ def assert_same_end(end, expected, label):
     assert type(end) is type(expected), label
     assert len(end) == len(expected), label
     np.testing.assert_array_equal(end.v_diff, expected.v_diff, err_msg=label)
-    np.testing.assert_array_equal(end.v_cesaro, expected.v_cesaro, err_msg=label)
     if isinstance(expected, IterationTrace):
-        for column in ("xs", "shadows", "displacements", "v_cesaros"):
+        for column in ("xs", "shadows", "displacements"):
             np.testing.assert_array_equal(
                 getattr(end, column), getattr(expected, column), err_msg=f"{label} {column}")
 
@@ -80,7 +79,7 @@ def assert_same_orbit(got, expected, label):
 
 
 def assert_same_report(report, expected, label):
-    assert report == expected, label
+    assert same_report(report, expected), label
     for end, end_ref in ((report.trace, expected.trace), (report.v_trace, expected.v_trace)):
         assert (end is None) == (end_ref is None), label
         if end_ref is not None:
@@ -144,7 +143,7 @@ class TestParity:
         for name, pair in FUSED:
             x0 = gen.normal(scale=3.0, size=pair.dim)
             w = None if phase == 1 else gen.normal(size=pair.dim)
-            for tol in (0.0, 1e-9, 1e-3):
+            for tol in (0.0, 1e-9, 1e-8, 1e-3):
                 for record in (False, True):
                     args = (pair, x0, w, max_iter, tol)
                     assert (orbit_outcome(_orbit, *args, record=record)

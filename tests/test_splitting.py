@@ -1,3 +1,4 @@
+import csv
 import importlib.util
 import math
 import tracemalloc
@@ -33,7 +34,7 @@ from normsplit.errors import NonFiniteIterateError
 from normsplit import splitting
 from normsplit.splitting import CONVERGED, NO_FIXED_POINT
 
-from reference import drifting_tail, trace_csv
+from reference import drifting_tail, same_report, trace_csv
 from zoo import lines_at_angle, lines_pair, operator_pairs, rng, sample_points
 
 
@@ -170,7 +171,8 @@ class TestEstimateV:
         pair = OperatorPair(ConstantValued([1.0, 2.0]), ConstantValued([3.0, 4.0]))
         v, trace = estimate_v(pair, record=True)
         np.testing.assert_allclose(v, [4.0, 6.0], atol=1e-12)
-        np.testing.assert_allclose(trace.v_cesaros[-1], [4.0, 6.0], atol=1e-12)
+        # the Cesaro mean -x_n / n tends to v as well
+        np.testing.assert_allclose(-trace.xs[-1] / (len(trace) - 1), [4.0, 6.0], atol=1e-12)
 
     def test_displacement_norms_non_increasing(self):
         for name in ("disjoint-balls", "overlapping-balls", "rotators-default"):
@@ -209,20 +211,24 @@ class TestEstimateV:
             sc = get_scenario(name)
             v, trace = estimate_v(sc.pair, record=True)
             assert np.linalg.norm(v - sc.expected_v) <= sc.tolerance, name
-            assert (
-                np.linalg.norm(trace.v_cesaros[-1] - sc.expected_v) <= sc.tolerance
-            ), name
+            cesaro = -trace.xs[-1] / (len(trace) - 1)
+            assert np.linalg.norm(cesaro - sc.expected_v) <= sc.tolerance, name
 
     def test_cesaro_rate_bound_when_v_vanishes(self):
-        # for a consistent pair the Cesaro estimate decays like |x_hat| / n;
-        # check the rate rather than an absolute tolerance
+        # for a consistent pair the Cesaro estimate -x_n / n decays like
+        # |x_hat| / n; check the rate rather than an absolute tolerance.
+        # From x_0 = 0, Fejer monotonicity |x_n - x*| <= |x_0 - x*| at the
+        # limit x* ~ x_hat bounds n |-x_n / n| = |x_n| by 2 |x*| on every row.
         sc = get_scenario("overlapping-balls")
         v, trace = estimate_v(sc.pair, record=True)
         assert np.linalg.norm(v) <= 1e-6
         n = len(trace)
         x_hat = trace.xs[-1]
-        cesaro = trace.v_cesaros[-1]
-        assert np.linalg.norm(cesaro) <= 2.0 * np.linalg.norm(x_hat) / (n - 1)
+        steps = np.arange(1, n)
+        cesaros = -trace.xs[1:] / steps[:, None]
+        assert np.all(np.linalg.norm(cesaros, axis=1) * steps
+                      <= 2.0 * np.linalg.norm(x_hat) + 1e-6)
+        cesaro = cesaros[-1]
         residual = np.linalg.norm(v - cesaro)
         assert residual == pytest.approx(np.linalg.norm(cesaro), rel=1e-6)
 
@@ -425,13 +431,46 @@ class TestTraceExport:
         assert written == (tmp_path / "reference.csv").read_bytes()
         assert written.count(b"\n") == len(trace) + 1
 
-    def test_steps_view(self):
+    @staticmethod
+    def _cesaro_column(trace, path) -> list:
+        trace.to_csv(path)
+        with open(path, newline="") as fh:
+            return [float(row[-1]) for row in list(csv.reader(fh))[1:]]
+
+    def test_steps_view(self, tmp_path):
         pair = lines_pair()
         _, trace = estimate_v(pair, max_iter=3, tol_v=0.0, record=True)
         assert len(trace) == 3
-        # row n of the Cesaro column is -x_n / n; row 0 is seeded with -x_1
-        np.testing.assert_allclose(trace.v_cesaros[1:], -trace.xs[1:] / [[1.0], [2.0]])
-        np.testing.assert_array_equal(trace.v_cesaros[0], -trace.xs[1])
+        # row n of the Cesaro column is |-x_n / n|; row 0 is seeded with |-x_1|
+        xs = trace.xs
+        expected = [np.linalg.norm(-xs[1]), np.linalg.norm(-xs[1] / 1), np.linalg.norm(-xs[2] / 2)]
+        np.testing.assert_allclose(self._cesaro_column(trace, tmp_path / "t.csv"), expected)
+        # a one-row trace seeds row 0 with x_1 = T x_0
+        x0 = np.array([3.0, -2.0])
+        _, one = estimate_v(pair, x0, max_iter=1, record=True)
+        assert self._cesaro_column(one, tmp_path / "one.csv") == [
+            float(np.linalg.norm(dr_apply(pair, x0)))]
+
+    def test_csv_peak_memory_is_a_few_times_the_file(self, tmp_path):
+        # small-integer floats, so that every cell is short and the file small
+        # next to the Python lists a whole-table conversion would build
+        gen = rng(7)
+        rows, dim = 20_000, 20
+        xs, shadows, disps = (gen.integers(-9, 10, size=(rows, dim)).astype(float)
+                              for _ in range(3))
+        trace = splitting.IterationTrace(xs, shadows, disps)
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            trace.to_csv(path)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 2**20
+        assert peak <= 6 * size
 
 
 def test_estimator_tail_study_script_runs(tmp_path, capsys):
@@ -521,7 +560,7 @@ class TestStreamedOrbit:
     def test_normal_solve_ignores_record(self, name, pair, opts):
         streamed = solve_normal(pair, opts=opts)
         recorded = solve_normal(pair, opts=opts, record=True)
-        assert streamed == recorded
+        assert same_report(streamed, recorded)
         assert streamed.trace is None
         # phase 1 is never recorded by solve_normal: v_trace is its OrbitEnd
         assert type(streamed.v_trace) is OrbitEnd and type(recorded.v_trace) is OrbitEnd
@@ -533,7 +572,7 @@ class TestStreamedOrbit:
         opts = SolveOptions(max_iter=400)
         streamed = solve_perturbed(constant_pair(), np.zeros(2), opts=opts)
         recorded = solve_perturbed(constant_pair(), np.zeros(2), opts=opts, record=True)
-        assert streamed == recorded
+        assert same_report(streamed, recorded)
         assert streamed.status == NO_FIXED_POINT
 
     def test_estimate_v_ends_agree(self):
@@ -542,7 +581,6 @@ class TestStreamedOrbit:
         v_rec, trace = estimate_v(pair, record=True)
         np.testing.assert_array_equal(v, v_rec)
         assert len(end) == len(trace)
-        np.testing.assert_array_equal(end.v_cesaro, trace.v_cesaros[-1])
         np.testing.assert_array_equal(end.v_diff, trace.displacements[-1])
 
     @pytest.mark.parametrize("pair, w, x0, max_iter", [
@@ -561,7 +599,7 @@ class TestStreamedOrbit:
         assert report.status != CONVERGED and len(report.trace) == max_iter
         expected = drifting_tail(report.trace, opts.tol_fix)
         assert (report.status == NO_FIXED_POINT) == expected
-        assert solve_perturbed(pair, w, x0=x0, opts=opts) == report
+        assert same_report(solve_perturbed(pair, w, x0=x0, opts=opts), report)
 
     def test_memory_does_not_grow_with_the_budget(self):
         pair = lines_at_angle(100, 0.01)  # too slow to converge within 20k steps
