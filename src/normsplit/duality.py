@@ -53,13 +53,13 @@ def psi_inv(pair: OperatorPair, x: np.ndarray, w: np.ndarray,
             tol_fix: float = 1e-9) -> PrimalDualPair:
     """Recover the solution pair from a fixed point of x -> T(x) + w.
 
-    Requires x to satisfy x - T(x) = w up to tol_fix, and the recovered pair
-    to pass both membership certificates.
+    Requires |x - T(x) - w| <= tol_fix * (1 + |x|), the relative scale of the
+    membership certificates, and the recovered pair to pass both of them.
     """
     x = as_vector(x, dim=pair.dim)
     w = as_vector(w, dim=pair.dim)
     residual = float(np.linalg.norm(x - dr_apply(pair, x) - w))
-    if residual > tol_fix:
+    if residual > tol_fix * (1.0 + float(np.linalg.norm(x))):
         raise PreconditionError(
             f"not a fixed point of the value-shifted map: residual {residual:.3e}"
         )

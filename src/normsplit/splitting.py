@@ -38,7 +38,7 @@ MAX_ITER = "max_iter"
 
 # tail fraction that must be straight-line drift to count as divergence evidence
 _DRIFT_RATIO = 0.9
-# phase 1 stops when the displacement moved at most tol_v over this many steps
+# phase 1 stops at the first |d_n - d_{n-_WINDOW}| <= tol_v, with d_m = 0 for m < 0
 _WINDOW = 50
 # trace rows allocated up front; the arrays double when full
 _FIRST_ROWS = 256
@@ -200,6 +200,11 @@ def dr_apply(pair: OperatorPair, x: np.ndarray) -> np.ndarray:
     while T x is still finite; u is taken once, which is bit-identical to
     J_A(jb + (jb - x)) + (x - jb), since fl(x - jb) = -fl(jb - x).
     """
+    return _step_and_shadow(pair, x)[0]
+
+
+def _step_and_shadow(pair: OperatorPair, x) -> tuple[np.ndarray, np.ndarray]:
+    # dr_apply's T x, with the shadow J_B x it passes through
     form_a, form_b = compile_resolvent(pair.A), compile_resolvent(pair.B)
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
@@ -208,7 +213,7 @@ def dr_apply(pair: OperatorPair, x: np.ndarray) -> np.ndarray:
         x, apply_a, apply_b = as_vector(x, dim=pair.dim), form_a.apply, form_b.apply
     jb = apply_b(x)
     u = jb - x
-    return apply_a(jb + u) - u
+    return apply_a(jb + u) - u, jb
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +253,9 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
            tol: float, record: bool = False):
     """Iterate x -> T(x + w), or plain T when w is None.
 
-    With w None (phase 1) the loop stops once the displacement x_n - x_{n+1}
-    moved at most `tol` over the trailing _WINDOW steps. Otherwise (phase 2)
+    With w None (phase 1) the loop stops at the first row n with
+    |d_n - d_{n-_WINDOW}| <= `tol`, d_n = x_n - x_{n+1} and d_m = 0 for m < 0;
+    estimate_v says why a stop before row _WINDOW is certified. Otherwise (phase 2)
     it stops at the first certified fixed point, |x - T(x + w)| <= tol with
     both membership certificates (certify). No radius bounds the orbit: the
     orbit of a firmly nonexpansive T grows at most linearly, wherever its
@@ -271,9 +277,9 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     t_w = M_T w + t folded once per call, so a step is one matrix-vector
     product and no resolvent is evaluated. Such an orbit runs in blocks of at
     most _WINDOW steps, written into one (_WINDOW + 1, dim) buffer, and the
-    stop rules run once per block on all its rows. Phase 1 opens with its
-    first _WINDOW steps, where no stop can fire; each phase then takes a
-    one-step probe at its earliest possible stop (row _WINDOW in phase 1,
+    stop rules run once per block on all its rows. Phase 1 opens with a block
+    of _WINDOW steps, whose window partners are the zero rows its ring starts
+    with; each phase then takes a one-step probe (row _WINDOW in phase 1,
     row 0 in phase 2). Every later block of phase 1 ends at a multiple of
     _WINDOW, so that its window partners are one slice of the ring; phase 2
     has no ring, and its blocks double (1, 2, 4, ...) up to such a multiple.
@@ -328,13 +334,10 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
                 disps[n] = disp
             if estimating:
                 slot = n % _WINDOW
-                if n >= _WINDOW:
-                    d = disp - ring[slot]
-                    size = sqrt(d.dot(d))
-                    if size <= tol:
-                        break
-                else:
-                    size = disp.dot(disp)
+                d = disp - ring[slot] if n >= _WINDOW else disp
+                size = sqrt(d.dot(d))
+                if size <= tol:
+                    break
                 ring[slot] = disp
             else:
                 size = sqrt(disp.dot(disp))
@@ -358,7 +361,7 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
         block = np.empty((_WINDOW + 1, dim))
         block[0] = x_next
         steps = list(zip(block[:-1], block[1:]))
-        ring = np.empty((min(_WINDOW, max_iter), dim))
+        ring = np.zeros((min(_WINDOW, max_iter), dim))
         probe = _WINDOW if estimating else 0
         # a row can stop only if its squared stop-rule norm is about tol^2 or
         # less; the factor 2 absorbs rounding, as the row check decides
@@ -373,14 +376,14 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
                 x_next += t_w
             diffs = block[:count] - block[1:count + 1]
             slot = n % _WINDOW
-            d = diffs - ring[slot:slot + count] if estimating and n >= _WINDOW else diffs
+            d = diffs - ring[slot:slot + count] if estimating else diffs
             # each row's d.dot(d), by the same BLAS dot
             squares = np.vecdot(d, d)
             stop = None
-            if not (squares.max() < inf and (n < probe or squares.min() > bound)):
+            if not (squares.max() < inf and squares.min() > bound):
                 for j in range(count):
                     size = sqrt(d[j].dot(d[j]))
-                    if size <= tol and n + j >= probe:
+                    if size <= tol:
                         if estimating:
                             stop = j
                             break
@@ -438,10 +441,13 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
 def estimate_v(pair: OperatorPair, x0=None, max_iter: int = SolveOptions.max_iter,
                tol_v: float = SolveOptions.tol_v, record: bool = False,
                ) -> tuple[np.ndarray, OrbitEnd]:
-    """Estimate v as the displacement x_n - x_{n+1} along x_{n+1} = T x_n.
+    """Estimate v as the displacement d_n = x_n - x_{n+1} along x_{n+1} = T x_n.
 
-    Iteration stops once the displacement has moved at most tol_v over the
-    trailing _WINDOW = 50 steps, else at max_iter. The returned OrbitEnd
+    Iteration stops at the first row n with |d_n - d_{n-50}| <= tol_v,
+    d_m = 0 for m < 0 (_WINDOW = 50), else at max_iter. Before row 50 that
+    is |d_n| <= tol_v, which certifies the estimate: v is the least-norm
+    element of cl ran(Id - T), so |d_n - v| <= |d_n|. Only |v| <= tol_v lets
+    it fire (tol_v = inf stops after one row). The returned OrbitEnd
     has the row count; with `record` it is the full IterationTrace. Without
     it, memory is O(_WINDOW * dim) whatever max_iter is. Raises
     NonFiniteIterateError if the orbit overflows.

@@ -165,13 +165,10 @@ def reference_orbit(pair, x0, w, max_iter: int, tol: float, record: bool = False
             disps[n] = disp
         if estimating:
             slot = n % _WINDOW
-            if n >= _WINDOW:
-                d = disp - ring[slot]
-                size = sqrt(d.dot(d))
-                if size <= tol:
-                    break
-            else:
-                size = disp.dot(disp)
+            d = disp - ring[slot] if n >= _WINDOW else disp
+            size = sqrt(d.dot(d))
+            if size <= tol:
+                break
             ring[slot] = disp
         else:
             size = sqrt(disp.dot(disp))

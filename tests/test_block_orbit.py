@@ -152,13 +152,15 @@ class TestParity:
 
 
 def stop_statistics(pair, x0, w, rows: int) -> np.ndarray:
-    """Per row, the norm a stop rule compares with tol, from a per-step run that never stops."""
+    """Per row, the norm a stop rule compares with tol, from a per-step run that never stops.
+
+    In phase 1 that is |d_n - d_{n - _WINDOW}| with d_m = 0 for m < 0, so
+    |d_n| itself before row _WINDOW.
+    """
     trace = reference_orbit(pair, x0, w, rows, -1.0, record=True)[0]
     disps = trace.displacements
     if w is None:
-        diffs = disps[_WINDOW:] - disps[:-_WINDOW]
-        return np.concatenate([np.full(_WINDOW, np.inf),
-                               [math.sqrt(d.dot(d)) for d in diffs]])
+        disps = np.concatenate([disps[:_WINDOW], disps[_WINDOW:] - disps[:-_WINDOW]])
     return np.array([math.sqrt(d.dot(d)) for d in disps])
 
 
@@ -180,6 +182,7 @@ class TestBlockSeams:
         assert_same_orbit(got, reference_orbit(pair, [3.0, -2.0], w, 1000, 1e-9), "lines")
 
     @pytest.mark.parametrize("phase, stop_row", [
+        (1, 1), (1, 31), (1, _WINDOW - 1),
         (1, _WINDOW), (1, _WINDOW + 1), (1, 2 * _WINDOW - 1), (1, 2 * _WINDOW),
         (1, 3 * _WINDOW - 1), (1, 3 * _WINDOW), (1, 137),
         (2, _WINDOW - 1), (2, _WINDOW), (2, 2 * _WINDOW - 1), (2, 2 * _WINDOW),
@@ -187,10 +190,14 @@ class TestBlockSeams:
     ])
     @pytest.mark.parametrize("record", [False, True])
     def test_stop_on_either_side_of_a_seam(self, phase, stop_row, record):
-        # two lines at angle 0.9 through 0: the orbit shrinks by cos(0.9) a
-        # step, so each row's statistic is a new minimum, and tol set to row
-        # stop_row's statistic stops there (phase 2 certifies from row ~45)
-        pair = lines_at_angle(3, 0.9)
+        # two lines at angle 0.9: the orbit's in-plane part shrinks by
+        # cos(0.9) a step, so each row's statistic is a new minimum, and tol
+        # set to row stop_row's statistic stops there (phase 2 certifies from
+        # row ~45). Through 0 (v = 0) phase 1 takes the certified exit
+        # |d_n| <= tol inside its opening block; with a gap, |d_n| >= |v| = 10,
+        # above every window statistic, holds it to the window test
+        gap = 10.0 if phase == 1 and stop_row >= _WINDOW else 0.0
+        pair = lines_at_angle(3, 0.9, gap)
         x0 = np.array([3.0, -2.0, 0.0])
         w = None if phase == 1 else np.zeros(3)
         tol = float(stop_statistics(pair, x0, w, 200)[stop_row])

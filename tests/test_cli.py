@@ -19,7 +19,7 @@ from normsplit import (
 )
 from normsplit import cli
 from normsplit.cli import main
-from normsplit.errors import NonFiniteIterateError, ProblemFormatError
+from normsplit.errors import NonFiniteIterateError, PreconditionError, ProblemFormatError
 from normsplit import problemio
 from normsplit.problemio import (
     operator_from_jsonable,
@@ -284,11 +284,19 @@ class TestDualityCheckCommand:
         first = capsys.readouterr().out.splitlines()[0]
         assert float(first.rsplit(" ", 1)[1]) > 1e-8
 
-    def test_converged_solve_far_from_0_exits_3_without_traceback(self, tmp_path, capsys):
+    @pytest.mark.parametrize("anchor_a, anchor_b, basis_b", [
         # the fused affine step converges at |x| = 2.25e8, where one ulp is
         # 3e-8; psi_inv's two-resolvent step misses that fixed point by 6.7e-8
-        line = {"type": "affine_subspace", "anchor": [0.3, 0.0], "basis": [[1.0, 0.0]]}
-        far_line = {"type": "affine_subspace", "anchor": [0.7, 3e8], "basis": [[0.6, 0.8]]}
+        ([0.3, 0.0], [0.7, 3e8], [0.6, 0.8]),
+        # both lines pass through (3e8, 3e8); the miss there is 6.0e-8
+        ([3e8, 3e8], [3e8, 3e8], [0.6, 0.8]),
+    ], ids=["line-and-far-line", "lines-through-a-far-point"])
+    def test_converged_solve_far_from_0_passes_the_roundtrip(self, tmp_path, capsys,
+                                                              anchor_a, anchor_b, basis_b):
+        # psi_inv judges the miss against tol_fix (1 + |x|), as the
+        # certificates that the solve passed do
+        line = {"type": "affine_subspace", "anchor": anchor_a, "basis": [[1.0, 0.0]]}
+        far_line = {"type": "affine_subspace", "anchor": anchor_b, "basis": [basis_b]}
         path = write_problem(tmp_path, {
             "dim": 2,
             "A": {"type": "normal_cone", "set": line},
@@ -296,6 +304,16 @@ class TestDualityCheckCommand:
         })
         assert main(["solve", path]) == 0
         assert "a_side=True b_side=True" in capsys.readouterr().out
+        assert main(["duality-check", path]) == 0
+        out = capsys.readouterr().out
+        assert "max bijection roundtrip deviation / (1 + |x|) at the fixed point x: " in out
+
+    def test_a_refused_roundtrip_exits_3_without_traceback(self, tmp_path, capsys, monkeypatch):
+        def refused(pair, x, w, tol_fix):
+            raise PreconditionError("not a fixed point of the value-shifted map: residual 1e+00")
+
+        monkeypatch.setattr(cli, "psi_inv", refused)
+        path = write_problem(tmp_path, {"dim": 2, "A": BALL_A, "B": BALL_B})
         assert main(["duality-check", path]) == 3
         out = capsys.readouterr().out.splitlines()
         assert out[-1].startswith("bijection roundtrip failed at the fixed point: ")

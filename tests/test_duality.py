@@ -96,6 +96,15 @@ class TestPsi:
         with pytest.raises(PreconditionError):
             psi_inv(pair, np.array([15.0, 3.0]), np.zeros(2))
 
+    def test_precondition_scales_with_the_point(self):
+        # every point is a fixed point at w = (0, 1), so w misses by 1e-7:
+        # within tol_fix (1 + |x|) at |x| ~ 3e8, not at |x| ~ 2
+        pair = get_scenario("two-lines").pair
+        w = np.array([1e-7, 1.0])
+        psi_inv(pair, np.array([3e8, 2.0]), w)
+        with pytest.raises(PreconditionError):
+            psi_inv(pair, np.array([1.0, 2.0]), w)
+
     def test_validate_flags_bad_pairs(self):
         pair = get_scenario("two-lines").pair
         bogus = PrimalDualPair(z=[0.0, 0.3], k=[1.0, 0.0], w=[0.0, 1.0])

@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -229,3 +233,13 @@ class TestRegistry:
         np.testing.assert_allclose(result.v, [2.0, 0.0], atol=1e-9)
         z = result.normal_solution
         assert membership(sc.pair.B, z, [0.0, 0.0])
+
+
+def test_run_scenarios_script_passes_its_oracles():
+    # two scenarios whose phase 1 exits before its window fills, and one whose v != 0
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_scenarios.py"
+    done = subprocess.run(
+        [sys.executable, str(script), "overlapping-balls", "affine-default", "disjoint-balls"],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "all 3 scenarios within tolerance"

@@ -1,6 +1,5 @@
 import csv
 import importlib.util
-import math
 import tracemalloc
 from pathlib import Path
 
@@ -198,10 +197,10 @@ class TestEstimateV:
 
     def test_window_beyond_the_budget_holds_no_more_than_the_budget(self):
         # the stagnation ring is never larger than the rows the orbit can
-        # have, and no stop test runs before the window is full
+        # have; tol_v = -1 lets no row stop, so the orbit spends the budget
         assert splitting._WINDOW > 30
         pair = get_scenario("overlapping-balls").pair
-        _, end = estimate_v(pair, max_iter=30, tol_v=math.inf)
+        _, end = estimate_v(pair, max_iter=30, tol_v=-1.0)
         assert len(end) == 30
 
     def test_both_estimators_agree_on_closed_forms(self):

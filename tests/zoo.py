@@ -108,8 +108,13 @@ def operator_pairs(dim: int, count: int | None = None):
     return pairs[:count] if count is not None else pairs
 
 
-def lines_at_angle(dim: int, angle: float):
-    """Two lines through 0 in R^dim; DR on them contracts at rate cos(angle)."""
+def lines_at_angle(dim: int, angle: float, gap: float = 0.0):
+    """Two lines through 0 in R^dim; DR on them contracts at rate cos(angle).
+
+    With a gap (dim >= 3) the second line is moved by gap along the third
+    axis, normal to both: v = (0, 0, gap), and every displacement's third
+    entry is exactly gap, while its first two contract as without a gap.
+    """
     from normsplit import OperatorPair
 
     u = np.zeros((1, dim))
@@ -117,7 +122,9 @@ def lines_at_angle(dim: int, angle: float):
     v = np.zeros((1, dim))
     v[0, 0], v[0, 1] = np.cos(angle), np.sin(angle)
     origin = np.zeros(dim)
-    return OperatorPair(NormalCone(AffineSubspace(origin, u)),
+    if gap:
+        origin[2] = gap
+    return OperatorPair(NormalCone(AffineSubspace(np.zeros(dim), u)),
                         NormalCone(AffineSubspace(origin, v)))
 
 
