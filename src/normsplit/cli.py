@@ -125,11 +125,19 @@ def run_scenario(scenario: Scenario, record: bool = False) -> tuple[bool, SolveR
     report = solve_normal(scenario.pair, opts=scenario.solve_opts, record=record)
     expected = scenario.oracle()
     v_gap = float(np.linalg.norm(report.v_estimate - expected.v))
-    lines = [
-        f"scenario: {scenario.name}",
-        f"  {'field':<18}{'solver':<28}{'oracle':<28}",
-        f"  {'v':<18}{_fmt_vec(report.v_estimate):<28}{_fmt_vec(expected.v):<28}",
-        f"  {'normal_solution':<18}{_fmt_vec(report.normal_solution):<28}{_fmt_vec(expected.normal_solution):<28}",
+    table = [
+        ("field", "solver", "oracle"),
+        ("v", _fmt_vec(report.v_estimate), _fmt_vec(expected.v)),
+        ("normal_solution", _fmt_vec(report.normal_solution),
+         _fmt_vec(expected.normal_solution)),
+    ]
+    # a column is 18 or 28 wide, or wider where a cell needs it, so that at
+    # least two spaces separate it from the next
+    first, second = (max(width, 2 + max(len(row[i]) for row in table))
+                     for i, width in enumerate((18, 28)))
+    lines = [f"scenario: {scenario.name}"]
+    lines += [f"  {name:<{first}}{solver:<{second}}{oracle:<28}" for name, solver, oracle in table]
+    lines += [
         f"  |v gap| = {v_gap:.3e}  (tolerance {scenario.tolerance:g})",
         f"  solver status = {report.status}; oracle attained = {expected.attained}",
     ]

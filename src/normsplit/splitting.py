@@ -115,13 +115,18 @@ def _write_in_place(path, text: str, newline: Optional[str]) -> None:
 class OrbitEnd:
     """Where an orbit stopped: its row count N and the estimate of v there.
 
-    v_diff is the last displacement x_{N-1} - x_N. A solve run without a
-    trace keeps only this of each phase; len() is N.
+    v_diff is the last displacement x_{N-1} - x_N. x_last is the iterate
+    x_N when phase 1's stop rule fired, else None (a spent budget, or
+    phase 2). x_N + v_diff is x_{N-1} up to one rounding, so x_N is a fixed
+    point of x -> T(x + v_diff) up to that rounding: solve_normal starts
+    phase 2 there. A solve
+    run without a trace keeps only this of each phase; len() is N.
     """
 
-    def __init__(self, rows: int, v_diff: np.ndarray):
+    def __init__(self, rows: int, v_diff: np.ndarray, x_last: Optional[np.ndarray] = None):
         self.rows = rows
         self.v_diff = v_diff
+        self.x_last = x_last
 
     def __len__(self) -> int:
         return self.rows
@@ -135,8 +140,8 @@ class IterationTrace(OrbitEnd):
     estimate.
     """
 
-    def __init__(self, xs, shadows, displacements):
-        super().__init__(xs.shape[0], displacements[-1])
+    def __init__(self, xs, shadows, displacements, x_last=None):
+        super().__init__(xs.shape[0], displacements[-1], x_last)
         self.xs = xs
         self.shadows = shadows
         self.displacements = displacements
@@ -293,7 +298,9 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     after it.
 
     Returns (end, status, certificates, solution). end is an OrbitEnd, the
-    IterationTrace itself when recording; status is CONVERGED or
+    IterationTrace itself when recording; its x_last is x_N when phase 1's
+    stop rule fired (in the block loop a copy of the buffer row, so the
+    buffer is not kept alive), else None; status is CONVERGED or
     NO_FIXED_POINT (drift) when phase 2 stops so, else MAX_ITER;
     certificates are the last ones checked, and solution is the certified
     (x, z, k) or None.
@@ -313,7 +320,7 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     if record:
         capacity = min(max_iter, _FIRST_ROWS)
         xs, shadows, disps = (np.empty((capacity, dim)) for _ in range(3))
-    status, certificates, solution = MAX_ITER, {}, None
+    status, certificates, solution, x_last = MAX_ITER, {}, None, None
     step = _fused_step(pair, w)
     if step is None:
         # displacement n - _WINDOW sits at n % _WINDOW; n never reaches max_iter
@@ -337,6 +344,7 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
                 d = disp - ring[slot] if n >= _WINDOW else disp
                 size = sqrt(d.dot(d))
                 if size <= tol:
+                    x_last = x_next
                     break
                 ring[slot] = disp
             else:
@@ -406,6 +414,8 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
                 for j in range(kept):
                     shadows[n + j] = apply_b(block[j] if estimating else block[j] + w)
             if stop is not None:
+                if estimating:
+                    x_last = block[kept].copy()
                 break
             if estimating:
                 ring[slot:slot + count] = diffs
@@ -430,8 +440,9 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
 
     rows = n + 1
     if not record:
-        return OrbitEnd(rows, disp), status, certificates, solution
-    return IterationTrace(xs[:rows], shadows[:rows], disps[:rows]), status, certificates, solution
+        return OrbitEnd(rows, disp, x_last), status, certificates, solution
+    trace = IterationTrace(xs[:rows], shadows[:rows], disps[:rows], x_last)
+    return trace, status, certificates, solution
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +459,8 @@ def estimate_v(pair: OperatorPair, x0=None, max_iter: int = SolveOptions.max_ite
     is |d_n| <= tol_v, which certifies the estimate: v is the least-norm
     element of cl ran(Id - T), so |d_n - v| <= |d_n|. Only |v| <= tol_v lets
     it fire (tol_v = inf stops after one row). The returned OrbitEnd
-    has the row count; with `record` it is the full IterationTrace. Without
+    has the row count, and x_last = x_N when a stop rule fired (None when
+    the budget ran out); with `record` it is the full IterationTrace. Without
     it, memory is O(_WINDOW * dim) whatever max_iter is. Raises
     NonFiniteIterateError if the orbit overflows.
     """
@@ -496,14 +508,23 @@ def solve_normal(pair: OperatorPair, x0=None,
                  record: bool = False) -> SolveReport:
     """Two-phase normal solve: estimate v, then solve the v-perturbed problem.
 
+    When phase 1 stops on its own rule, phase 2 starts at phase 1's last
+    iterate x_N, which the v-shifted map already fixes up to one rounding, so
+    it certifies at its first row unless that rounding exceeds opts.tol_fix.
+    When phase 1 spends its budget, phase 2 starts cold at x0: there the
+    estimate may approach a v that is never attained, and only the cold
+    orbit's drift verdict can say so, since the estimate's own problem always
+    has the fixed point x_N.
     opts.max_iter budgets each phase separately; iterations_used totals both.
-    The report's v_trace is phase 1's OrbitEnd (its row count and last
-    displacement). With `record` its trace is phase 2's IterationTrace, else
-    None; a full phase-1 trace comes from estimate_v(record=True).
+    The report's v_trace is phase 1's OrbitEnd (its row count, last
+    displacement and x_N). With `record` its trace is phase 2's
+    IterationTrace, else None; a full phase-1 trace comes from
+    estimate_v(record=True).
     """
     opts = opts or SolveOptions()
     v, v_end = estimate_v(pair, x0, opts.max_iter, opts.tol_v)
-    report = solve_perturbed(pair, v, x0, opts, record=record)
+    start = x0 if v_end.x_last is None else v_end.x_last
+    report = solve_perturbed(pair, v, start, opts, record=record)
     report.v_estimate = v
     report.iterations_used += len(v_end)
     report.v_trace = v_end

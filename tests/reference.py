@@ -26,9 +26,9 @@ with its Cesaro column derived from the iterates here.
 `reference_orbit` is the solve loop of an affine pair taken one step at a
 time: it steps by x -> M_T x + t_w, and every stop rule and the finiteness
 check run after each step. splitting._orbit steps affine pairs in blocks
-and must return the same rows, status, certificates and solution, bit for
-bit; `orbit_outcome` reduces a run of either loop to bytes for that
-comparison.
+and must return the same rows, status, certificates, solution and phase-1
+end point x_last, bit for bit; `orbit_outcome` reduces a run of either
+loop to bytes for that comparison.
 
 `operator_to_jsonable` writes an operator or set as the tagged record that
 normsplit.problemio decodes, from the decoder's own tables.
@@ -150,7 +150,7 @@ def reference_orbit(pair, x0, w, max_iter: int, tol: float, record: bool = False
     if record:
         capacity = min(max_iter, _FIRST_ROWS)
         xs, shadows, disps = (np.empty((capacity, dim)) for _ in range(3))
-    status, certificates, solution = MAX_ITER, {}, None
+    status, certificates, solution, x_last = MAX_ITER, {}, None, None
     for n in range(max_iter):
         x = x_next
         x_next = m_t.dot(x) + t_w
@@ -168,6 +168,7 @@ def reference_orbit(pair, x0, w, max_iter: int, tol: float, record: bool = False
             d = disp - ring[slot] if n >= _WINDOW else disp
             size = sqrt(d.dot(d))
             if size <= tol:
+                x_last = x_next
                 break
             ring[slot] = disp
         else:
@@ -195,8 +196,9 @@ def reference_orbit(pair, x0, w, max_iter: int, tol: float, record: bool = False
 
     rows = n + 1
     if not record:
-        return OrbitEnd(rows, disp), status, certificates, solution
-    return IterationTrace(xs[:rows], shadows[:rows], disps[:rows]), status, certificates, solution
+        return OrbitEnd(rows, disp, x_last), status, certificates, solution
+    trace = IterationTrace(xs[:rows], shadows[:rows], disps[:rows], x_last)
+    return trace, status, certificates, solution
 
 
 def orbit_fingerprint(result) -> tuple:
@@ -204,10 +206,12 @@ def orbit_fingerprint(result) -> tuple:
     are equal results, bit for bit."""
     end, status, certificates, solution = result
     arrays = [end.v_diff, *(solution or ())]
+    if end.x_last is not None:
+        arrays.append(end.x_last)
     if isinstance(end, IterationTrace):
         arrays += [end.xs, end.shadows, end.displacements]
     return (type(end).__name__, len(end), status, certificates, solution is None,
-            [(a.shape, a.tobytes()) for a in arrays])
+            end.x_last is None, [(a.shape, a.tobytes()) for a in arrays])
 
 
 def orbit_outcome(loop, *args, **kwargs):

@@ -68,6 +68,9 @@ def assert_same_end(end, expected, label):
     assert type(end) is type(expected), label
     assert len(end) == len(expected), label
     np.testing.assert_array_equal(end.v_diff, expected.v_diff, err_msg=label)
+    assert (end.x_last is None) == (expected.x_last is None), label
+    if expected.x_last is not None:
+        np.testing.assert_array_equal(end.x_last, expected.x_last, err_msg=label)
     if isinstance(expected, IterationTrace):
         for column in ("xs", "shadows", "displacements"):
             np.testing.assert_array_equal(

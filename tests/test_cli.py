@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import re
 import warnings
 
 import numpy as np
@@ -74,6 +76,33 @@ class TestSolveCommand:
         np.testing.assert_allclose(report.normal_solution, [2.0, 0.0], atol=1e-6)
         header = open(trace_path).readline().strip().split(",")
         assert header[0] == "n" and "v_cesaro_norm" in header
+
+    def test_a_settled_solve_traces_one_row(self, tmp_path):
+        # two dim-3 balls that meet (v = 0): phase 1 takes its certified exit,
+        # and phase 2, started at phase 1's last iterate, certifies its first row
+        payload = {
+            "dim": 3,
+            "A": {"type": "normal_cone",
+                  "set": {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}},
+            "B": {"type": "normal_cone",
+                  "set": {"type": "ball", "center": [1.5, -0.5, 0.25], "radius": 1.0}},
+            "options": {"x0": [4.0, 3.0, -2.0]},
+        }
+        path = write_problem(tmp_path, payload)
+        report_path, trace_path = tmp_path / "r.json", tmp_path / "t.csv"
+        assert main(["solve", path, "--json", str(report_path), "--trace", str(trace_path)]) == 0
+        with open(trace_path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 2 and all(len(row) == 1 + 2 * 3 + 3 for row in rows)
+        problem = parse_problem(payload)
+        expected = solve_normal(OperatorPair(problem.a, problem.b), problem.x0,
+                                problem.options, record=True)
+        assert expected.status == "converged" and all(expected.certificates.values())
+        assert len(expected.trace) == 1
+        assert same_report(read_report(report_path), expected)
+        trace_csv(expected.trace, tmp_path / "expected.csv")
+        assert (tmp_path / "expected.csv").read_bytes() == trace_path.read_bytes()
+        assert main(["duality-check", path]) == 0
 
     def test_far_lines_converge_with_no_cesaro_residual(self, tmp_path, capsys):
         path = write_problem(tmp_path, FAR_LINES)
@@ -222,24 +251,42 @@ class TestSolveCommand:
         assert "does not match" in capsys.readouterr().err
 
 
+FAST_SCENARIOS = [
+    "rotators-default",
+    "constants-default",
+    "two-lines",
+    "disjoint-balls",
+    "overlapping-balls",
+    "box-halfspace",
+    "least-squares-default",
+    "affine-default",
+]
+
+
 class TestScenarioCommand:
-    @pytest.mark.parametrize(
-        "name",
-        [
-            "rotators-default",
-            "constants-default",
-            "two-lines",
-            "disjoint-balls",
-            "overlapping-balls",
-            "box-halfspace",
-            "least-squares-default",
-            "affine-default",
-        ],
-    )
+    @pytest.mark.parametrize("name", FAST_SCENARIOS)
     def test_fast_scenarios_pass(self, name, capsys):
         assert main(["scenario", name]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+
+    @pytest.mark.parametrize("name", FAST_SCENARIOS)
+    def test_table_cells_stay_two_spaces_apart(self, name):
+        # affine-default's v cell, [7.450580597e-09, -1.110223025e-16], is
+        # wider than the default column of 28
+        sc = get_scenario(name)
+        _, report, lines = cli.run_scenario(sc)
+        expected = sc.oracle()
+        table = lines[1:4]
+        assert [re.split(r" {2,}", line.strip()) for line in table] == [
+            ["field", "solver", "oracle"],
+            ["v", cli._fmt_vec(report.v_estimate), cli._fmt_vec(expected.v)],
+            ["normal_solution", cli._fmt_vec(report.normal_solution),
+             cli._fmt_vec(expected.normal_solution)],
+        ]
+        # each cell starts after two spaces, at its column's start in every row
+        starts = {tuple(m.start() for m in re.finditer(r"(?<=  )\S", line)) for line in table}
+        assert len(starts) == 1 and len(starts.pop()) == 3
 
     def test_report_and_metadata(self, tmp_path):
         report_path = str(tmp_path / "rot.json")

@@ -312,17 +312,19 @@ def test_only_an_evaluated_form_builds_its_evaluator(monkeypatch):
 
 
 # (iterations_used, len(v_trace)) of solve_normal from x0 = 0, recorded with
-# the per-phase loops that the shared loop replaced; the two feasible pairs,
-# affine-default and overlapping-balls, since phase 1 stops on |d_n| <= tol_v
-# before its window fills
+# the per-phase loops that the shared loop replaced. Since then the feasible
+# pairs, affine-default and overlapping-balls, stop phase 1 on |d_n| <= tol_v
+# before its window fills, and a phase 1 that stops on its rule hands phase 2
+# its last iterate, which phase 2 certifies at its first row; the epigraph's
+# phase 1 spends its budget, so its phase 2 still starts at x0
 PINNED_COUNTS = {
-    "affine-default": (57, 27),
+    "affine-default": (28, 27),
     "box-halfspace": (52, 51),
     "constants-default": (52, 51),
     "disjoint-balls": (52, 51),
     "epigraph": (8000, 4000),
-    "least-squares-default": (109, 78),
-    "overlapping-balls": (4, 2),
+    "least-squares-default": (79, 78),
+    "overlapping-balls": (3, 2),
     "rotators-default": (52, 51),
     "two-lines": (52, 51),
 }

@@ -6,6 +6,11 @@ v is the least-norm element of cl ran(Id - T), so every displacement d has
 before row _WINDOW, where the window partner d_{n - _WINDOW} of its stop
 statistic |d_n - d_{n - _WINDOW}| is the zero vector. When |v| > tol_v no
 row can exit so, and phase 1 runs exactly as the window test alone.
+
+After either stop rule, phase 2 of a normal solve starts at phase 1's last
+iterate x_N. Phase 1 returns w = d_{N-1} = x_{N-1} - x_N, so
+x_N + w = x_{N-1} up to one rounding and T(x_N + w) = x_N: the v-shifted
+map already fixes x_N. After a spent budget phase 2 starts cold at x0.
 """
 
 import math
@@ -21,11 +26,17 @@ from normsplit import (
     Box,
     NormalCone,
     OperatorPair,
+    SolveOptions,
     dr_apply,
     estimate_v,
+    solve_normal,
+    solve_perturbed,
 )
-from normsplit.scenarios import get_scenario
-from normsplit.splitting import _WINDOW
+from normsplit.scenarios import build_registry, get_scenario
+from normsplit.splitting import _WINDOW, CONVERGED
+
+from reference import same_report
+from zoo import operator_pairs, rng
 
 # every family's data is at most about 20 in size, so its computed
 # displacements are within this of exact ones
@@ -57,7 +68,26 @@ def window_only(pair, x0, max_iter: int, tol: float):
     return np.array(xs), np.array(disps)
 
 
+def check_warm_start(pair, x0, opts: SolveOptions) -> bool:
+    """solve_normal against its phase 2 run by hand: from x_N after a stop
+    rule, which certifies within two rows, else from x0. Returns whether a
+    stop rule fired."""
+    report = solve_normal(pair, x0, opts)
+    v_hat, end = estimate_v(pair, x0, opts.max_iter, opts.tol_v)
+    settled = end.x_last is not None
+    expected = solve_perturbed(pair, v_hat, end.x_last if settled else x0, opts)
+    if settled:
+        assert expected.status == CONVERGED and all(expected.certificates.values())
+        assert expected.iterations_used <= 2
+    expected.iterations_used += len(end)
+    assert same_report(report, expected)
+    return settled
+
+
 def check_exit(pair, v_oracle, x0, tol_v: float):
+    # a budget of 3 rows leaves phase 1 unsettled unless it exits at row 0, 1 or 2
+    for budget in (MAX_ITER, 3):
+        check_warm_start(pair, x0, SolveOptions(max_iter=budget, tol_v=tol_v))
     v_hat, trace = estimate_v(pair, x0, MAX_ITER, tol_v, record=True)
     if len(trace) <= _WINDOW:
         assert np.linalg.norm(v_hat - v_oracle) <= tol_v + ROUNDING
@@ -142,3 +172,15 @@ def test_an_infinite_tolerance_stops_after_one_row():
     v_hat, end = estimate_v(pair, x0, max_iter=30, tol_v=math.inf)
     assert len(end) == 1
     np.testing.assert_array_equal(v_hat, x0 - dr_apply(pair, x0))
+
+
+def test_registry_and_zoo_pairs_start_phase_2_where_phase_1_stopped():
+    # the epigraph's phase 1 spends its budget, and so do some zoo pairs'
+    cases = [(sc.pair, None, SolveOptions(max_iter=4000) if name == "epigraph" else sc.solve_opts)
+             for name, sc in ((name, get_scenario(name)) for name in sorted(build_registry()))]
+    gen = rng(47)
+    for dim in (2, 3, 5):
+        cases += [(pair, gen.normal(scale=3.0, size=dim), SolveOptions(max_iter=2000))
+                  for _, pair in operator_pairs(dim)]
+    settled = [check_warm_start(*case) for case in cases]
+    assert any(settled) and not all(settled)

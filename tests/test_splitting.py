@@ -325,6 +325,18 @@ class TestSolveNormal:
         assert abs(np.linalg.norm(report.v_estimate) - 1.0) <= 0.1
         assert report.v_trace is not None and report.trace is not None
 
+    def test_epigraph_at_a_loose_tol_v_certifies_its_estimate(self):
+        # phase 1's window test fires after 1025 rows, so phase 2 starts at x_N,
+        # which T(. + w) fixes for w = v_estimate: the w-problem has a solution,
+        # and a report of no fixed point would be false for that w. Whether w
+        # is close enough to the unattained v is not certified here
+        pair = get_scenario("epigraph").pair
+        report = solve_normal(pair, opts=SolveOptions(max_iter=4000, tol_v=1e-4))
+        assert len(report.v_trace) == 1025 and report.iterations_used == 1026
+        assert report.status == CONVERGED and all(report.certificates.values())
+        z, k = report.normal_solution, report.dual_solution
+        assert all(splitting.certify(pair, z, k, report.v_estimate).values())
+
 
 class TestNormSymmetry:
     """The v of (A, B) and the v of (B, A) have equal norms."""
