@@ -399,11 +399,7 @@ class AffineMonotone(OperatorSpec):
 
     def leaf_form(self) -> ResolventForm:
         # J(x) = (Id + L)^-1 (x - offset); nonexpansive since L is monotone
-        m = self._inv
-        c = -self._inv_offset
-        if np.array_equal(m, m[0, 0] * np.eye(self.dim)):
-            return ResolventForm(float(m[0, 0]), c)
-        return ResolventForm(m, c)
+        return ResolventForm(self._inv, -self._inv_offset)
 
 
 @dataclass(frozen=True, eq=False)
@@ -516,8 +512,9 @@ class ResolventForm:
     sigma = 1 and a = 0, by moving flips and shifts into the set (its
     `image`), so that a stack of any depth costs P_S'(x) + c or
     x - P_S'(x) + c, and the bare leaf costs the projection alone. Only the
-    epigraph keeps sigma and a. Otherwise m is a float when it is a multiple
-    of the identity, so that no matrix-vector product is done for it. The
+    epigraph keeps sigma and a. Otherwise m is 1.0 over a constant or zero
+    leaf, 0.0 over their inverses, and a matrix over an affine leaf: a float
+    m needs no matrix-vector product. The
     form is closed under all four wrappers; each holds its rule as `fold`.
     `apply` evaluates J at one point; it is built on first use, so the
     forms a compile folds through build none. `apply_rows` evaluates J at
@@ -548,9 +545,7 @@ class ResolventForm:
                 return lambda x: m.dot(x) + c
             if m == 0.0:
                 return lambda x: c.copy()
-            if m == 1.0:
-                return lambda x: x + c
-            return lambda x: m * x + c
+            return lambda x: x + c
 
         proj = self.region.project
         if self.projects_bare:

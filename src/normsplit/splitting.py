@@ -252,6 +252,68 @@ def _fused_step(pair: OperatorPair, w: Optional[np.ndarray]):
     return (m_t, t_w) if np.isfinite(t_w).all() else None
 
 
+def _fast_forward(m_t, t_w, x0: np.ndarray, estimating: bool, max_iter: int,
+                  tol: float, drift_from: int):
+    """Step x -> M_T x + t_w in blocks, up to the first row a stop rule might act on.
+
+    The rows go into one (_WINDOW + 1, dim) buffer, each by
+    `m_t.dot(x, out=row); row += t_w`. A block ends at the next multiple of
+    _WINDOW, or after one row at a probe: row _WINDOW in phase 1 (the first
+    with a real window partner) and row 0 in phase 2. Rows are taken in order
+    while their squared stop-rule norm is finite and above 2 tol^2, signed as
+    tol, so that rounding cannot hide a stop and a negative tol screens out no
+    row. Taken rows update phase 1's window ring, or phase 2's drift
+    iterate x_from and path sum, as the per-step loop would. The first
+    other row, or row max_iter - 1, ends the fast-forward, so the per-step
+    loop runs that row and every stop rule.
+
+    Returns (n, x_n, ring, path, x_from) for the per-step loop to resume at
+    row n; ring is a list of the last _WINDOW displacements in phase 1, else
+    None.
+    """
+    dim = x0.size
+    block = np.empty((_WINDOW + 1, dim))
+    block[0] = x0
+    steps = list(zip(block[:-1], block[1:]))
+    # per row: d_n = x_n - x_{n+1} (less d_{n-_WINDOW} in phase 1), its
+    # squared norm, and whether it is taken
+    window = np.empty((_WINDOW, dim))
+    squares = np.empty(_WINDOW)
+    taken, finite = np.empty(_WINDOW, dtype=bool), np.empty(_WINDOW, dtype=bool)
+    ring = np.zeros((min(_WINDOW, max_iter), dim)) if estimating else None
+    probe = _WINDOW if estimating else 0
+    bound = math.copysign(2.0 * tol * tol, tol)
+    dot = m_t.dot
+    path, x_from, n = 0.0, None, 0
+    while n < max_iter - 1:
+        end = min(n + 1 if n == probe else (n // _WINDOW + 1) * _WINDOW, max_iter - 1)
+        count = end - n
+        for x, x_next in steps[:count]:
+            dot(x, out=x_next)
+            x_next += t_w
+        d = np.subtract(block[:count], block[1:count + 1], out=window[:count])
+        slot = n % _WINDOW
+        if estimating:
+            d -= ring[slot:slot + count]
+        # each row's d.dot(d), by the same BLAS dot
+        sq = np.vecdot(d, d, out=squares[:count])
+        ok = np.less(bound, sq, out=taken[:count])
+        ok &= np.isfinite(sq, out=finite[:count])
+        kept = count if ok.all() else int(ok.argmin())
+        if estimating:
+            np.subtract(block[:kept], block[1:kept + 1], out=ring[slot:slot + kept])
+        elif n + kept > drift_from:
+            if n <= drift_from:
+                x_from = block[drift_from - n].copy()
+            for size in np.sqrt(sq[max(drift_from - n, 0):kept]).tolist():
+                path += size
+        n += kept
+        block[0] = block[kept]
+        if kept < count:
+            break
+    return n, block[0].copy(), (list(ring) if estimating else None), path, x_from
+
+
 # the loop reports a non-finite iterate itself, as NonFiniteIterateError
 @np.errstate(over="ignore", invalid="ignore")
 def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
@@ -278,29 +340,19 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     of displacement norms. With `record` every row also goes into an
     IterationTrace.
 
-    When the pair has an affine_step, T(x + w) = M_T x + t_w with
-    t_w = M_T w + t folded once per call, so a step is one matrix-vector
-    product and no resolvent is evaluated. Such an orbit runs in blocks of at
-    most _WINDOW steps, written into one (_WINDOW + 1, dim) buffer, and the
-    stop rules run once per block on all its rows. Phase 1 opens with a block
-    of _WINDOW steps, whose window partners are the zero rows its ring starts
-    with; each phase then takes a one-step probe (row _WINDOW in phase 1,
-    row 0 in phase 2). Every later block of phase 1 ends at a multiple of
-    _WINDOW, so that its window partners are one slice of the ring; phase 2
-    has no ring, and its blocks double (1, 2, 4, ...) up to such a multiple.
-    A block whose rows are all finite and far from a stop is taken whole;
-    any other is checked row by row, as a per-step loop would, so the rows,
-    status, certificates and solution are the same bit for bit. A stop
-    inside a block discards the block's later steps, in phase 2 at most as
-    many as the rows before the block. The shadow J_B(x + w) is
-    computed only for a recorded row or a certificate check. Otherwise every
-    step evaluates J_B and J_A, as dr_apply does, and the stop rules run
-    after it.
+    One per-step loop runs the stop rules, after every step. A step
+    evaluates J_B and J_A, as dr_apply does, unless the pair has an
+    affine_step: then T(x + w) = M_T x + t_w with t_w = M_T w + t folded once
+    per call, one matrix-vector product, and the shadow J_B(x + w) is
+    evaluated only for a recorded row or a certificate check. An unrecorded
+    such orbit first fast-forwards (_fast_forward) through the rows that can
+    neither stop nor overflow, and the per-step loop takes over at the first
+    row that might, recomputing it; so the rows, status, certificates and
+    solution are those of the per-step loop alone, bit for bit.
 
     Returns (end, status, certificates, solution). end is an OrbitEnd, the
     IterationTrace itself when recording; its x_last is x_N when phase 1's
-    stop rule fired (in the block loop a copy of the buffer row, so the
-    buffer is not kept alive), else None; status is CONVERGED or
+    stop rule fired, else None; status is CONVERGED or
     NO_FIXED_POINT (drift) when phase 2 stops so, else MAX_ITER;
     certificates are the last ones checked, and solution is the certified
     (x, z, k) or None.
@@ -316,121 +368,63 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     # the drift verdict reads x_{N-1-k} and the norms of rows N-1-k .. N-2
     last = max_iter - 1
     drift_from = last - min(1000, max_iter // 4) if max_iter >= 100 else max_iter
-    path = 0.0
     if record:
         capacity = min(max_iter, _FIRST_ROWS)
         xs, shadows, disps = (np.empty((capacity, dim)) for _ in range(3))
     status, certificates, solution, x_last = MAX_ITER, {}, None, None
+    # displacement n - _WINDOW sits at n % _WINDOW; n never reaches max_iter
+    ring = [None] * min(_WINDOW, max_iter)
+    start, path, x_from = 0, 0.0, None
     step = _fused_step(pair, w)
-    if step is None:
-        # displacement n - _WINDOW sits at n % _WINDOW; n never reaches max_iter
-        ring = [None] * min(_WINDOW, max_iter)
-        for n in range(max_iter):
-            x = x_next
+    if step is not None:
+        m_t, t_w = step
+        dot = m_t.dot
+        if not record:
+            start, x_next, ring, path, x_from = _fast_forward(
+                m_t, t_w, x_next, estimating, max_iter, tol, drift_from)
+    for n in range(start, max_iter):
+        x = x_next
+        if step is None:
             y = x if estimating else x + w
             jb = apply_b(y)
             u = jb - y
             x_next = apply_a(jb + u) - u
-            disp = x - x_next
-            if record:
-                if n == capacity:
-                    capacity = min(2 * capacity, max_iter)
-                    xs, shadows, disps = (_grown(a, capacity) for a in (xs, shadows, disps))
-                xs[n] = x
-                shadows[n] = jb
-                disps[n] = disp
-            if estimating:
-                slot = n % _WINDOW
-                d = disp - ring[slot] if n >= _WINDOW else disp
-                size = sqrt(d.dot(d))
-                if size <= tol:
-                    x_last = x_next
-                    break
-                ring[slot] = disp
-            else:
-                size = sqrt(disp.dot(disp))
-                if size <= tol:
-                    k = x - jb
-                    certificates = certify(pair, jb, k, w)
-                    if all(certificates.values()):
-                        status, solution = CONVERGED, (x, jb, k)
-                        break
-                if n >= drift_from:
-                    if n == drift_from:
-                        x_from = x
-                    if n < last:
-                        path += size
-            if not size < inf and not np.isfinite(x_next).all():
-                raise NonFiniteIterateError(n)
-    else:
-        m_t, t_w = step
-        dot = m_t.dot
-        # a block starting at row n holds x_n .. x_{n+count}
-        block = np.empty((_WINDOW + 1, dim))
-        block[0] = x_next
-        steps = list(zip(block[:-1], block[1:]))
-        ring = np.zeros((min(_WINDOW, max_iter), dim))
-        probe = _WINDOW if estimating else 0
-        # a row can stop only if its squared stop-rule norm is about tol^2 or
-        # less; the factor 2 absorbs rounding, as the row check decides
-        bound = 2.0 * tol * tol
-        n = 0
-        while True:
-            end = min(n + 1 if n == probe else (n // _WINDOW + 1) * _WINDOW,
-                      max_iter if estimating else max(2 * n, 1), max_iter)
-            count = end - n
-            for x, x_next in steps[:count]:
-                dot(x, out=x_next)
-                x_next += t_w
-            diffs = block[:count] - block[1:count + 1]
+        else:
+            x_next = dot(x) + t_w
+            jb = apply_b(x if estimating else x + w) if record else None
+        disp = x - x_next
+        if record:
+            if n == capacity:
+                capacity = min(2 * capacity, max_iter)
+                xs, shadows, disps = (_grown(a, capacity) for a in (xs, shadows, disps))
+            xs[n] = x
+            shadows[n] = jb
+            disps[n] = disp
+        if estimating:
             slot = n % _WINDOW
-            d = diffs - ring[slot:slot + count] if estimating else diffs
-            # each row's d.dot(d), by the same BLAS dot
-            squares = np.vecdot(d, d)
-            stop = None
-            if not (squares.max() < inf and squares.min() > bound):
-                for j in range(count):
-                    size = sqrt(d[j].dot(d[j]))
-                    if size <= tol:
-                        if estimating:
-                            stop = j
-                            break
-                        x = block[j]
-                        jb = apply_b(x + w)
-                        k = x - jb
-                        certificates = certify(pair, jb, k, w)
-                        if all(certificates.values()):
-                            status, solution, stop = CONVERGED, (x.copy(), jb, k), j
-                            break
-                    if not size < inf and not np.isfinite(block[j + 1]).all():
-                        raise NonFiniteIterateError(n + j)
-            kept = count if stop is None else stop + 1
-            if record:
-                if n + kept > capacity:
-                    capacity = min(2 * capacity, max_iter)
-                    xs, shadows, disps = (_grown(a, capacity) for a in (xs, shadows, disps))
-                xs[n:n + kept] = block[:kept]
-                disps[n:n + kept] = diffs[:kept]
-                for j in range(kept):
-                    shadows[n + j] = apply_b(block[j] if estimating else block[j] + w)
-            if stop is not None:
-                if estimating:
-                    x_last = block[kept].copy()
+            d = disp - ring[slot] if n >= _WINDOW else disp
+            size = sqrt(d.dot(d))
+            if size <= tol:
+                x_last = x_next
                 break
-            if estimating:
-                ring[slot:slot + count] = diffs
-            elif drift_from < end:
-                if n <= drift_from:
-                    x_from = block[drift_from - n].copy()
-                for size in np.sqrt(squares[max(drift_from - n, 0):last - n]).tolist():
+            ring[slot] = disp
+        else:
+            size = sqrt(disp.dot(disp))
+            if size <= tol:
+                if jb is None:
+                    jb = apply_b(x + w)
+                k = x - jb
+                certificates = certify(pair, jb, k, w)
+                if all(certificates.values()):
+                    status, solution = CONVERGED, (x, jb, k)
+                    break
+            if n >= drift_from:
+                if n == drift_from:
+                    x_from = x
+                if n < last:
                     path += size
-            if end == max_iter:
-                break
-            block[0] = block[count]
-            n = end
-        n += kept - 1
-        x, x_next, disp = block[kept - 1], block[kept], diffs[kept - 1].copy()
-        size = sqrt(squares[kept - 1])
+        if not size < inf and not np.isfinite(x_next).all():
+            raise NonFiniteIterateError(n)
     # the budget is spent: phase 2 takes the drift verdict (phase 1 has no path,
     # and a converged phase 2 ends with size <= tol)
     if path > 0.0 and size > tol:

@@ -25,8 +25,9 @@ with its Cesaro column derived from the iterates here.
 
 `reference_orbit` is the solve loop of an affine pair taken one step at a
 time: it steps by x -> M_T x + t_w, and every stop rule and the finiteness
-check run after each step. splitting._orbit steps affine pairs in blocks
-and must return the same rows, status, certificates, solution and phase-1
+check run after each step. splitting._orbit fast-forwards unrecorded
+affine orbits in blocks before its own per-step loop takes over, and must
+return the same rows, status, certificates, solution and phase-1
 end point x_last, bit for bit; `orbit_outcome` reduces a run of either
 loop to bytes for that comparison.
 
@@ -136,7 +137,7 @@ def reference_orbit(pair, x0, w, max_iter: int, tol: float, record: bool = False
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     step = _fused_step(pair, w)
-    assert step is not None, "the block loop runs only on fused steps"
+    assert step is not None, "reference_orbit steps fused pairs only"
     m_t, t_w = step
     estimating = w is None
     dim = pair.dim

@@ -1,9 +1,10 @@
-"""The block loop of affine orbits against the per-step loop of tests/reference.py.
+"""Fast-forwarded affine orbits against the per-step loop of tests/reference.py.
 
-An affine pair steps x -> M_T x + t_w in blocks, and its stop rules run once
-per block. Every result must be the one the per-step loop gives, bit for
-bit: row counts, statuses, certificates, the v estimate, the solution and,
-when recorded, every trace column.
+An unrecorded affine orbit steps x -> M_T x + t_w in blocks, screened once per
+block, up to the first row a stop rule might act on, and hands over to the
+per-step loop there. Every result must be the one the per-step loop gives,
+bit for bit: row counts, statuses, certificates, the v estimate, the
+solution and, when recorded, every trace column.
 """
 
 import math
@@ -18,6 +19,7 @@ from normsplit import (
     NormalCone,
     OperatorPair,
     SolveOptions,
+    compile_resolvent,
     estimate_v,
     solve_normal,
     solve_perturbed,
@@ -211,6 +213,37 @@ class TestBlockSeams:
         assert_same_orbit(_orbit(pair, x0, w, 1000, tol, record=record), expected, "seam")
 
     @pytest.mark.parametrize("phase", [1, 2])
+    def test_a_handoff_row_that_does_not_stop_continues_per_step(self, phase):
+        # the seam test's orbits: each row's statistic is about cos(0.9) times
+        # the last. Bisection finds the largest tol that does not stop at row
+        # 75, a hair below its statistic, so row 75 is the first row within
+        # sqrt(2) tol, the handoff row, and it does not stop; row 76 stops
+        row = 75
+        pair = counting(lines_at_angle(3, 0.9, 10.0 if phase == 1 else 0.0))
+        x0 = np.array([3.0, -2.0, 0.0])
+        w = None if phase == 1 else np.zeros(3)
+
+        def stops_by_row(tol):
+            return len(reference_orbit(pair, x0, w, 1000, tol)[0]) <= row + 1
+
+        lo, hi = 0.0, 1.0
+        assert not stops_by_row(lo) and stops_by_row(hi)
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if stops_by_row(mid):
+                hi = mid
+            else:
+                lo = mid
+        assert hi - lo <= 1e-15 * hi
+        CountingMatrix.calls = CountingMatrix.into = 0
+        got = _orbit(pair, x0, w, 1000, lo)
+        per_step = CountingMatrix.calls - CountingMatrix.into - (w is not None)
+        assert (len(got[0]), per_step, CountingMatrix.into) == (row + 2, 2, 2 * _WINDOW)
+        if phase == 2:
+            assert got[1] == CONVERGED
+        assert_same_orbit(got, reference_orbit(pair, x0, w, 1000, lo), "handoff")
+
+    @pytest.mark.parametrize("phase", [1, 2])
     @pytest.mark.parametrize("overflow_row", [1, 30, _WINDOW, 75, 2 * _WINDOW - 1, 2 * _WINDOW])
     def test_overflow_raises_at_the_per_step_row(self, phase, overflow_row):
         # x_n = (-n c1, -1) is finite up to row overflow_row and not after it
@@ -265,26 +298,32 @@ class TestBlockSeams:
 
 
 class CountingMatrix(np.ndarray):
-    """M_T that counts its matrix-vector products."""
+    """M_T that counts its matrix-vector products, those written with out= apart."""
 
     calls = 0
+    into = 0  # products written into a buffer row: the fast-forward's
 
     def dot(self, *args, **kwargs):
         CountingMatrix.calls += 1
+        CountingMatrix.into += "out" in kwargs
         return np.asarray(self).dot(*args, **kwargs)
 
 
 def counting(pair: OperatorPair) -> OperatorPair:
     m_t, t = pair.affine_step
     vars(pair)["affine_step"] = (m_t.view(CountingMatrix), t)
+    CountingMatrix.calls = CountingMatrix.into = 0
     return pair
 
 
 class TestWork:
-    """A phase steps at most _WINDOW - 1 rows past its stop, and none past a probe stop.
+    """The fast-forward computes each row once, up to the end of the block that holds
+    the first row a stop rule might act on, its handoff row; the per-step loop
+    computes that row again and every row after it.
 
-    Phase 2 doubles its blocks, so it also steps at most as many rows past its
-    stop as it ran before that stop.
+    Blocks end at multiples of _WINDOW, with a one-row probe at row _WINDOW in
+    phase 1 and row 0 in phase 2, and none passes row max_iter - 2. So a phase
+    computes at most _WINDOW products past its rows, and a stop at a probe one.
     """
 
     @pytest.mark.parametrize("phase", [1, 2])
@@ -296,19 +335,51 @@ class TestWork:
         pair = counting(lines_at_angle(3, angle))
         x0 = np.array([3.0, -2.0, 1.0])
         w = None if phase == 1 else np.array([0.1, -0.2, 0.0])
-        CountingMatrix.calls = 0
-        end = _orbit(pair, x0, w, max_iter, tol)[0]
-        steps = CountingMatrix.calls - (w is not None)  # t_w = M_T w + t takes one
-        assert len(end) <= steps <= len(end) + _WINDOW - 1
-        assert steps <= max_iter
-        if phase == 2:
-            assert steps <= max(2 * (len(end) - 1), 1)
+        rows = len(_orbit(pair, x0, w, max_iter, tol)[0])
+        per_step = CountingMatrix.calls - CountingMatrix.into - (w is not None)  # t_w takes one
+        handoff = rows - per_step
+        probe = _WINDOW if phase == 1 else 0
+        block_end = handoff + 1 if handoff == probe else (handoff // _WINDOW + 1) * _WINDOW
+        assert per_step >= 1
+        assert CountingMatrix.into == min(block_end, max_iter - 1)
+        assert rows <= CountingMatrix.into + per_step <= rows + _WINDOW
 
-    def test_a_probe_stop_takes_no_extra_step(self):
+    def test_a_probe_stop_takes_one_extra_step(self):
         pair = counting(lines_pair())
-        CountingMatrix.calls = 0
         assert len(_orbit(pair, [3.0, -2.0], None, 1000, 1e-8)[0]) == _WINDOW + 1
-        assert CountingMatrix.calls == _WINDOW + 1
-        CountingMatrix.calls = 0
+        assert (CountingMatrix.into, CountingMatrix.calls) == (_WINDOW + 1, _WINDOW + 2)
+        pair = counting(lines_pair())
         assert len(_orbit(pair, [3.0, -2.0], np.array([0.0, 1.0]), 1000, 1e-9)[0]) == 1
-        assert CountingMatrix.calls == 1 + 1
+        assert (CountingMatrix.into, CountingMatrix.calls) == (1, 1 + 2)
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_a_negative_tol_fast_forwards_to_the_last_row(self, phase):
+        # no row stops at tol < 0, however small its statistic
+        pair = counting(lines_at_angle(3, 0.3))
+        w = None if phase == 1 else np.zeros(3)
+        assert len(_orbit(pair, [3.0, -2.0, 1.0], w, 1000, -1.0)[0]) == 1000
+        assert CountingMatrix.into == 999
+        assert CountingMatrix.calls - CountingMatrix.into - (w is not None) == 1
+
+    def test_a_recorded_fused_orbit_evaluates_one_shadow_per_row(self):
+        # no row certifies in 300 steps at angle 0.01, so J_B evaluates only shadows
+        pair = lines_at_angle(3, 0.01)
+        calls = {"A": 0, "B": 0}
+        for side in calls:
+            form = compile_resolvent(getattr(pair, side))
+
+            def counted(x, apply=form.apply, side=side):
+                calls[side] += 1
+                return apply(x)
+
+            vars(form)["apply"] = counted
+        x0 = np.array([3.0, -2.0, 1.0])
+        v, trace = estimate_v(pair, x0, 300, record=True)
+        assert calls == {"A": 0, "B": len(trace)}
+        np.testing.assert_array_equal(v, estimate_v(pair, x0, 300)[0])
+        calls["B"] = 0
+        opts = SolveOptions(max_iter=300)
+        recorded = solve_perturbed(pair, np.zeros(3), x0, opts, record=True)
+        assert recorded.status != CONVERGED
+        assert calls == {"A": 0, "B": len(recorded.trace)}
+        assert same_report(solve_perturbed(pair, np.zeros(3), x0, opts), recorded)

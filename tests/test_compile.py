@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from normsplit import (
+    AffineMonotone,
     AffineSubspace,
     Ball,
     Box,
@@ -42,7 +43,9 @@ from normsplit.scenarios import build_registry, get_scenario
 from reference import reference_resolvent
 from zoo import leaf_operators, operator_zoo, rng, sample_sets
 
-ZOO = [op for dim in (2, 3) for _, op in operator_zoo(dim)]
+# an affine leaf whose matrix is a multiple of the identity compiles as any other
+ZOO = [op for dim in (2, 3) for _, op in operator_zoo(dim)] + [
+    AffineMonotone(2.0 * np.eye(dim), np.arange(1.0, dim + 1.0)) for dim in (2, 3)]
 WRAPPERS = ("inverse", "flip", "inner_shift", "outer_shift")
 
 
