@@ -45,7 +45,7 @@ def _vector_flag(text, name: str, dim: int, default):
         v = np.array([float(part) for part in text.split(",")])
     except ValueError:
         raise ProblemFormatError(name, f"could not parse {text!r} as comma-separated floats") from None
-    if v.size != dim or not np.all(np.isfinite(v)):
+    if v.size != dim or not np.isfinite(v).all():
         raise ProblemFormatError(name, f"expected {dim} finite comma-separated floats, got {text!r}")
     return v
 

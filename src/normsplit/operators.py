@@ -19,7 +19,7 @@ into one closed form, ResolventForm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Optional, Union
 
@@ -77,7 +77,7 @@ class Box(ProjectableSet):
     def __post_init__(self):
         lo = as_vector(self.lo)
         hi = as_vector(self.hi, dim=lo.size)
-        if np.any(lo > hi):
+        if (lo > hi).any():
             raise ValueError("box needs lo <= hi coordinatewise")
         object.__setattr__(self, "lo", _frozen(lo))
         object.__setattr__(self, "hi", _frozen(hi))
@@ -449,14 +449,14 @@ class Inverse(Wrapper):
     """Set-valued inverse; resolvent via J_A + J_{A^-1} = Id."""
 
     def fold(self, f: ResolventForm) -> ResolventForm:
-        return replace(f, m=_identity_minus(f.m), c=-f.c)
+        return ResolventForm(_identity_minus(f.m), -f.c, f.region, f.sigma, f.a)
 
 
 class FlipBoth(Wrapper):
     """Conjugation x -> -A(-x); preserves maximal monotonicity."""
 
     def fold(self, f: ResolventForm) -> ResolventForm:
-        return replace(f, sigma=-f.sigma, c=-f.c)
+        return ResolventForm(f.m, -f.c, f.region, -f.sigma, f.a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,7 +475,7 @@ class InnerShift(Shift):
 
     def fold(self, f: ResolventForm) -> ResolventForm:
         w = self.shift
-        return replace(f, a=f.a - f.sigma * w, c=f.c + (w - _times(f.m, w)))
+        return ResolventForm(f.m, f.c + (w - _times(f.m, w)), f.region, f.sigma, f.a - f.sigma * w)
 
 
 class OuterShift(Shift):
@@ -483,7 +483,7 @@ class OuterShift(Shift):
 
     def fold(self, f: ResolventForm) -> ResolventForm:
         w = self.shift
-        return replace(f, a=f.a + f.sigma * w, c=f.c + _times(f.m, w))
+        return ResolventForm(f.m, f.c + _times(f.m, w), f.region, f.sigma, f.a + f.sigma * w)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +536,7 @@ class ResolventForm:
     @property
     def projects_bare(self) -> bool:
         """True when the projection term is P(x): sigma = 1 and a = 0."""
-        return self.sigma > 0 and not np.any(self.a)
+        return self.sigma > 0 and not (self.a.any() if isinstance(self.a, np.ndarray) else self.a)
 
     def _evaluator(self):
         m, c = self.m, self.c
@@ -611,7 +611,7 @@ def _normal_form(form: ResolventForm) -> ResolventForm:
             return form
     if not np.isfinite(c).all():
         return form
-    return replace(form, region=region, sigma=1, a=0.0, c=c)
+    return ResolventForm(form.m, c, region)
 
 
 def compile_resolvent(op: OperatorSpec) -> ResolventForm:

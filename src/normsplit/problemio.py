@@ -76,7 +76,7 @@ def _floats(obj, path: str, expected: str) -> np.ndarray:
 
 def _vector(obj, path: str) -> np.ndarray:
     v = _floats(obj, path, "a list of numbers")
-    if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
+    if v.ndim != 1 or v.size == 0 or not all(map(math.isfinite, v.tolist())):
         raise ProblemFormatError(path, "expected a nonempty finite vector")
     return v
 
@@ -84,7 +84,7 @@ def _vector(obj, path: str) -> np.ndarray:
 def _matrix(obj, path: str) -> np.ndarray:
     """A finite matrix as a list of rows; [], a list of no rows, passes as is."""
     m = _floats(obj, path, "a row-major list of rows")
-    if (m.ndim != 2 and m.size) or not np.all(np.isfinite(m)):
+    if (m.ndim != 2 and m.size) or not np.isfinite(m).all():
         raise ProblemFormatError(path, "expected a finite matrix as list of rows")
     return m
 

@@ -259,32 +259,40 @@ def _fast_forward(m_t, t_w, x0: np.ndarray, estimating: bool, max_iter: int,
     The rows go into one (_WINDOW + 1, dim) buffer, each by
     `m_t.dot(x, out=row); row += t_w`. A block ends at the next multiple of
     _WINDOW, or after one row at a probe: row _WINDOW in phase 1 (the first
-    with a real window partner) and row 0 in phase 2. Rows are taken in order
-    while their squared stop-rule norm is finite and above 2 tol^2, signed as
-    tol, so that rounding cannot hide a stop and a negative tol screens out no
-    row. Taken rows update phase 1's window ring, or phase 2's drift
-    iterate x_from and path sum, as the per-step loop would. The first
-    other row, or row max_iter - 1, ends the fast-forward, so the per-step
-    loop runs that row and every stop rule.
+    with a real window partner) and row 0 in phase 2, computed alike before
+    the buffer is allocated, for a warm start that hands off there. Rows are
+    taken in order while their squared stop-rule norm is finite and above
+    2 tol^2, signed as tol, so that rounding cannot hide a stop and a
+    negative tol screens out no row. Taken rows update phase 1's window ring,
+    or phase 2's drift iterate x_from and path sum, as the per-step loop
+    would. The first other row, or row max_iter - 1, ends the fast-forward,
+    so the per-step loop runs that row and every stop rule.
 
     Returns (n, x_n, ring, path, x_from) for the per-step loop to resume at
     row n; ring is a list of the last _WINDOW displacements in phase 1, else
     None.
     """
+    bound = math.copysign(2.0 * tol * tol, tol)
+    dot, n = m_t.dot, 0
+    if not estimating and max_iter > 1:  # drift_from >= 74, so row 0 adds to no drift sum
+        x1 = dot(x0, out=np.empty_like(x0))
+        x1 += t_w
+        d = x0 - x1
+        if not bound < d.dot(d) < math.inf:
+            return 0, x0, None, 0.0, None
+        x0, n = x1, 1
     dim = x0.size
     block = np.empty((_WINDOW + 1, dim))
     block[0] = x0
-    steps = list(zip(block[:-1], block[1:]))
+    steps = list(zip(rows := list(block), rows[1:]))  # one view per row, in two steps
     # per row: d_n = x_n - x_{n+1} (less d_{n-_WINDOW} in phase 1), its
     # squared norm, and whether it is taken
     window = np.empty((_WINDOW, dim))
     squares = np.empty(_WINDOW)
     taken, finite = np.empty(_WINDOW, dtype=bool), np.empty(_WINDOW, dtype=bool)
     ring = np.zeros((min(_WINDOW, max_iter), dim)) if estimating else None
-    probe = _WINDOW if estimating else 0
-    bound = math.copysign(2.0 * tol * tol, tol)
-    dot = m_t.dot
-    path, x_from, n = 0.0, None, 0
+    probe = _WINDOW if estimating else None  # phase 2's ran above
+    path, x_from = 0.0, None
     while n < max_iter - 1:
         end = min(n + 1 if n == probe else (n // _WINDOW + 1) * _WINDOW, max_iter - 1)
         count = end - n

@@ -1,15 +1,16 @@
 """Dense real linear algebra kernel: input coercion, least-norm solutions, nullspaces.
 
-Everything is plain float64 numpy: SVD-based orthonormal bases for
-nullspaces, least squares for least-norm solutions; problem sizes here are
-desk scale, dim <= ~100. The solver's one square solve, the affine resolvent,
-is a plain numpy solve in `operators.AffineMonotone`. Only
-`lu_factor_checked` uses scipy, and it imports scipy.linalg when first
-called, so that importing the package does not load scipy.
+Everything is plain float64 numpy, but for math.isfinite on each entry where
+as_vector checks a short vector: SVD-based orthonormal bases for nullspaces,
+least squares for least-norm solutions; problems are desk scale, dim <= ~100.
+The solver's one square solve, the affine resolvent, is a plain numpy solve
+in `operators.AffineMonotone`. Only `lu_factor_checked` uses scipy, imported
+when first called, so that importing the package does not load scipy.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -36,7 +37,8 @@ def as_vector(x, dim: int | None = None) -> Vector:
         raise DimensionMismatchError(f"expected a vector, got array of shape {v.shape}")
     if v.size == 0:
         raise DimensionMismatchError("vectors must have positive dimension")
-    if not np.all(np.isfinite(v)):
+    # up to 32 entries, math.isfinite on each value costs less than np.isfinite
+    if not (all(map(math.isfinite, v.tolist())) if v.size <= 32 else np.isfinite(v).all()):
         raise ValueError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise DimensionMismatchError(f"expected dimension {dim}, got {v.size}")
@@ -48,7 +50,7 @@ def as_matrix(m, square: bool = False) -> Matrix:
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got array of shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     if square and a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got {a.shape}")

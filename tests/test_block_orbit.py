@@ -8,6 +8,7 @@ solution and, when recorded, every trace column.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,6 +352,26 @@ class TestWork:
         pair = counting(lines_pair())
         assert len(_orbit(pair, [3.0, -2.0], np.array([0.0, 1.0]), 1000, 1e-9)[0]) == 1
         assert (CountingMatrix.into, CountingMatrix.calls) == (1, 1 + 2)
+
+    def test_a_warm_phase_2_hands_off_at_its_probe_before_any_buffer(self):
+        # phase 1 settles, so phase 2 starts at its x_N and certifies at row 0
+        pair = lines_at_angle(100, 0.3)
+        v, end = estimate_v(pair, np.linspace(-3.0, 3.0, 100), 1000)
+        assert end.x_last is not None
+        m_t, t_w = splitting._fused_step(pair, v)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            n, x, ring, path, x_from = splitting._fast_forward(
+                m_t, t_w, end.x_last, False, 1000, 1e-9, 749)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert (n, ring, path, x_from) == (0, None, 0.0, None)
+        np.testing.assert_array_equal(x, end.x_last)
+        # the probe row and its displacement, where the (51, 100) block and the
+        # (50, 100) window differences took 80 kB
+        assert peak <= 4 * 100 * 8
 
     @pytest.mark.parametrize("phase", [1, 2])
     def test_a_negative_tol_fast_forwards_to_the_last_row(self, phase):
