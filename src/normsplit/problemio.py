@@ -35,6 +35,7 @@ from .operators import (
     Zero,
 )
 from .splitting import CONVERGED, MAX_ITER, NO_FIXED_POINT, SolveOptions, SolveReport, _write_in_place
+from .vecspace import as_vector
 
 # the deepest wrapper stack a record may hold; decoding recurses once per level
 MAX_NESTING = 100
@@ -74,10 +75,14 @@ def _floats(obj, path: str, expected: str) -> np.ndarray:
         raise ProblemFormatError(path, "integer too large for a float64") from None
 
 
-def _vector(obj, path: str) -> np.ndarray:
+def _vector(obj, path: str, dim: Optional[int] = None) -> np.ndarray:
     v = _floats(obj, path, "a list of numbers")
-    if v.ndim != 1 or v.size == 0 or not all(map(math.isfinite, v.tolist())):
-        raise ProblemFormatError(path, "expected a nonempty finite vector")
+    try:
+        v = as_vector(v)
+    except ValueError:  # not 1-D, empty or not finite
+        raise ProblemFormatError(path, "expected a nonempty finite vector") from None
+    if dim is not None and v.size != dim:
+        raise ProblemFormatError(path, f"expected dimension {dim}")
     return v
 
 
@@ -199,11 +204,7 @@ def parse_problem(obj: dict) -> Problem:
             raise ProblemFormatError(
                 label, f"operator dimension {op.dim} does not match problem dim {dim}"
             )
-    w = None
-    if obj.get("w") is not None:
-        w = _vector(obj["w"], "problem.w")
-        if w.size != dim:
-            raise ProblemFormatError("problem.w", f"expected dimension {dim}")
+    w = None if obj.get("w") is None else _vector(obj["w"], "problem.w", dim)
 
     defaults = SolveOptions()
     raw = obj.get("options")
@@ -215,11 +216,7 @@ def parse_problem(obj: dict) -> Problem:
     for key in raw:
         if key not in known:
             raise ProblemFormatError(f"problem.options.{key}", "unknown option")
-    x0 = None
-    if raw.get("x0") is not None:
-        x0 = _vector(raw["x0"], "problem.options.x0")
-        if x0.size != dim:
-            raise ProblemFormatError("problem.options.x0", f"expected dimension {dim}")
+    x0 = None if raw.get("x0") is None else _vector(raw["x0"], "problem.options.x0", dim)
     options = checked_options(
         raw.get("max_iter", defaults.max_iter),
         raw.get("tol_v", defaults.tol_v),

@@ -274,7 +274,7 @@ def _fast_forward(m_t, t_w, x0: np.ndarray, estimating: bool, max_iter: int,
     """
     bound = math.copysign(2.0 * tol * tol, tol)
     dot, n = m_t.dot, 0
-    if not estimating and max_iter > 1:  # drift_from >= 74, so row 0 adds to no drift sum
+    if not estimating and max_iter > 1:  # drift_from >= 1, so row 0 adds to no drift sum
         x1 = dot(x0, out=np.empty_like(x0))
         x1 += t_w
         d = x0 - x1

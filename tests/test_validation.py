@@ -46,6 +46,10 @@ def refusal(fn, *args):
     ([1.0, NAN], None, ValueError, "vector entries must be finite"),
     ([INF, 1.0], None, ValueError, "vector entries must be finite"),
     ([1.0, -INF], 3, ValueError, "vector entries must be finite"),
+    # past 32 entries as_vector checks with np.isfinite instead
+    ([0.0] * 39 + [NAN], None, ValueError, "vector entries must be finite"),
+    ([INF] + [0.0] * 99, 100, ValueError, "vector entries must be finite"),
+    ([0.0] * 99 + [-INF], 100, ValueError, "vector entries must be finite"),
     ([], None, DimensionMismatchError, "vectors must have positive dimension"),
     (1.0, None, DimensionMismatchError, "expected a vector, got array of shape ()"),
     (None, None, DimensionMismatchError, "expected a vector, got array of shape ()"),
@@ -164,6 +168,7 @@ VECTOR_VALUES = [
     ([1.0, NAN], FINITE_VECTOR), ([INF, 1.0], FINITE_VECTOR), ([1.0, -INF], FINITE_VECTOR),
     ([], FINITE_VECTOR), (1.0, FINITE_VECTOR), ([[1.0, 2.0]], FINITE_VECTOR),
     ([[1.0], [1.0, 2.0]], NUMBERS), (["a", "b"], NUMBERS), ([HUGE, 1], TOO_BIG_FIELD),
+    ([0.0] * 39 + [NAN], FINITE_VECTOR), ([0.0] * 99 + [INF], FINITE_VECTOR),
 ]
 
 
