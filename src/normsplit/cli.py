@@ -24,6 +24,7 @@ from .splitting import (
     solve_normal,
     solve_perturbed,
 )
+from .vecspace import as_vector
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -42,12 +43,13 @@ def _vector_flag(text, name: str, dim: int, default):
     if text is None:
         return default
     try:
-        v = np.array([float(part) for part in text.split(",")])
+        parts = [float(part) for part in text.split(",")]
     except ValueError:
         raise ProblemFormatError(name, f"could not parse {text!r} as comma-separated floats") from None
-    if v.size != dim or not np.isfinite(v).all():
-        raise ProblemFormatError(name, f"expected {dim} finite comma-separated floats, got {text!r}")
-    return v
+    try:
+        return as_vector(parts, dim=dim)
+    except ValueError:  # the wrong count, or not finite
+        raise ProblemFormatError(name, f"expected {dim} finite comma-separated floats, got {text!r}") from None
 
 
 def _fmt_vec(v) -> str:
@@ -279,7 +281,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except NonFiniteIterateError as exc:
+    except (NonFiniteIterateError, PreconditionError) as exc:  # an overflow along the solve
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

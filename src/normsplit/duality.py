@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .operators import FlipBoth, Inverse, resolvent
-from .splitting import OperatorPair, certify, dr_apply
+from .operators import FlipBoth, Inverse
+from .splitting import OperatorPair, _step_and_shadow, certify
 from .vecspace import as_vector
 
 
@@ -58,12 +58,12 @@ def psi_inv(pair: OperatorPair, x: np.ndarray, w: np.ndarray,
     """
     x = as_vector(x, dim=pair.dim)
     w = as_vector(w, dim=pair.dim)
-    residual = float(np.linalg.norm(x - dr_apply(pair, x) - w))
+    tx, z = _step_and_shadow(pair, x)
+    residual = float(np.linalg.norm(x - tx - w))
     if residual > tol_fix * (1.0 + float(np.linalg.norm(x))):
         raise PreconditionError(
             f"not a fixed point of the value-shifted map: residual {residual:.3e}"
         )
-    z = resolvent(pair.B, x)
     zk = PrimalDualPair(z=z, k=x - z - w, w=w)
     certs = certify(pair, zk.z, zk.k, zk.w)
     if not all(certs.values()):

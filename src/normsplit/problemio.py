@@ -35,7 +35,7 @@ from .operators import (
     Zero,
 )
 from .splitting import CONVERGED, MAX_ITER, NO_FIXED_POINT, SolveOptions, SolveReport, _write_in_place
-from .vecspace import as_vector
+from .vecspace import as_matrix, as_vector
 
 # the deepest wrapper stack a record may hold; decoding recurses once per level
 MAX_NESTING = 100
@@ -89,9 +89,10 @@ def _vector(obj, path: str, dim: Optional[int] = None) -> np.ndarray:
 def _matrix(obj, path: str) -> np.ndarray:
     """A finite matrix as a list of rows; [], a list of no rows, passes as is."""
     m = _floats(obj, path, "a row-major list of rows")
-    if (m.ndim != 2 and m.size) or not np.isfinite(m).all():
-        raise ProblemFormatError(path, "expected a finite matrix as list of rows")
-    return m
+    try:
+        return as_matrix(m) if m.size else m
+    except ValueError:  # not 2-D or not finite
+        raise ProblemFormatError(path, "expected a finite matrix as list of rows") from None
 
 
 def _number(obj, path: str) -> float:

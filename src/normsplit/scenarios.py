@@ -98,8 +98,6 @@ def scenario_two_sets(u_set: ProjectableSet, v_set: ProjectableSet,
                       name: str = "two-sets", tolerance: float = 1e-6,
                       ap_rounds: int = AP_MAX_ROUNDS, **extra) -> Scenario:
     """Feasibility pair (N_U, N_V); oracle is alternating projections."""
-    if u_set.dim != v_set.dim:
-        raise ValueError("sets must share the ambient dimension")
     return Scenario(
         name=name,
         pair=OperatorPair(NormalCone(u_set), NormalCone(v_set)),
@@ -109,8 +107,7 @@ def scenario_two_sets(u_set: ProjectableSet, v_set: ProjectableSet,
     )
 
 
-def scenario_rotators(astar, bstar, name: str = "rotators",
-                      tolerance: float = 1e-7, **extra) -> Scenario:
+def scenario_rotators(astar, bstar, name: str = "rotators", **extra) -> Scenario:
     """Pair A = L + astar, B = -L - bstar with L the quarter-turn rotator.
 
     Both splitting operators are pure translations, so the closed forms are
@@ -130,7 +127,7 @@ def scenario_rotators(astar, bstar, name: str = "rotators",
         name=name,
         pair=OperatorPair(AffineMonotone(rot, astar), AffineMonotone(-rot, -bstar)),
         oracle=oracle,
-        tolerance=tolerance,
+        tolerance=1e-7,
         expected_v=v_ab,
         expected_v_note="closed form (Id - L)(astar - bstar) / 2",
         solution_note="every point solves the normal problem",
@@ -138,8 +135,7 @@ def scenario_rotators(astar, bstar, name: str = "rotators",
     )
 
 
-def scenario_constants(astar, bstar, name: str = "constants",
-                       tolerance: float = 1e-9, **extra) -> Scenario:
+def scenario_constants(astar, bstar, name: str = "constants", **extra) -> Scenario:
     """Constant-valued pair; v is astar + bstar in either order."""
     astar = as_vector(astar)
     bstar = as_vector(bstar, dim=astar.size)
@@ -153,7 +149,7 @@ def scenario_constants(astar, bstar, name: str = "constants",
         name=name,
         pair=OperatorPair(ConstantValued(astar), ConstantValued(bstar)),
         oracle=oracle,
-        tolerance=tolerance,
+        tolerance=1e-9,
         expected_v=total,
         expected_v_note="sum of the two constant values",
         solution_note="every point solves the normal problem",
@@ -161,8 +157,7 @@ def scenario_constants(astar, bstar, name: str = "constants",
     )
 
 
-def scenario_least_squares(m, b, name: str = "least-squares",
-                           tolerance: float = 1e-7, **extra) -> Scenario:
+def scenario_least_squares(m, b, name: str = "least-squares", **extra) -> Scenario:
     """Linear system m x = b posed as the pair (constant -b, linear m).
 
     Normal solutions are exactly the least squares solutions; the oracle
@@ -180,7 +175,7 @@ def scenario_least_squares(m, b, name: str = "least-squares",
         name=name,
         pair=OperatorPair(ConstantValued(-b), AffineMonotone(m, np.zeros(m.shape[0]))),
         oracle=oracle,
-        tolerance=tolerance,
+        tolerance=1e-7,
         solution_note="any least squares solution; z need only satisfy the normal equations",
         **extra,
     )
@@ -216,8 +211,7 @@ def affine_least_norm_witness(l_mat, astar, m_mat, bstar) -> tuple[np.ndarray, n
     return w, x
 
 
-def scenario_affine(l_mat, astar, m_mat, bstar, name: str = "affine",
-                    tolerance: float = 1e-5, **extra) -> Scenario:
+def scenario_affine(l_mat, astar, m_mat, bstar, name: str = "affine", **extra) -> Scenario:
     """General monotone affine pair; oracle is the least-norm witness program."""
     pair = OperatorPair(AffineMonotone(l_mat, astar), AffineMonotone(m_mat, bstar))
 
@@ -225,7 +219,7 @@ def scenario_affine(l_mat, astar, m_mat, bstar, name: str = "affine",
         w, x = affine_least_norm_witness(l_mat, astar, m_mat, bstar)
         return OracleResult(v=w, normal_solution=x, attained=True)
 
-    return Scenario(name=name, pair=pair, oracle=oracle, tolerance=tolerance, **extra)
+    return Scenario(name=name, pair=pair, oracle=oracle, tolerance=1e-5, **extra)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteIterateError
+from .errors import NonFiniteIterateError, PreconditionError
 from .operators import OperatorSpec, compile_resolvent, dense_affine, membership
 from .vecspace import as_rows, as_vector
 
@@ -341,7 +341,8 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     while |x_{N-1} - x_N| > tol; N < 100 steps are too few for that verdict.
     A non-finite iterate x_{n+1} raises NonFiniteIterateError(n), unless a
     stop rule fires at row n or before. The check that catches it runs only
-    when the row's stop-rule norm is not finite.
+    when the row's stop-rule norm is not finite. A certificate check that
+    reads a non-finite x + w, shadow, k + w or z - w raises PreconditionError.
 
     Only what the stop rules read is kept: phase 1 a ring of the last
     _WINDOW displacements, phase 2 the iterate x_{N-1-k} and a running sum
@@ -422,7 +423,10 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
                 if jb is None:
                     jb = apply_b(x + w)
                 k = x - jb
-                certificates = certify(pair, jb, k, w)
+                try:
+                    certificates = certify(pair, jb, k, w)
+                except ValueError:  # as_vector refuses a non-finite x + w, shadow, k + w or z - w
+                    raise PreconditionError(f"the certificate check at x_{n} overflowed float64") from None
                 if all(certificates.values()):
                     status, solution = CONVERGED, (x, jb, k)
                     break
@@ -483,8 +487,8 @@ def solve_perturbed(pair: OperatorPair, w: np.ndarray, x0=None,
     solution z = J_B(x + w), the dual vector k = x - z, and the two
     membership certificates (k + w in Bz, -k in A(z - w)). Lack of a fixed
     point is reported as evidence only: a straight-line drifting tail with
-    residual still above tol_fix at the iteration budget. The v_estimate field echoes the perturbation solved
-    for; solve_normal overwrites it with the phase-1 estimate. The report's
+    residual still above tol_fix at the iteration budget. v_estimate is a copy
+    of the w solved for: in solve_normal, the phase-1 estimate. The report's
     trace is the IterationTrace with `record`, else None.
     """
     opts = opts or SolveOptions()
@@ -527,7 +531,6 @@ def solve_normal(pair: OperatorPair, x0=None,
     v, v_end = estimate_v(pair, x0, opts.max_iter, opts.tol_v)
     start = x0 if v_end.x_last is None else v_end.x_last
     report = solve_perturbed(pair, v, start, opts, record=record)
-    report.v_estimate = v
     report.iterations_used += len(v_end)
     report.v_trace = v_end
     return report

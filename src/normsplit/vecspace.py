@@ -100,9 +100,9 @@ def least_norm(c: Matrix, d: Vector) -> Vector:
     the system has no solution.
     """
     a = as_matrix(c)
-    rhs = as_vector(d, dim=a.shape[0]) if a.shape[0] > 0 else np.zeros(0)
     if a.shape[0] == 0:
         return np.zeros(a.shape[1])
+    rhs = as_vector(d, dim=a.shape[0])
     y = np.linalg.lstsq(a, rhs, rcond=None)[0]
     residual = np.linalg.norm(a @ y - rhs)
     if residual > TOL_LIN * (1.0 + np.linalg.norm(rhs)):

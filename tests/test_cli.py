@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -8,10 +9,14 @@ import numpy as np
 import pytest
 
 from normsplit import (
+    AffineSubspace,
     ConstantValued,
+    EpigraphExp,
     OperatorPair,
     OperatorSpec,
     ProjectableSet,
+    SolveOptions,
+    Zero,
     dr_apply,
     dual_pair,
     estimate_v,
@@ -30,7 +35,8 @@ from normsplit.problemio import (
     report_from_jsonable,
     report_to_jsonable,
 )
-from normsplit.scenarios import get_scenario
+from normsplit.scenarios import get_scenario, scenario_two_sets
+from normsplit.splitting import NO_FIXED_POINT
 
 from reference import operator_to_jsonable, same_report, trace_csv
 from zoo import operator_zoo, rng, sample_points
@@ -300,6 +306,40 @@ class TestScenarioCommand:
     def test_unknown_scenario_exits_1(self, capsys):
         assert main(["scenario", "missing-name"]) == 1
         assert "unknown scenario" in capsys.readouterr().err
+
+    def test_an_unattained_oracle_asks_for_the_drift_verdict(self):
+        ok, report, lines = cli.run_scenario(short_epigraph())
+        assert ok and report.status == NO_FIXED_POINT
+        assert lines[-2:] == [
+            "  solver status = no_fixed_point_detected; oracle attained = False", "  PASS"]
+
+    @pytest.mark.parametrize("attained, code", [(False, 0), (True, 2)])
+    def test_epigraph_exit_codes(self, monkeypatch, capsys, attained, code):
+        # an oracle that claims attainment fails the drift verdict: exit 2
+        epigraph = short_epigraph()
+        claim = dataclasses.replace(
+            epigraph, oracle=lambda: dataclasses.replace(epigraph.oracle(), attained=attained))
+        monkeypatch.setattr(cli, "get_scenario", lambda name: claim)
+        assert main(["scenario", "epigraph-300"]) == code
+        assert capsys.readouterr().out.endswith("FAIL\n" if code else "PASS\n")
+
+    def test_a_failed_scenario_that_converged_exits_3(self, monkeypatch, capsys):
+        # the oracle denies attainment, so the converged solve fails it
+        balls = get_scenario("disjoint-balls")
+        denied = dataclasses.replace(
+            balls, oracle=lambda: dataclasses.replace(balls.oracle(), attained=False))
+        monkeypatch.setattr(cli, "get_scenario", lambda name: denied)
+        assert main(["scenario", "disjoint-balls"]) == 3
+        out = capsys.readouterr().out
+        assert "solver status = converged; oracle attained = False" in out
+        assert out.endswith("FAIL\n")
+
+
+def short_epigraph():
+    """The registry epigraph pair with a 300-step budget, which ends in a drift verdict."""
+    line = AffineSubspace([0.0, 0.0], [[1.0, 0.0]])
+    return scenario_two_sets(line, EpigraphExp(1.0), name="epigraph-300", tolerance=5e-2,
+                             ap_rounds=600, solve_opts=SolveOptions(max_iter=300))
 
 
 class TestDualityCheckCommand:
@@ -658,6 +698,19 @@ class TestNonFiniteOrbit:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "not finite" in err
         assert "Traceback" not in err
+
+    def test_a_certificate_check_that_overflows_is_a_typed_error(self):
+        pair = OperatorPair(ConstantValued([1e308, 0.0]), Zero(2))
+        with pytest.raises(PreconditionError, match="certificate check at x_0 overflowed"):
+            solve_perturbed(pair, np.array([1e308, 0.0]), np.array([1.7e308, 0.0]))
+
+    def test_a_certificate_check_that_overflows_exits_1(self, tmp_path, capsys):
+        # x0 is fixed at once, so x_1 is finite, but x0 + w overflows
+        path = write_problem(tmp_path, {"dim": 2, "A": OVERFLOWING,
+                                        "B": {"type": "zero", "dim": 2}})
+        assert main(["solve", path, "--w=1e308,0", "--x0=1.7e308,0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: the certificate check at x_0 overflowed float64\n")
 
     def test_duality_check_reports_the_overflow_not_a_zero(self, tmp_path, capsys):
         path = write_problem(tmp_path, {"dim": 2, "A": OVERFLOWING, "B": OVERFLOWING})

@@ -131,6 +131,22 @@ def test_a_stack_whose_image_overflows_keeps_sigma_and_a():
         np.testing.assert_array_equal(resolvent(op, x), reference_resolvent(op, x))
 
 
+def test_a_stack_whose_constant_overflows_keeps_sigma_and_a():
+    # J(x) = P(x + w) + w for w = (1e308, 0); the normal form's constant
+    # c + a = w + w is not a float64, though the image box, shifted by -w,
+    # is; so the form keeps a
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    w = np.array([1e308, 0.0])
+    op = OuterShift(OuterShift(InnerShift(NormalCone(box), w), w), w)
+    form = compile_resolvent(op)
+    assert form.region is box and not form.projects_bare
+    np.testing.assert_array_equal(form.a, w)
+    np.testing.assert_array_equal(form.c, w)
+    for x in ([0.0, 0.0], [3.0, -2.0]):
+        x = np.array(x)
+        np.testing.assert_array_equal(resolvent(op, x), box.project(x + w) + w)
+
+
 def test_the_bare_leaf_evaluates_as_its_projector():
     for _, region in sample_sets(2):
         form = compile_resolvent(NormalCone(region))

@@ -9,6 +9,7 @@ from normsplit import (
     OperatorPair,
     PrimalDualPair,
     Zero,
+    compile_resolvent,
     dr_apply,
     dual_pair,
     estimate_v,
@@ -95,6 +96,26 @@ class TestPsi:
         pair = get_scenario("disjoint-balls").pair
         with pytest.raises(PreconditionError):
             psi_inv(pair, np.array([15.0, 3.0]), np.zeros(2))
+
+    def test_precondition_rejects_a_pair_whose_certificates_fail(self):
+        # for constants a and b, x - T x = a + b: within tol_fix = 1 of w = 0,
+        # but -k = -b is not in A(z - w) = {a}
+        pair = OperatorPair(ConstantValued([0.1, 0.0]), ConstantValued([0.1, 0.0]))
+        with pytest.raises(PreconditionError, match="certificates failed"):
+            psi_inv(pair, np.zeros(2), np.zeros(2), tol_fix=1.0)
+
+    def test_evaluates_the_shadow_once(self, monkeypatch):
+        # one evaluation of J_B at x gives T x and the shadow z; the b-side
+        # certificate evaluates J_B(z + k + w) once more
+        pair = get_scenario("two-lines").pair
+        form = compile_resolvent(pair.B)
+        apply, points = form.apply, []
+        monkeypatch.setitem(form.__dict__, "apply", lambda y: points.append(y) or apply(y))
+        x = np.array([0.5, 2.0])
+        zk = psi_inv(pair, x, np.array([0.0, 1.0]))
+        assert len(points) == 2
+        np.testing.assert_array_equal(points[0], x)
+        np.testing.assert_array_equal(zk.z, [0.5, 1.0])
 
     def test_precondition_scales_with_the_point(self):
         # every point is a fixed point at w = (0, 1), so w misses by 1e-7:

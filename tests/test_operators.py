@@ -23,6 +23,7 @@ from normsplit import (
     InnerShift,
     Inverse,
     NormalCone,
+    OperatorSpec,
     OuterShift,
     Zero,
     compile_resolvent,
@@ -51,6 +52,10 @@ class TestSetValidation:
     def test_subspace_needs_orthonormal_basis(self):
         with pytest.raises(ValueError):
             AffineSubspace([0.0, 0.0], [[1.0, 1.0]])
+
+    def test_project_refuses_an_unknown_set_variant(self):
+        with pytest.raises(TypeError, match="unknown set variant object"):
+            project(object(), [0.0, 0.0])
 
     def test_halfspace_needs_nonzero_normal(self):
         with pytest.raises(ValueError):
@@ -149,6 +154,16 @@ class TestEpigraphProjection:
         res = minimize_scalar(sqdist, bounds=(lo, hi), method="bounded",
                               options={"xatol": 1e-13})
         return np.array([res.x, beta + math.exp(res.x)])
+
+    def test_an_overflowing_newton_step_falls_back_to_bisection(self):
+        # 2 q overflows, so there is no cap, and the bracket [673, 800] has
+        # its midpoint where exp overflows: g is not finite there and the step
+        # bisects. The nearest point is (log q, q), t to float64 precision and
+        # exp(t) to its condition number t
+        q = 1.7e308
+        px = project(EpigraphExp(0.0), [800.0, q])
+        assert px[0] == pytest.approx(math.log(q), rel=1e-15)
+        assert px[1] == pytest.approx(q, rel=1e-12)
 
     def test_interior_shortcut(self):
         epi = EpigraphExp(1.0)
@@ -274,6 +289,21 @@ class TestResolvent:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             resolvent(Zero(2), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_zero_needs_positive_dimension(self, dim):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            Zero(dim)
+
+    def test_compile_refuses_an_unknown_operator_variant(self):
+        # an OperatorSpec that is neither a leaf nor a wrapper has no rule
+        class Unknown(OperatorSpec):
+            dim = 2
+
+        with pytest.raises(TypeError, match="unknown operator variant Unknown"):
+            compile_resolvent(Unknown())
+        with pytest.raises(TypeError, match="unknown operator variant Unknown"):
+            compile_resolvent(Inverse(Unknown()))
 
     @given(arrays(float, 2, elements=coords))
     def test_inner_shift_rule(self, x):

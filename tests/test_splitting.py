@@ -37,6 +37,11 @@ from reference import drifting_tail, same_report, trace_csv
 from zoo import lines_at_angle, lines_pair, operator_pairs, rng, sample_points
 
 
+def test_a_pair_needs_one_dimension():
+    with pytest.raises(ValueError, match="different dimensions: 2 vs 3"):
+        OperatorPair(Zero(2), Zero(3))
+
+
 class TestDrApply:
     def test_zero_pair_is_identity(self):
         pair = OperatorPair(Zero(2), Zero(2))

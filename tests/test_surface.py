@@ -11,11 +11,17 @@ attribute or through a getattr string: a field that is only passed at
 construction, or accessed only by tests, is a setting to delete. And every
 public method or property of a public class is used by that code outside
 its own class: a method that only its own class calls is a private helper.
+
+And every parameter with a default, of a public function, of a public
+method of a public class or of a vecspace function, is passed by some call
+of that code, by position or by keyword: a default that no caller overrides
+is a constant, not an option. A call is matched to a function by its name.
 """
 
 import ast
 import dataclasses
 import functools
+import inspect
 import types
 from pathlib import Path
 
@@ -99,3 +105,48 @@ def test_every_public_method_is_used_outside_the_tests():
               if not name.startswith("_") and isinstance(value, kinds)
               and not any(used == name and cls.__name__ not in owners for used, owners in uses)}
     assert sorted(unused) == []
+
+
+def _defaulted_parameters() -> list:
+    """(qualified name, function name, index, parameter) for each parameter
+    with a default; index is its place among the arguments a call gives."""
+    functions = []
+    for name in normsplit.__all__:
+        obj = getattr(normsplit, name)
+        if isinstance(obj, types.FunctionType):
+            functions.append((name, name, obj, 0))
+        elif isinstance(obj, type):
+            functions += [(f"{name}.{attr}", attr, value, 1) for attr, value in vars(obj).items()
+                          if not attr.startswith("_") and isinstance(value, types.FunctionType)]
+    vecspace = normsplit.vecspace
+    functions += [(f"vecspace.{name}", name, obj, 0) for name, obj in vars(vecspace).items()
+                  if not name.startswith("_") and isinstance(obj, types.FunctionType)
+                  and obj.__module__ == vecspace.__name__]
+    out = []
+    for qualified, name, function, skip in functions:  # skip a method's self
+        params = list(inspect.signature(function).parameters.values())[skip:]
+        out += [(qualified, name, index, p) for index, p in enumerate(params)
+                if p.default is not inspect.Parameter.empty]
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    calls = [node for tree in _program_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Call)]
+
+    def passed(name, index, param):
+        positional = param.kind in (param.POSITIONAL_ONLY, param.POSITIONAL_OR_KEYWORD)
+        for call in calls:
+            func = call.func
+            if getattr(func, "id", None) != name and getattr(func, "attr", None) != name:
+                continue
+            if param.name in {keyword.arg for keyword in call.keywords}:
+                return True
+            if positional and (index < len(call.args)
+                               or any(isinstance(arg, ast.Starred) for arg in call.args)):
+                return True
+        return False
+
+    unpassed = {f"{qualified}({param.name})" for qualified, name, index, param
+                in _defaulted_parameters() if not passed(name, index, param)}
+    assert sorted(unpassed) == []

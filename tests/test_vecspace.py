@@ -77,6 +77,10 @@ class TestLeastNorm:
     def test_empty_constraints_give_zero(self):
         np.testing.assert_allclose(least_norm(np.zeros((0, 3)), []), [0, 0, 0])
 
+    def test_nullspace_of_no_rows_is_the_whole_space(self):
+        basis = nullspace(np.zeros((0, 3)))
+        np.testing.assert_allclose(basis.T @ basis, np.eye(3), atol=1e-15)
+
     def test_orthogonal_to_nullspace(self):
         gen = np.random.default_rng(7)
         for rows, cols in [(1, 4), (2, 5), (3, 8)]:
