@@ -7,12 +7,17 @@ Runs, through normsplit.cli.main, `scenario NAME --json --trace` for every
 registry scenario; then, for each registry scenario's pair written as a
 problem file and for each problem file given, `solve --json --trace`,
 `solve --w v --json --trace` with v the first solve's v_estimate, and
-`duality-check`. Before each command its --json and --trace targets hold a
-stale line followed by a 64 MiB sparse tail, so a writer that leaves any old
-byte behind changes the digest. Prints, per command, one SHA-256 over its
-stdout, stderr, exit code and both output files, then the command. The
-commands run in a temporary directory under relative names, so the lines of
-two checkouts compare with diff. The epigraph scenario takes some seconds.
+`duality-check`. Between the scenarios and the problem files it runs
+`FAILING`, one command for each way a command can fail on bad input: a
+missing or invalid file, a bad flag value, an unwritable --json or --trace,
+an overflow, an unknown scenario and a malformed argv. Before each command
+its --json and --trace targets hold a stale line followed by a 64 MiB sparse
+tail, so a writer that leaves any old byte behind changes the digest. Prints,
+per command, one SHA-256 over its stdout, stderr and exit code, and over both
+output files where the command writes them, then the command. An argparse
+exit (SystemExit) counts as the command's exit code. The commands run in a
+temporary directory under relative names, so the lines of two checkouts
+compare with diff. The epigraph scenario takes some seconds.
 """
 
 import contextlib
@@ -35,6 +40,51 @@ from reference import operator_to_jsonable  # noqa: E402
 REPORT, TRACE = "report.json", "trace.csv"
 STALE_BYTES = 1 << 26
 
+# a constant pair whose orbit overflows at once; B = 0 instead keeps x_0
+# fixed, so that only the certificate check at x_0 + w overflows (w = 1e308 e_1)
+_OVERFLOWING = {"type": "constant", "value": [1e308, 0.0]}
+_BALLS = {
+    "dim": 2,
+    "A": {"type": "normal_cone", "set": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}},
+    "B": {"type": "normal_cone", "set": {"type": "ball", "center": [3.0, 0.0], "radius": 1.0}},
+}
+FAILING_FILES = {
+    "broken.json": "{not json",
+    "balls.json": json.dumps(_BALLS),
+    "overflow.json": json.dumps({"dim": 2, "A": _OVERFLOWING, "B": _OVERFLOWING}),
+    "fixed.json": json.dumps({"dim": 2, "A": _OVERFLOWING, "B": {"type": "zero", "dim": 2},
+                              "options": {"x0": [1.7e308, 0.0]}}),
+}
+FAILING = [
+    ["solve", "missing.json"],
+    ["solve", "broken.json"],
+    ["solve", "balls.json", "--tol-v=-1"],
+    ["solve", "balls.json", "--w=1"],
+    ["solve", "balls.json", "--x0=1,x"],
+    ["solve", "balls.json", "--json", "missing-dir/" + REPORT],
+    ["solve", "balls.json", "--trace", "missing-dir/" + TRACE],
+    ["solve", "overflow.json"],
+    ["solve", "fixed.json", "--w=1e308,0"],
+    ["scenario", "no-such-scenario"],
+    ["scenario", "two-lines", "--json", "missing-dir/" + REPORT],
+    ["scenario", "two-lines", "--trace", "missing-dir/" + TRACE],
+    ["duality-check", "missing.json"],
+    ["duality-check", "broken.json"],
+    ["duality-check", "balls.json", "--w=1"],
+    ["duality-check", "balls.json", "--samples", "0"],
+    ["duality-check", "balls.json", "--seed", "-1"],
+    ["duality-check", "overflow.json"],
+    ["duality-check", "fixed.json", "--w=1e308,0"],
+    [],
+    ["frobnicate"],
+    ["solve", "balls.json", "--tol_v", "1e-3"],
+    ["solve"],
+    ["solve", "balls.json", "--max-iter", "many"],
+    ["scenario", "two-lines", "--max-iter", "0"],
+    ["scenario"],
+    ["duality-check", "balls.json", "--json", "r.json"],
+]
+
 
 def _stale(path: str) -> None:
     with open(path, "wb") as fh:
@@ -47,11 +97,14 @@ def _digest(argv: list) -> str:
         _stale(path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's exit, where main lets it through
+            code = exc.code
     h = hashlib.sha256()
     parts = [("stdout", out.getvalue().encode()), ("stderr", err.getvalue().encode()),
              ("exit", str(code).encode())]
-    if "--json" in argv:
+    if REPORT in argv:
         parts += [(path, Path(path).read_bytes()) for path in (REPORT, TRACE)]
     for label, data in parts:
         h.update(f"{label} {len(data)}\n".encode())
@@ -83,6 +136,10 @@ def main(argv) -> int:
         for name in names:
             lines.append((_digest(["scenario", name, "--json", REPORT, "--trace", TRACE]),
                           f"scenario {name}"))
+        for path, text in FAILING_FILES.items():
+            Path(path).write_text(text)
+        for argv in FAILING:
+            lines.append((_digest(argv), " ".join(argv) or "(no arguments)"))
         problems = []
         for name in names:
             sc = get_scenario(name)

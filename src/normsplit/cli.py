@@ -58,16 +58,6 @@ def _fmt_vec(v) -> str:
     return "[" + ", ".join(f"{x:.10g}" for x in np.asarray(v).tolist()) + "]"
 
 
-def _merged_options(problem: Problem, args) -> SolveOptions:
-    base = problem.options
-    return checked_options(
-        args.max_iter if args.max_iter is not None else base.max_iter,
-        args.tol_v if args.tol_v is not None else base.tol_v,
-        args.tol_fix if args.tol_fix is not None else base.tol_fix,
-        paths=("--max-iter", "--tol-v", "--tol-fix"),
-    )
-
-
 def _print_report(report: SolveReport) -> None:
     print(f"status:          {report.status}")
     print(f"v_estimate:      {_fmt_vec(report.v_estimate)}")
@@ -80,19 +70,14 @@ def _print_report(report: SolveReport) -> None:
         print(f"certificates:    {certs}")
 
 
-def _write_files(args, report: SolveReport, metadata: dict) -> bool:
-    """Write the --json report and --trace CSV; False, after an error line, if one fails."""
-    try:
-        if args.json:
-            write_report(args.json, report, metadata=metadata)
-            print(f"report written to {args.json}")
-        if args.trace:
-            report.trace.to_csv(args.trace)
-            print(f"trace written to {args.trace}")
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
+def _write_files(args, report: SolveReport, metadata: dict) -> None:
+    """Write the --json report and the --trace CSV, where they are asked for."""
+    if args.json:
+        write_report(args.json, report, metadata=metadata)
+        print(f"report written to {args.json}")
+    if args.trace:
+        report.trace.to_csv(args.trace)
+        print(f"trace written to {args.trace}")
 
 
 def _solve(pair: OperatorPair, w, x0, opts: SolveOptions, record: bool = False) -> SolveReport:
@@ -102,19 +87,25 @@ def _solve(pair: OperatorPair, w, x0, opts: SolveOptions, record: bool = False) 
     return solve_normal(pair, x0, opts, record=record)
 
 
+def _load_inputs(args) -> tuple[Problem, np.ndarray | None, SolveOptions]:
+    """The problem file, and its w and solve options with the flags' values merged in."""
+    problem = load_problem(args.problem)
+    w = _vector_flag(args.w, "--w", problem.dim, problem.w)
+    base = problem.options
+    return problem, w, checked_options(
+        args.max_iter if args.max_iter is not None else base.max_iter,
+        args.tol_v if args.tol_v is not None else base.tol_v,
+        args.tol_fix if args.tol_fix is not None else base.tol_fix,
+        paths=("--max-iter", "--tol-v", "--tol-fix"),
+    )
+
+
 def cmd_solve(args) -> int:
-    try:
-        problem = load_problem(args.problem)
-        w = _vector_flag(args.w, "--w", problem.dim, problem.w)
-        x0 = _vector_flag(args.x0, "--x0", problem.dim, problem.x0)
-        opts = _merged_options(problem, args)
-    except (ProblemFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    problem, w, opts = _load_inputs(args)
+    x0 = _vector_flag(args.x0, "--x0", problem.dim, problem.x0)
     report = _solve(OperatorPair(problem.a, problem.b), w, x0, opts, record=args.trace is not None)
     _print_report(report)
-    if not _write_files(args, report, {"problem": str(args.problem)}):
-        return EXIT_INPUT_ERROR
+    _write_files(args, report, {"problem": str(args.problem)})
     return _STATUS_EXIT[report.status]
 
 
@@ -162,29 +153,22 @@ def cmd_scenario(args) -> int:
         return EXIT_INPUT_ERROR
     ok, report, lines = run_scenario(scenario, record=args.trace is not None)
     print("\n".join(lines))
-    if not _write_files(args, report, {
+    _write_files(args, report, {
         "scenario": scenario.name,
         "expected_v": None if scenario.expected_v is None else scenario.expected_v.tolist(),
         "expected_v_note": scenario.expected_v_note,
-    }):
-        return EXIT_INPUT_ERROR
+    })
     if ok:
         return EXIT_OK
     return EXIT_MAX_ITER if report.status == CONVERGED else _STATUS_EXIT[report.status]
 
 
 def cmd_duality_check(args) -> int:
-    try:
-        problem = load_problem(args.problem)
-        w = _vector_flag(args.w, "--w", problem.dim, problem.w)
-        opts = _merged_options(problem, args)
-        if args.samples < 1:
-            raise ProblemFormatError("--samples", f"expected an integer >= 1, got {args.samples}")
-        if args.seed < 0:
-            raise ProblemFormatError("--seed", f"expected an integer >= 0, got {args.seed}")
-    except (ProblemFormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    problem, w, opts = _load_inputs(args)
+    if args.samples < 1:
+        raise ProblemFormatError("--samples", f"expected an integer >= 1, got {args.samples}")
+    if args.seed < 0:
+        raise ProblemFormatError("--seed", f"expected an integer >= 0, got {args.seed}")
     pair = OperatorPair(problem.a, problem.b)
     dual = dual_pair(pair)
     rng = np.random.default_rng(args.seed)
@@ -278,10 +262,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one command; every input, file or overflow error ends here as exit 1."""
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exc:  # --help, or a usage error after argparse's usage text
+        return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (NonFiniteIterateError, PreconditionError) as exc:  # an overflow along the solve
+    except (ProblemFormatError, OSError, NonFiniteIterateError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

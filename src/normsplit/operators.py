@@ -120,6 +120,9 @@ class Ball(ProjectableSet):
         dist = math.sqrt(d.dot(d))
         if dist <= self.radius:
             return x.copy()
+        if dist == math.inf:  # |d|^2 overflowed: d / max |d_i| points the same way
+            d /= np.abs(d).max()
+            dist = math.sqrt(d.dot(d))
         d *= self.radius / dist
         d += self.center
         return d
@@ -128,6 +131,10 @@ class Ball(ProjectableSet):
         d = xs - self.center
         dist = np.sqrt(np.einsum("ij,ij->i", d, d))
         outside = dist > self.radius
+        huge = dist == math.inf  # as in project, rescale the rows whose |d|^2 overflowed
+        if huge.any():
+            d[huge] /= np.abs(d[huge]).max(axis=1, keepdims=True)
+            dist[huge] = np.sqrt(np.einsum("ij,ij->i", d[huge], d[huge]))
         scale = np.divide(self.radius, dist, out=np.ones_like(dist), where=outside)
         return np.where(outside[:, None], self.center + scale[:, None] * d, xs)
 

@@ -3,6 +3,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -797,10 +799,96 @@ class TestOptionBounds:
     )
     def test_flags_a_command_does_not_read_are_refused(self, tmp_path, capsys, argv):
         path = write_problem(tmp_path, {"dim": 2, "A": BALL_A, "B": BALL_B})
-        with pytest.raises(SystemExit) as info:
-            main([path if arg == "PROBLEM" else arg for arg in argv])
-        assert info.value.code == 2
+        assert main([path if arg == "PROBLEM" else arg for arg in argv]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# each failure a command can meet on its input, files or arithmetic; the
+# upper-case words name files that `TestErrorContract.argv` writes
+INPUT_ERRORS = {
+    "solve-missing-file": ["solve", "MISSING"],
+    "solve-invalid-json": ["solve", "BROKEN"],
+    "solve-tol-v": ["solve", "PROBLEM", "--tol-v=-1"],
+    "solve-w": ["solve", "PROBLEM", "--w=1"],
+    "solve-x0": ["solve", "PROBLEM", "--x0=1,x"],
+    "solve-json-unwritable": ["solve", "PROBLEM", "--json", "NODIR"],
+    "solve-trace-unwritable": ["solve", "PROBLEM", "--trace", "NODIR"],
+    "solve-orbit-overflow": ["solve", "OVERFLOW"],
+    "solve-certificate-overflow": ["solve", "FIXED", "--w=1e308,0"],
+    "scenario-unknown-name": ["scenario", "no-such-scenario"],
+    "scenario-json-unwritable": ["scenario", "two-lines", "--json", "NODIR"],
+    "scenario-trace-unwritable": ["scenario", "two-lines", "--trace", "NODIR"],
+    "duality-check-missing-file": ["duality-check", "MISSING"],
+    "duality-check-invalid-json": ["duality-check", "BROKEN"],
+    "duality-check-w": ["duality-check", "PROBLEM", "--w=1"],
+    "duality-check-samples": ["duality-check", "PROBLEM", "--samples", "0"],
+    "duality-check-seed": ["duality-check", "PROBLEM", "--seed", "-1"],
+    "duality-check-sample-overflow": ["duality-check", "OVERFLOW"],
+    "duality-check-certificate-overflow": ["duality-check", "FIXED", "--w=1e308,0"],
+}
+USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["frobnicate"],
+    "solve-misspelt-flag": ["solve", "PROBLEM", "--tol_v", "1e-3"],
+    "solve-missing-problem": ["solve"],
+    "solve-non-integer-max-iter": ["solve", "PROBLEM", "--max-iter", "many"],
+    "scenario-flag-it-does-not-read": ["scenario", "two-lines", "--max-iter", "0"],
+    "scenario-missing-name": ["scenario"],
+    "duality-check-flag-it-does-not-read": ["duality-check", "PROBLEM", "--json", "r.json"],
+}
+
+
+class TestErrorContract:
+    """Every bad input exits 1 with one line on stderr, and never a traceback."""
+
+    @staticmethod
+    def argv(tmp_path, words):
+        files = {
+            "MISSING": tmp_path / "missing.json",
+            "BROKEN": tmp_path / "broken.json",
+            "PROBLEM": tmp_path / "problem.json",
+            "OVERFLOW": tmp_path / "overflow.json",
+            "FIXED": tmp_path / "fixed.json",
+            "NODIR": tmp_path / "missing-dir" / "out",
+        }
+        files["BROKEN"].write_text("{not json")
+        files["PROBLEM"].write_text(json.dumps({"dim": 2, "A": BALL_A, "B": BALL_B}))
+        files["OVERFLOW"].write_text(json.dumps(
+            {"dim": 2, "A": OVERFLOWING, "B": OVERFLOWING}))
+        # x0 is fixed at once, so x_1 is finite, but x0 + w overflows
+        files["FIXED"].write_text(json.dumps(
+            {"dim": 2, "A": OVERFLOWING, "B": {"type": "zero", "dim": 2},
+             "options": {"x0": [1.7e308, 0.0]}}))
+        return [str(files[word]) if word in files else word for word in words]
+
+    @pytest.mark.parametrize("words", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys())
+    def test_an_input_error_is_one_error_line(self, tmp_path, capsys, words):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            assert main(self.argv(tmp_path, words)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("words", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
+    def test_a_usage_error_is_argparse_usage_text(self, tmp_path, capsys, words):
+        assert main(self.argv(tmp_path, words)) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: normsplit")
+        assert re.fullmatch(r"normsplit( [a-z-]+)?: error: .+", lines[-1])
+        assert not any("error:" in line or "Traceback" in line for line in lines[:-1])
+
+    def test_exit_codes_of_the_program(self):
+        # the process's own status, as a shell sees it
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        runs = {
+            code: subprocess.run([sys.executable, "-m", "normsplit.cli", *words], env=env,
+                                 capture_output=True, text=True, timeout=60)
+            for code, words in [(0, ["--help"]), (1, ["solve", "problem.json", "--tol_v", "1"])]
+        }
+        assert runs[0].returncode == 0 and runs[0].stdout.startswith("usage: normsplit")
+        assert runs[1].returncode == 1 and "unrecognized arguments: --tol_v" in runs[1].stderr
+        assert "Traceback" not in runs[0].stderr + runs[1].stderr
 
 
 def _set_b(region: dict) -> dict:

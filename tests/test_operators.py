@@ -104,6 +104,22 @@ class TestProject:
         ball = Ball([3.0, 0.0], 1.0)
         np.testing.assert_allclose(project(ball, [0.0, 0.0]), [2.0, 0.0])
 
+    def test_ball_far_point_whose_squared_distance_overflows(self):
+        # beyond about 1.34e154 |x - c|^2 overflows; the orbit ignores that overflow
+        ball = Ball([1.0, 2.0], 2.0)
+        far = np.array([[3e300, -4e300], [1e155, 2.0], [-1e308, -1e308]])
+        expected = np.array([[2.2, 0.4], [3.0, 2.0], [1.0 - 2**0.5, 2.0 - 2**0.5]])
+        near = np.array([[4.0, 6.0], [1.5, 2.5]])  # outside and inside
+        with np.errstate(over="ignore"):
+            for x, nearest in zip(far, expected):
+                np.testing.assert_allclose(project(ball, x), nearest, rtol=1e-15)
+            rows = ball.project_rows(np.vstack([near[:1], far, near[1:]]))
+            near_rows = ball.project_rows(near)
+        np.testing.assert_allclose(rows[1:-1], expected, rtol=1e-15)
+        # a row whose squared distance is finite keeps its bits
+        np.testing.assert_array_equal(rows[[0, -1]], near_rows)
+        np.testing.assert_array_equal(near_rows, [project(ball, x) for x in near])
+
     def test_subspace_drops_coordinate(self):
         line = AffineSubspace([0.0, 0.0], [[1.0, 0.0]])
         np.testing.assert_allclose(project(line, [4.0, 7.0]), [4.0, 0.0])
