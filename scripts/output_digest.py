@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
 """Fingerprint every byte the CLI writes, so that two checkouts can be compared.
 
-Usage: python scripts/output_digest.py [problem.json ...]
+Usage: python scripts/output_digest.py
 
 Runs, through normsplit.cli.main, `scenario NAME --json --trace` for every
-registry scenario; then, for each registry scenario's pair written as a
-problem file and for each problem file given, `solve --json --trace`,
-`solve --w v --json --trace` with v the first solve's v_estimate, and
-`duality-check`. Between the scenarios and the problem files it runs
-`FAILING`, one command for each way a command can fail on bad input: a
-missing or invalid file, a bad flag value, an unwritable --json or --trace,
-an overflow, an unknown scenario and a malformed argv. Before each command
-its --json and --trace targets hold a stale line followed by a 64 MiB sparse
-tail, so a writer that leaves any old byte behind changes the digest. Prints,
-per command, one SHA-256 over its stdout, stderr and exit code, and over both
-output files where the command writes them, then the command. An argparse
-exit (SystemExit) counts as the command's exit code. The commands run in a
-temporary directory under relative names, so the lines of two checkouts
-compare with diff. The epigraph scenario takes some seconds.
+registry scenario; then the failing commands of `tests/error_cases.py`, one
+for each way a command can fail on bad input; then, for each registry
+scenario's pair written as a problem file and for each of the 40 problem
+files of the `cli-mix` benchmark workload at seed 11 (written by
+`perfbench/workloads.build`), `solve --json --trace`, `solve --w v --json
+--trace` with v the first solve's v_estimate, and `duality-check`: 183
+commands in all. Before each command its --json and --trace targets hold
+a stale line followed by a 64 MiB sparse tail, so a writer that leaves any
+old byte behind changes the digest. Prints, per command, one SHA-256 over
+its stdout, stderr and exit code, and over both output files where the
+command writes them, then the command. An argparse exit (SystemExit)
+counts as the command's exit code. The commands run in a temporary
+directory under relative names, so the lines of two checkouts compare with
+diff. The epigraph scenario takes some seconds.
 """
 
 import contextlib
@@ -25,14 +25,15 @@ import hashlib
 import io
 import json
 import os
-import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
+import workloads  # noqa: E402
+from error_cases import FILES, INPUT_ERRORS, USAGE_ERRORS  # noqa: E402
 from normsplit import cli  # noqa: E402
 from normsplit.scenarios import build_registry, get_scenario  # noqa: E402
 from reference import operator_to_jsonable  # noqa: E402
@@ -40,50 +41,8 @@ from reference import operator_to_jsonable  # noqa: E402
 REPORT, TRACE = "report.json", "trace.csv"
 STALE_BYTES = 1 << 26
 
-# a constant pair whose orbit overflows at once; B = 0 instead keeps x_0
-# fixed, so that only the certificate check at x_0 + w overflows (w = 1e308 e_1)
-_OVERFLOWING = {"type": "constant", "value": [1e308, 0.0]}
-_BALLS = {
-    "dim": 2,
-    "A": {"type": "normal_cone", "set": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}},
-    "B": {"type": "normal_cone", "set": {"type": "ball", "center": [3.0, 0.0], "radius": 1.0}},
-}
-FAILING_FILES = {
-    "broken.json": "{not json",
-    "balls.json": json.dumps(_BALLS),
-    "overflow.json": json.dumps({"dim": 2, "A": _OVERFLOWING, "B": _OVERFLOWING}),
-    "fixed.json": json.dumps({"dim": 2, "A": _OVERFLOWING, "B": {"type": "zero", "dim": 2},
-                              "options": {"x0": [1.7e308, 0.0]}}),
-}
-FAILING = [
-    ["solve", "missing.json"],
-    ["solve", "broken.json"],
-    ["solve", "balls.json", "--tol-v=-1"],
-    ["solve", "balls.json", "--w=1"],
-    ["solve", "balls.json", "--x0=1,x"],
-    ["solve", "balls.json", "--json", "missing-dir/" + REPORT],
-    ["solve", "balls.json", "--trace", "missing-dir/" + TRACE],
-    ["solve", "overflow.json"],
-    ["solve", "fixed.json", "--w=1e308,0"],
-    ["scenario", "no-such-scenario"],
-    ["scenario", "two-lines", "--json", "missing-dir/" + REPORT],
-    ["scenario", "two-lines", "--trace", "missing-dir/" + TRACE],
-    ["duality-check", "missing.json"],
-    ["duality-check", "broken.json"],
-    ["duality-check", "balls.json", "--w=1"],
-    ["duality-check", "balls.json", "--samples", "0"],
-    ["duality-check", "balls.json", "--seed", "-1"],
-    ["duality-check", "overflow.json"],
-    ["duality-check", "fixed.json", "--w=1e308,0"],
-    [],
-    ["frobnicate"],
-    ["solve", "balls.json", "--tol_v", "1e-3"],
-    ["solve"],
-    ["solve", "balls.json", "--max-iter", "many"],
-    ["scenario", "two-lines", "--max-iter", "0"],
-    ["scenario"],
-    ["duality-check", "balls.json", "--json", "r.json"],
-]
+# the cli-mix round that README.md and CHANGES.md quote
+CLI_MIX_SEED = 11
 
 
 def _stale(path: str) -> None:
@@ -127,8 +86,7 @@ def _problem_commands(path: str) -> list:
     return lines
 
 
-def main(argv) -> int:
-    given = [Path(p).resolve() for p in argv]
+def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         lines = []
@@ -136,9 +94,9 @@ def main(argv) -> int:
         for name in names:
             lines.append((_digest(["scenario", name, "--json", REPORT, "--trace", TRACE]),
                           f"scenario {name}"))
-        for path, text in FAILING_FILES.items():
+        for path, text in FILES.items():
             Path(path).write_text(text)
-        for argv in FAILING:
+        for argv in [*INPUT_ERRORS.values(), *USAGE_ERRORS.values()]:
             lines.append((_digest(argv), " ".join(argv) or "(no arguments)"))
         problems = []
         for name in names:
@@ -153,9 +111,9 @@ def main(argv) -> int:
             }
             problems.append(f"{name}.json")
             Path(problems[-1]).write_text(json.dumps(problem))
-        for i, path in enumerate(given):
-            problems.append(f"given{i}-{path.name}")
-            shutil.copyfile(path, problems[-1])
+        # writes p0.json to p39.json and runs no command
+        workloads.build("cli-mix", CLI_MIX_SEED, ".")
+        problems += [f"p{j}.json" for j in range(workloads.CLI_PROBLEMS)]
         for path in problems:
             lines += _problem_commands(path)
         os.chdir(ROOT)
@@ -165,4 +123,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

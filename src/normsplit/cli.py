@@ -24,7 +24,7 @@ from .splitting import (
     solve_normal,
     solve_perturbed,
 )
-from .vecspace import as_vector
+from .vecspace import as_vector, length
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -179,14 +179,13 @@ def cmd_duality_check(args) -> int:
         # an overflow shows as a non-finite deviation, reported below
         with np.errstate(over="ignore", invalid="ignore"):
             tx, jb = _step_and_shadow(pair, xs)
-            devs = np.linalg.norm(tx - dr_apply(dual, xs), axis=1)
+            devs = length(tx - dr_apply(dual, xs))
             # bounds every intermediate of both steps: |J_A(R_B x)| <= |T x| + |x| + |J_B x|
-            scales = 1.0 + sum(np.linalg.norm(a, axis=1) for a in (xs, jb, tx))
+            scales = 1.0 + sum(length(a) for a in (xs, jb, tx))
         overflowed = np.flatnonzero(~np.isfinite(devs))
         if overflowed.size:
-            print(f"error: |T x - T_dual x| is not finite at sample {start + overflowed[0]}: "
-                  "the splitting operator overflowed float64", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            raise PreconditionError(f"|T x - T_dual x| is not finite at sample {start + overflowed[0]}: "
+                                    "the splitting operator overflowed float64")
         dev_pointwise = max(dev_pointwise, float((devs / scales).max()))
     print(f"max |T x - T_dual x| / (1 + |x| + |J_B x| + |T x|) over {args.samples} samples: "
           f"{dev_pointwise:.3e}")
@@ -205,10 +204,10 @@ def cmd_duality_check(args) -> int:
             print(f"bijection roundtrip failed at the fixed point: {exc}")
             return EXIT_MAX_ITER
         dev_psi = max(
-            float(np.linalg.norm(fixed - (report.governing_point + zk.w))),
-            float(np.linalg.norm(back.z - zk.z)),
-            float(np.linalg.norm(back.k - zk.k)),
-        ) / (1.0 + float(np.linalg.norm(fixed)))
+            length(fixed - (report.governing_point + zk.w)),
+            length(back.z - zk.z),
+            length(back.k - zk.k),
+        ) / (1.0 + length(fixed))
         print(f"max bijection roundtrip deviation / (1 + |x|) at the fixed point x: {dev_psi:.3e}")
     else:
         print(f"solve did not converge (status {report.status}); roundtrip check skipped")

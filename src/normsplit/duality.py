@@ -18,7 +18,7 @@ import numpy as np
 from .errors import PreconditionError
 from .operators import FlipBoth, Inverse
 from .splitting import OperatorPair, _step_and_shadow, certify
-from .vecspace import as_vector
+from .vecspace import as_vector, length
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,8 +59,8 @@ def psi_inv(pair: OperatorPair, x: np.ndarray, w: np.ndarray,
     x = as_vector(x, dim=pair.dim)
     w = as_vector(w, dim=pair.dim)
     tx, z = _step_and_shadow(pair, x)
-    residual = float(np.linalg.norm(x - tx - w))
-    if residual > tol_fix * (1.0 + float(np.linalg.norm(x))):
+    residual = length(x - tx - w)
+    if residual > tol_fix * (1.0 + length(x)):
         raise PreconditionError(
             f"not a fixed point of the value-shifted map: residual {residual:.3e}"
         )

@@ -26,7 +26,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import DimensionMismatchError, SingularSystemError
-from .vecspace import as_matrix, as_vector
+from .vecspace import as_matrix, as_vector, length
 
 # membership certificates sit downstream of iterative solves; looser than TOL_LIN
 TOL_CERT = 1e-7
@@ -662,4 +662,4 @@ def membership(op: OperatorSpec, x: np.ndarray, xstar: np.ndarray) -> bool:
     x = as_vector(x, dim=op.dim)
     xstar = as_vector(xstar, dim=op.dim)
     d = compile_resolvent(op).apply(x + xstar) - x
-    return bool(math.sqrt(d.dot(d)) <= TOL_CERT * (1.0 + math.sqrt(x.dot(x))))
+    return bool(length(d) <= TOL_CERT * (1.0 + length(x)))

@@ -1,4 +1,4 @@
-"""Dense real linear algebra kernel: input coercion, least-norm solutions, nullspaces.
+"""Dense real linear algebra kernel: input coercion, lengths, least-norm solutions, nullspaces.
 
 Everything is plain float64 numpy, but for math.isfinite on each entry where
 as_vector checks a short vector: SVD-based orthonormal bases for nullspaces,
@@ -91,6 +91,31 @@ def lu_factor_checked(m: Matrix):
             f"below {PIVOT_REL:.0e} * scale {scale:.3e}"
         )
     return lu, piv
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def length(a: np.ndarray):
+    """Euclidean length of a vector, or the array of lengths of a block's rows.
+
+    A length is the square root of the plain squared sum, bit for bit as
+    `np.linalg.norm`. Where that sum overflows float64, and only there, the
+    entries are first divided by the largest of them, as `Ball.project`
+    does. A non-finite entry gives a non-finite length. Raises no
+    RuntimeWarning.
+    """
+    if a.ndim == 1:
+        size = math.sqrt(a.dot(a))
+        if size == math.inf:
+            top = float(np.abs(a).max())
+            unit = a / top
+            size = top * math.sqrt(unit.dot(unit))
+        return size
+    sizes = np.linalg.norm(a, axis=1)
+    huge = sizes == math.inf
+    if huge.any():
+        top = np.abs(a[huge]).max(axis=1)
+        sizes[huge] = top * np.linalg.norm(a[huge] / top[:, None], axis=1)
+    return sizes
 
 
 def least_norm(c: Matrix, d: Vector) -> Vector:

@@ -40,11 +40,10 @@ from normsplit.problemio import (
 from normsplit.scenarios import get_scenario, scenario_two_sets
 from normsplit.splitting import NO_FIXED_POINT
 
+from error_cases import BALL_A, BALL_B, FILES, INPUT_ERRORS, OVERFLOWING, USAGE_ERRORS
 from reference import operator_to_jsonable, same_report, trace_csv
 from zoo import operator_zoo, rng, sample_points
 
-BALL_A = {"type": "normal_cone", "set": {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}}
-BALL_B = {"type": "normal_cone", "set": {"type": "ball", "center": [3.0, 0.0], "radius": 1.0}}
 LINE_LOWER = {
     "type": "normal_cone",
     "set": {"type": "affine_subspace", "anchor": [0.0, 0.0], "basis": [[1.0, 0.0]]},
@@ -502,6 +501,32 @@ class TestDualityCheckCommand:
         expected = self._loop_max(self.EPIGRAPH_BALL, swapped, 40, 3)
         assert expected > 0.1 and f"{printed:.3e}" == f"{expected:.3e}"
 
+    def test_a_finite_deviation_whose_square_overflows_is_measured(self, tmp_path, capsys):
+        # T x = (x - a*) / 2 and T_dual x are near (-1e307, 0), both finite;
+        # |T x - T_dual x| is about 1e291, so its plain squared sum overflows
+        identity = [[1.0, 0.0], [0.0, 1.0]]
+        path = write_problem(tmp_path, {
+            "dim": 2,
+            "A": {"type": "affine", "matrix": identity, "offset": [2e307, 0.0]},
+            "B": {"type": "affine", "matrix": identity, "offset": [-1.9999999999999998e307, 0.0]},
+        })
+        assert main(["duality-check", path, "--max-iter", "1000"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert float(out.splitlines()[0].rsplit(" ", 1)[1]) < 1e-15
+
+    def test_a_far_certificate_check_raises_no_warning(self, tmp_path, capsys):
+        # phase 2 certifies a point near (2e307, 0), whose squared length overflows
+        path = write_problem(tmp_path, {
+            "dim": 2,
+            "A": {"type": "constant", "value": [2e307, 0.0]},
+            "B": {"type": "constant", "value": [-2e307, 0.0]},
+        })
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["duality-check", path]) == 0
+        assert capsys.readouterr().err == ""
+
     @BLOCKS
     def test_first_non_finite_sample_is_named(self, tmp_path, capsys, monkeypatch, block):
         if block:
@@ -675,9 +700,6 @@ class TestReportRoundTrip:
             )
 
 
-OVERFLOWING = {"type": "constant", "value": [1e308, 0.0]}
-
-
 class TestNonFiniteOrbit:
     """A = B = constant 1e308 e_1 overflows on the first step."""
 
@@ -803,76 +825,27 @@ class TestOptionBounds:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-# each failure a command can meet on its input, files or arithmetic; the
-# upper-case words name files that `TestErrorContract.argv` writes
-INPUT_ERRORS = {
-    "solve-missing-file": ["solve", "MISSING"],
-    "solve-invalid-json": ["solve", "BROKEN"],
-    "solve-tol-v": ["solve", "PROBLEM", "--tol-v=-1"],
-    "solve-w": ["solve", "PROBLEM", "--w=1"],
-    "solve-x0": ["solve", "PROBLEM", "--x0=1,x"],
-    "solve-json-unwritable": ["solve", "PROBLEM", "--json", "NODIR"],
-    "solve-trace-unwritable": ["solve", "PROBLEM", "--trace", "NODIR"],
-    "solve-orbit-overflow": ["solve", "OVERFLOW"],
-    "solve-certificate-overflow": ["solve", "FIXED", "--w=1e308,0"],
-    "scenario-unknown-name": ["scenario", "no-such-scenario"],
-    "scenario-json-unwritable": ["scenario", "two-lines", "--json", "NODIR"],
-    "scenario-trace-unwritable": ["scenario", "two-lines", "--trace", "NODIR"],
-    "duality-check-missing-file": ["duality-check", "MISSING"],
-    "duality-check-invalid-json": ["duality-check", "BROKEN"],
-    "duality-check-w": ["duality-check", "PROBLEM", "--w=1"],
-    "duality-check-samples": ["duality-check", "PROBLEM", "--samples", "0"],
-    "duality-check-seed": ["duality-check", "PROBLEM", "--seed", "-1"],
-    "duality-check-sample-overflow": ["duality-check", "OVERFLOW"],
-    "duality-check-certificate-overflow": ["duality-check", "FIXED", "--w=1e308,0"],
-}
-USAGE_ERRORS = {
-    "no-command": [],
-    "unknown-command": ["frobnicate"],
-    "solve-misspelt-flag": ["solve", "PROBLEM", "--tol_v", "1e-3"],
-    "solve-missing-problem": ["solve"],
-    "solve-non-integer-max-iter": ["solve", "PROBLEM", "--max-iter", "many"],
-    "scenario-flag-it-does-not-read": ["scenario", "two-lines", "--max-iter", "0"],
-    "scenario-missing-name": ["scenario"],
-    "duality-check-flag-it-does-not-read": ["duality-check", "PROBLEM", "--json", "r.json"],
-}
-
-
 class TestErrorContract:
     """Every bad input exits 1 with one line on stderr, and never a traceback."""
 
-    @staticmethod
-    def argv(tmp_path, words):
-        files = {
-            "MISSING": tmp_path / "missing.json",
-            "BROKEN": tmp_path / "broken.json",
-            "PROBLEM": tmp_path / "problem.json",
-            "OVERFLOW": tmp_path / "overflow.json",
-            "FIXED": tmp_path / "fixed.json",
-            "NODIR": tmp_path / "missing-dir" / "out",
-        }
-        files["BROKEN"].write_text("{not json")
-        files["PROBLEM"].write_text(json.dumps({"dim": 2, "A": BALL_A, "B": BALL_B}))
-        files["OVERFLOW"].write_text(json.dumps(
-            {"dim": 2, "A": OVERFLOWING, "B": OVERFLOWING}))
-        # x0 is fixed at once, so x_1 is finite, but x0 + w overflows
-        files["FIXED"].write_text(json.dumps(
-            {"dim": 2, "A": OVERFLOWING, "B": {"type": "zero", "dim": 2},
-             "options": {"x0": [1.7e308, 0.0]}}))
-        return [str(files[word]) if word in files else word for word in words]
+    @pytest.fixture
+    def in_error_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, text in FILES.items():
+            (tmp_path / name).write_text(text)
 
     @pytest.mark.parametrize("words", INPUT_ERRORS.values(), ids=INPUT_ERRORS.keys())
-    def test_an_input_error_is_one_error_line(self, tmp_path, capsys, words):
+    def test_an_input_error_is_one_error_line(self, in_error_dir, capsys, words):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a warning would be a second stderr line
-            assert main(self.argv(tmp_path, words)) == 1
+            assert main(words) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("words", USAGE_ERRORS.values(), ids=USAGE_ERRORS.keys())
-    def test_a_usage_error_is_argparse_usage_text(self, tmp_path, capsys, words):
-        assert main(self.argv(tmp_path, words)) == 1
+    def test_a_usage_error_is_argparse_usage_text(self, in_error_dir, capsys, words):
+        assert main(words) == 1
         lines = capsys.readouterr().err.splitlines()
         assert lines[0].startswith("usage: normsplit")
         assert re.fullmatch(r"normsplit( [a-z-]+)?: error: .+", lines[-1])

@@ -126,6 +126,12 @@ class TestPsi:
         with pytest.raises(PreconditionError):
             psi_inv(pair, np.array([1.0, 2.0]), w)
 
+    def test_precondition_holds_where_the_squared_length_overflows(self):
+        # x - T x - w = (1e155, 0), against tol_fix (1 + |x|) = 1e151
+        pair = OperatorPair(ConstantValued([1e155, 0.0]), Zero(2))
+        with pytest.raises(PreconditionError, match="not a fixed point"):
+            psi_inv(pair, np.array([1e160, 0.0]), np.zeros(2))
+
     def test_validate_flags_bad_pairs(self):
         pair = get_scenario("two-lines").pair
         bogus = PrimalDualPair(z=[0.0, 0.3], k=[1.0, 0.0], w=[0.0, 1.0])

@@ -495,6 +495,14 @@ class TestMembership:
         assert not membership(cone, [1.0], [-5.0])
         assert not membership(ConstantValued([1.0, 1.0]), [9.0, 9.0], [0.0, 0.0])
 
+    def test_far_point_whose_squared_length_overflows(self):
+        # the same relative error at 1e150, where |x|^2 is finite, and at
+        # 1e160, where it overflows and TOL_CERT (1 + |x|) must not read inf
+        zero = ConstantValued([0.0, 0.0])
+        assert not membership(zero, [1e150, 0.0], [1e145, 0.0])
+        assert not membership(zero, [1e160, 0.0], [1e155, 0.0])
+        assert membership(ConstantValued([1e155, 0.0]), [1e160, 0.0], [1e155, 0.0])
+
 
 def _psd_affine(g: np.ndarray, offset: np.ndarray) -> AffineMonotone:
     dim = g.shape[0]

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from normsplit import (
+    AffineMonotone,
     AffineSubspace,
     Ball,
     EpigraphExp,
+    OperatorPair,
     membership,
     project,
 )
@@ -194,6 +196,35 @@ class TestAffineWitness:
                 kernel = nullspace(perp.T @ (np.eye(dim) + l_mat))
                 for j in range(kernel.shape[1]):
                     assert abs(float(w @ kernel[:, j])) <= 1e-9
+
+
+    def test_matches_the_affine_closed_form_on_rank_deficient_pairs(self):
+        # with (M_T, t) the pair's affine step and R = ran(I - M_T), the
+        # displacement x - T x ranges over R - t, so v = -(I - P_R) t
+        gen = np.random.default_rng(2024)
+
+        def monotone(dim):
+            # Q (S + K) Q^T of rank below dim: S positive semidefinite, K skew
+            rank = int(gen.integers(0, dim))
+            q = np.linalg.qr(gen.normal(size=(dim, dim)))[0][:, :rank]
+            g, s = gen.normal(size=(rank, rank)), gen.normal(size=(rank, rank))
+            return q @ (g @ g.T + s - s.T) @ q.T
+
+        for _ in range(300):
+            dim = int(gen.integers(2, 7))
+            l_mat, m_mat = monotone(dim), monotone(dim)
+            astar, bstar = gen.normal(size=dim), gen.normal(size=dim)
+            w, x = affine_least_norm_witness(l_mat, astar, m_mat, bstar)
+            m_t, t = OperatorPair(AffineMonotone(l_mat, astar), AffineMonotone(m_mat, bstar)).affine_step
+            u, s, _ = np.linalg.svd(np.eye(dim) - m_t)
+            # a relative cutoff: n eps s_max counts a 3e-16 singular value of a
+            # 2-D pair into the rank
+            basis = u[:, : int(np.sum(s > 1e-10 * s[0]))]
+            v = basis @ (basis.T @ t) - t
+            assert np.linalg.norm(w - v) <= 1e-10 * (1.0 + np.linalg.norm(t))
+            rhs = astar + bstar
+            residual = (l_mat + m_mat) @ x - ((np.eye(dim) + l_mat) @ w - rhs)
+            assert np.linalg.norm(residual) <= 1e-8 * (1.0 + np.linalg.norm(rhs))
 
 
 class TestRegistry:

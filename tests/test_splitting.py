@@ -469,9 +469,11 @@ class TestTraceExport:
 
     def test_csv_peak_memory_is_a_few_times_the_file(self, tmp_path):
         # small-integer floats, so that every cell is short and the file small
-        # next to the Python lists a whole-table conversion would build
+        # next to the Python lists a whole-table conversion would build; the
+        # rows span five of to_csv's chunks, and an unchunked to_csv peaks
+        # at about 9 times the file
         gen = rng(7)
-        rows, dim = 20_000, 20
+        rows, dim = 5_000, 20
         xs, shadows, disps = (gen.integers(-9, 10, size=(rows, dim)).astype(float)
                               for _ in range(3))
         trace = splitting.IterationTrace(xs, shadows, disps)

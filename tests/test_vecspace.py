@@ -10,6 +10,7 @@ from normsplit.errors import (
 from normsplit.vecspace import (
     as_vector,
     least_norm,
+    length,
     lu_factor_checked,
     nullspace,
 )
@@ -23,6 +24,24 @@ class TestAsVector:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             as_vector([1.0, float("nan")])
+
+
+class TestLength:
+    def test_a_finite_squared_sum_keeps_the_bits_of_np_linalg_norm(self):
+        gen = np.random.default_rng(5)
+        block = gen.normal(size=(50, 7)) * 10.0 ** gen.integers(-150, 150, size=(50, 1))
+        np.testing.assert_array_equal(length(block), np.linalg.norm(block, axis=1))
+        assert all(length(row) == np.linalg.norm(row) for row in block)
+
+    def test_an_overflowing_squared_sum_is_rescaled(self):
+        assert length(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+        rows = length(np.array([[3e200, -4e200], [3.0, 4.0]]))
+        np.testing.assert_allclose(rows, [5e200, 5.0], rtol=1e-15)
+
+    def test_a_non_finite_entry_gives_a_non_finite_length(self):
+        assert not np.isfinite(length(np.array([np.inf, 1.0])))
+        rows = length(np.array([[np.inf, 1e200], [np.nan, 0.0], [1.0, 0.0]]))
+        np.testing.assert_array_equal(np.isfinite(rows), [False, False, True])
 
 
 def checked_lu_solve(m, b):
