@@ -12,7 +12,9 @@ block X. For every registry pair and zoo pair (dims 2 and 3) it prints the
 largest relative deviation of dr_apply on that block from dr_apply on each
 point, and, for the pairs whose DR step fuses into one affine map
 x -> M_T x + t, the largest relative deviation
-|M_T x + t - dr_apply(x)| / (1 + |x|) and how many pairs fuse. Exits 1 if
+|M_T x + t - dr_apply(x)| / (1 + |x|) and how many pairs fuse, and for the
+same pairs the largest relative deviation of the 50-row jump
+M_T^50 x + (I + M_T + ... + M_T^49) t from 50 fused steps from x. Exits 1 if
 any deviation exceeds 1e-12. The orbits of the fused pairs are compared
 with the per-step loop in tests/test_block_orbit.py.
 """
@@ -27,6 +29,7 @@ import numpy as np  # noqa: E402
 
 from normsplit import compile_resolvent, dr_apply, resolvent  # noqa: E402
 from normsplit.scenarios import build_registry, get_scenario  # noqa: E402
+from normsplit.splitting import _WINDOW  # noqa: E402
 from reference import reference_resolvent  # noqa: E402
 from zoo import operator_pairs, operator_zoo  # noqa: E402
 
@@ -79,6 +82,18 @@ def step_deviation(pair) -> float:
     return relative_deviation(steps, points, lambda x: dr_apply(pair, x))
 
 
+def jump_deviation(pair) -> float:
+    m_t, t = pair.affine_step
+    power, total = pair._window_jump
+    points = seeded_points(pair.dim)
+    stepped = points
+    for _ in range(_WINDOW):
+        stepped = stepped @ m_t.T + t
+    jumped = points @ power.T + total.dot(t)
+    gaps = np.linalg.norm(jumped - stepped, axis=1) / (1.0 + np.linalg.norm(points, axis=1))
+    return float(gaps.max())
+
+
 def check_pairs() -> list:
     pairs = [(name, get_scenario(name).pair) for name in sorted(build_registry())]
     for dim in (2, 3):
@@ -105,6 +120,16 @@ def check_pairs() -> list:
         if dev > TOL:
             failures.append(label)
     print(f"{len(fused)} of {len(pairs)} pairs fuse, largest relative step deviation "
+          f"{worst:.2e} (tolerance {TOL:g})")
+    worst = 0.0
+    for label, pair in fused:
+        dev = jump_deviation(pair)
+        worst = max(worst, dev)
+        flag = "" if dev <= TOL else "  FAIL"
+        print(f"jump {label:<56} rel dev {dev:.2e}{flag}")
+        if dev > TOL:
+            failures.append(f"jump {label}")
+    print(f"{len(fused)} fused pairs, largest relative deviation of a {_WINDOW}-row jump "
           f"{worst:.2e} (tolerance {TOL:g})")
     return failures
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import NonFiniteIterateError, PreconditionError
 from .operators import OperatorSpec, compile_resolvent, dense_affine, membership
-from .vecspace import as_rows, as_vector
+from .vecspace import as_rows, as_vector, length
 
 CONVERGED = "converged"
 NO_FIXED_POINT = "no_fixed_point_detected"
@@ -44,6 +44,9 @@ _WINDOW = 50
 _FIRST_ROWS = 256
 # above this dimension a dense dim x dim step costs more than two resolvents
 _FUSED_MAX_DIM = 200
+# a landing's statistic must exceed this times |x_n| + _WINDOW |d_n|; jumped and
+# stepped iterates differ by at most 1e-13 times that on the registry and zoo pairs
+_LANDING_FLOOR = 1e-12
 # to_csv formats this many rows at a time, so its peak stays near the file size
 _CSV_ROWS = 1024
 
@@ -90,6 +93,24 @@ class OperatorPair:
         if not (np.isfinite(m_t).all() and np.isfinite(t).all()):
             return None
         return m_t, t
+
+    @cached_property
+    def _window_jump(self) -> tuple[np.ndarray, np.ndarray]:
+        """(M_T^_WINDOW, I + M_T + ... + M_T^(_WINDOW - 1)) of a pair with an affine_step.
+
+        Along x -> M_T x + t_w, x_{n+_WINDOW} is the first times x_n plus the
+        second times t_w. Built on first use by repeated squaring, at the cost
+        of 12 dim x dim matrix products; a jump that overflows gives a
+        non-finite landing, which _leap refuses.
+        """
+        m_t = self.affine_step[0]
+        power, total = m_t, np.eye(self.dim)  # M_T^k and I + ... + M_T^(k-1), k = 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for bit in bin(_WINDOW)[3:]:
+                power, total = power @ power, total + power @ total  # k -> 2k
+                if bit == "1":
+                    power, total = power @ m_t, total + power  # k -> k + 1
+        return power, total
 
 
 @dataclass(frozen=True)
@@ -164,12 +185,12 @@ class IterationTrace(OrbitEnd):
         )
         for start in range(0, rows, _CSV_ROWS):
             stop = min(start + _CSV_ROWS, rows)
-            d_norms = np.linalg.norm(disps[start:stop], axis=1)
+            d_norms = length(disps[start:stop])
             with np.errstate(divide="ignore", invalid="ignore"):  # row 0 divides by 0
                 cesaros = xs[start:stop] / -np.arange(start, stop)[:, None]
             if start == 0:
                 cesaros[0] = -(xs[1] if rows > 1 else xs[0] - disps[0])
-            c_norms = np.linalg.norm(cesaros, axis=1)
+            c_norms = length(cesaros)
             # csv writes a Python float as its repr, the shortest exact form
             cells = np.column_stack(
                 (xs[start:stop], self.shadows[start:stop], d_norms, d_norms, c_norms)).tolist()
@@ -252,9 +273,45 @@ def _fused_step(pair: OperatorPair, w: Optional[np.ndarray]):
     return (m_t, t_w) if np.isfinite(t_w).all() else None
 
 
-def _fast_forward(m_t, t_w, x0: np.ndarray, estimating: bool, max_iter: int,
+def _leap(pair: OperatorPair, t_w, x: np.ndarray, n: int, last_landing: int,
+          estimating: bool, bound: float):
+    """Jump from row n to row L = n + _WINDOW while no row in [n, L) can stop.
+
+    x_L = M_T^_WINDOW x_n + (I + ... + M_T^(_WINDOW - 1)) t_w is one product
+    (OperatorPair._window_jump), and row L's statistic one more, for x_{L+1}.
+    Along a fused orbit d_{m+1} = M_T d_m and |M_T y| <= |y|, since T is
+    nonexpansive, so phase 2's statistic |d_m| never increases, nor from row
+    _WINDOW on does phase 1's |d_m - d_{m-_WINDOW}|, here d_L - d_n. So when
+    row L's squared statistic is above `bound`, the block screen's 2 tol^2,
+    every row before it is above tol. It must also be finite, which x_L and
+    x_{L+1} then are, and above (_LANDING_FLOOR r)^2, r = |x_n| + _WINDOW |d_n|:
+    no skipped iterate is longer than r, so r bounds the rounding by which
+    jumped iterates differ from stepped ones, and an r that overflows (or
+    passes about 1e166) refuses the landing. Landings stop at last_landing.
+
+    Returns (n, x_n, start): the row and iterate of the last landing taken,
+    and the iterate it jumped from, or None when no landing was taken.
+    """
+    power, total = pair._window_jump
+    dot, inf = pair.affine_step[0].dot, math.inf
+    shift = total.dot(t_w)
+    d = x - (dot(x) + t_w)
+    start = None
+    while n + _WINDOW <= last_landing:
+        x_land = power.dot(x) + shift
+        d_land = x_land - (dot(x_land) + t_w)
+        e = d_land - d if estimating else d_land
+        floor = _LANDING_FLOOR * (length(x) + _WINDOW * length(d))
+        if not max(bound, floor * floor) < e.dot(e) < inf:
+            break
+        start, x, d = x, x_land, d_land
+        n += _WINDOW
+    return n, x, start
+
+
+def _fast_forward(pair: OperatorPair, t_w, x0: np.ndarray, estimating: bool, max_iter: int,
                   tol: float, drift_from: int):
-    """Step x -> M_T x + t_w in blocks, up to the first row a stop rule might act on.
+    """Step x -> M_T x + t_w in blocks and jumps, up to the first row a stop rule might act on.
 
     The rows go into one (_WINDOW + 1, dim) buffer, each by
     `m_t.dot(x, out=row); row += t_w`. A block ends at the next multiple of
@@ -268,12 +325,19 @@ def _fast_forward(m_t, t_w, x0: np.ndarray, estimating: bool, max_iter: int,
     would. The first other row, or row max_iter - 1, ends the fast-forward,
     so the per-step loop runs that row and every stop rule.
 
+    At row 2 _WINDOW in phase 1 and row _WINDOW in phase 2 the orbit first
+    jumps _WINDOW rows at a time (_leap), by landings no later than row
+    max_iter - 2 and, in phase 2, than drift_from, since the drift rows are
+    summed one by one. After a landing phase 1 steps the last jump's rows
+    again to refill its window ring. Jumped iterates agree with stepped ones
+    to rounding, not bit for bit; blocks resume at the first landing refused.
+
     Returns (n, x_n, ring, path, x_from) for the per-step loop to resume at
     row n; ring is a list of the last _WINDOW displacements in phase 1, else
     None.
     """
     bound = math.copysign(2.0 * tol * tol, tol)
-    dot, n = m_t.dot, 0
+    dot, n = pair.affine_step[0].dot, 0
     if not estimating and max_iter > 1:  # drift_from >= 1, so row 0 adds to no drift sum
         x1 = dot(x0, out=np.empty_like(x0))
         x1 += t_w
@@ -292,8 +356,20 @@ def _fast_forward(m_t, t_w, x0: np.ndarray, estimating: bool, max_iter: int,
     taken, finite = np.empty(_WINDOW, dtype=bool), np.empty(_WINDOW, dtype=bool)
     ring = np.zeros((min(_WINDOW, max_iter), dim)) if estimating else None
     probe = _WINDOW if estimating else None  # phase 2's ran above
+    leap_from = 2 * _WINDOW if estimating else _WINDOW
+    last_landing = max_iter - 2 if estimating else min(drift_from, max_iter - 2)
     path, x_from = 0.0, None
     while n < max_iter - 1:
+        if n == leap_from and n + _WINDOW <= last_landing:
+            n, x, start = _leap(pair, t_w, block[0], n, last_landing, estimating, bound)
+            if start is not None and estimating:  # refill the ring from the last jump's rows
+                block[0] = start
+                for x, x_next in steps:
+                    dot(x, out=x_next)
+                    x_next += t_w
+                np.subtract(block[:_WINDOW], block[1:], out=ring)  # n is a multiple of _WINDOW
+                x = block[_WINDOW]
+            block[0] = x
         end = min(n + 1 if n == probe else (n // _WINDOW + 1) * _WINDOW, max_iter - 1)
         count = end - n
         for x, x_next in steps[:count]:
@@ -355,9 +431,11 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     per call, one matrix-vector product, and the shadow J_B(x + w) is
     evaluated only for a recorded row or a certificate check. An unrecorded
     such orbit first fast-forwards (_fast_forward) through the rows that can
-    neither stop nor overflow, and the per-step loop takes over at the first
-    row that might, recomputing it; so the rows, status, certificates and
-    solution are those of the per-step loop alone, bit for bit.
+    neither stop nor overflow, in blocks and in jumps of _WINDOW rows, and
+    the per-step loop takes over at the first row that might, recomputing
+    it. So the rows, status, certificates and any overflow row are those of
+    the per-step loop alone; so are the vectors, bit for bit, unless a jump
+    lands, after which they agree to rounding.
 
     Returns (end, status, certificates, solution). end is an OrbitEnd, the
     IterationTrace itself when recording; its x_last is x_N when phase 1's
@@ -390,7 +468,7 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
         dot = m_t.dot
         if not record:
             start, x_next, ring, path, x_from = _fast_forward(
-                m_t, t_w, x_next, estimating, max_iter, tol, drift_from)
+                pair, t_w, x_next, estimating, max_iter, tol, drift_from)
     for n in range(start, max_iter):
         x = x_next
         if step is None:

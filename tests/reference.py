@@ -26,9 +26,10 @@ with its Cesaro column derived from the iterates here.
 `reference_orbit` is the solve loop of an affine pair taken one step at a
 time: it steps by x -> M_T x + t_w, and every stop rule and the finiteness
 check run after each step. splitting._orbit fast-forwards unrecorded
-affine orbits in blocks before its own per-step loop takes over, and must
-return the same rows, status, certificates, solution and phase-1
-end point x_last, bit for bit; `orbit_outcome` reduces a run of either
+affine orbits in blocks and 50-row jumps before its own per-step loop
+takes over, and must return the same rows, status, certificates and
+overflow row; where no jump lands, also the same solution and phase-1 end
+point x_last, bit for bit, and `orbit_fingerprint` reduces a run of either
 loop to bytes for that comparison.
 
 `operator_to_jsonable` writes an operator or set as the tagged record that
@@ -213,15 +214,6 @@ def orbit_fingerprint(result) -> tuple:
         arrays += [end.xs, end.shadows, end.displacements]
     return (type(end).__name__, len(end), status, certificates, solution is None,
             end.x_last is None, [(a.shape, a.tobytes()) for a in arrays])
-
-
-def orbit_outcome(loop, *args, **kwargs):
-    """The fingerprint of loop(*args, **kwargs), or the row of its
-    NonFiniteIterateError."""
-    try:
-        return orbit_fingerprint(loop(*args, **kwargs))
-    except NonFiniteIterateError as err:
-        return err.step
 
 
 def trace_csv(trace, path) -> None:

@@ -1,10 +1,14 @@
 """Fast-forwarded affine orbits against the per-step loop of tests/reference.py.
 
 An unrecorded affine orbit steps x -> M_T x + t_w in blocks, screened once per
-block, up to the first row a stop rule might act on, and hands over to the
-per-step loop there. Every result must be the one the per-step loop gives,
-bit for bit: row counts, statuses, certificates, the v estimate, the
-solution and, when recorded, every trace column.
+block, and jumps _WINDOW rows per product with M_T^_WINDOW wherever no stop
+rule can act, up to the first row a stop rule might act on, and hands over to
+the per-step loop there. An orbit on which no jump lands must give what the
+per-step loop gives, bit for bit: row counts, statuses, certificates, the v
+estimate, the solution and, when recorded, every trace column. An orbit on
+which a jump lands keeps its row counts, statuses, certificates,
+NonFiniteIterateError rows and whether x_last is None exactly, while its
+v_diff, x_last and solution agree to 1e-12 (1 + |x|).
 """
 
 import math
@@ -28,9 +32,10 @@ from normsplit import (
 from normsplit import splitting
 from normsplit.errors import NonFiniteIterateError
 from normsplit.scenarios import build_registry, get_scenario
-from normsplit.splitting import _WINDOW, CONVERGED, NO_FIXED_POINT, IterationTrace, _orbit
+from normsplit.splitting import (
+    _WINDOW, CONVERGED, MAX_ITER, NO_FIXED_POINT, IterationTrace, _orbit)
 
-from reference import orbit_fingerprint, orbit_outcome, reference_orbit, same_report
+from reference import orbit_fingerprint, reference_orbit, same_report
 from zoo import lines_at_angle, lines_pair, operator_pairs, rng
 
 
@@ -67,29 +72,76 @@ def per_step(monkeypatch, solve, *args, **kwargs):
         return outcome(solve, *args, **kwargs)
 
 
-def assert_same_end(end, expected, label):
+class Landings:
+    """Counts the jumps splitting._leap takes while the test runs."""
+
+    def __init__(self, monkeypatch):
+        self.count = 0
+        leap = splitting._leap
+
+        def counted(pair, t_w, x, n, *rest):
+            result = leap(pair, t_w, x, n, *rest)
+            self.count += (result[0] - n) // _WINDOW
+            return result
+
+        monkeypatch.setattr(splitting, "_leap", counted)
+
+    def since(self, before: int) -> bool:
+        return self.count > before
+
+
+@pytest.fixture
+def landings(monkeypatch):
+    return Landings(monkeypatch)
+
+
+def assert_close(got, expected, err_msg=""):
+    """|got - expected| <= 1e-12 (1 + |expected|): a jumped orbit's vectors."""
+    gap = float(np.linalg.norm(got - expected))
+    assert gap <= 1e-12 * (1.0 + float(np.linalg.norm(expected))), f"{err_msg}: {gap:.3e}"
+
+
+def assert_same_end(end, expected, label, exact=True):
+    same = np.testing.assert_array_equal if exact else assert_close
     assert type(end) is type(expected), label
     assert len(end) == len(expected), label
-    np.testing.assert_array_equal(end.v_diff, expected.v_diff, err_msg=label)
+    same(end.v_diff, expected.v_diff, err_msg=label)
     assert (end.x_last is None) == (expected.x_last is None), label
     if expected.x_last is not None:
-        np.testing.assert_array_equal(end.x_last, expected.x_last, err_msg=label)
+        same(end.x_last, expected.x_last, err_msg=label)
     if isinstance(expected, IterationTrace):
         for column in ("xs", "shadows", "displacements"):
-            np.testing.assert_array_equal(
-                getattr(end, column), getattr(expected, column), err_msg=f"{label} {column}")
+            same(getattr(end, column), getattr(expected, column), err_msg=f"{label} {column}")
 
 
-def assert_same_orbit(got, expected, label):
-    assert orbit_fingerprint(got) == orbit_fingerprint(expected), label
+def assert_same_orbit(got, expected, label, exact=True):
+    if exact:
+        assert orbit_fingerprint(got) == orbit_fingerprint(expected), label
+        return
+    end, status, certificates, solution = got
+    end_ref, status_ref, certificates_ref, solution_ref = expected
+    assert ((status, certificates, solution is None)
+            == (status_ref, certificates_ref, solution_ref is None)), label
+    assert_same_end(end, end_ref, label, exact=False)
+    for value, value_ref in zip(solution or (), solution_ref or ()):
+        assert_close(value, value_ref, label)
 
 
-def assert_same_report(report, expected, label):
-    assert same_report(report, expected), label
+def assert_same_report(report, expected, label, exact=True):
+    if exact:
+        assert same_report(report, expected), label
+    else:
+        assert ((report.status, report.certificates, report.iterations_used)
+                == (expected.status, expected.certificates, expected.iterations_used)), label
+        for name in ("v_estimate", "normal_solution", "governing_point", "dual_solution"):
+            value, value_ref = getattr(report, name), getattr(expected, name)
+            assert (value is None) == (value_ref is None), f"{label} {name}"
+            if value_ref is not None:
+                assert_close(value, value_ref, f"{label} {name}")
     for end, end_ref in ((report.trace, expected.trace), (report.v_trace, expected.v_trace)):
         assert (end is None) == (end_ref is None), label
         if end_ref is not None:
-            assert_same_end(end, end_ref, label)
+            assert_same_end(end, end_ref, label, exact)
 
 
 class TestParity:
@@ -103,58 +155,72 @@ class TestParity:
         assert all(any(name.startswith(f"zoo{dim}:") for name in names) for dim in (2, 3, 5))
 
     @pytest.mark.parametrize("record", [False, True])
-    def test_estimate_v(self, monkeypatch, record):
+    def test_estimate_v(self, monkeypatch, landings, record):
         gen = rng(41)
         for name, pair in FUSED:
             x0 = gen.normal(scale=3.0, size=pair.dim)
+            before = landings.count
             got = outcome(estimate_v, pair, x0, 1000, record=record)
             expected = per_step(monkeypatch, estimate_v, pair, x0, 1000, record=record)
             if isinstance(expected, int):
                 assert got == expected, name
                 continue
-            np.testing.assert_array_equal(got[0], expected[0], err_msg=name)
-            assert_same_end(got[1], expected[1], name)
+            exact = not landings.since(before)
+            (np.testing.assert_array_equal if exact else assert_close)(
+                got[0], expected[0], err_msg=name)
+            assert_same_end(got[1], expected[1], name, exact)
+        # recorded orbits never jump; some unrecorded ones do
+        assert (landings.count > 0) is not record
 
     @pytest.mark.parametrize("record", [False, True])
     @pytest.mark.parametrize("seeded_w", [False, True])
-    def test_solve_perturbed(self, monkeypatch, record, seeded_w):
+    def test_solve_perturbed(self, monkeypatch, landings, record, seeded_w):
         gen = rng(42)
         for name, pair in FUSED:
             x0 = gen.normal(scale=3.0, size=pair.dim)
             w = gen.normal(size=pair.dim) if seeded_w else np.zeros(pair.dim)
+            before = landings.count
             got = outcome(solve_perturbed, pair, w, x0, self.OPTS, record=record)
             expected = per_step(monkeypatch, solve_perturbed, pair, w, x0, self.OPTS,
                                 record=record)
             if isinstance(expected, int):
                 assert got == expected, name
                 continue
-            assert_same_report(got, expected, name)
+            assert_same_report(got, expected, name, not landings.since(before))
+        assert (landings.count > 0) is not record
 
     @pytest.mark.parametrize("record", [False, True])
-    def test_solve_normal(self, monkeypatch, record):
+    def test_solve_normal(self, monkeypatch, landings, record):
         gen = rng(43)
         for name, pair in FUSED:
             x0 = gen.normal(scale=3.0, size=pair.dim)
+            before = landings.count
             got = outcome(solve_normal, pair, x0, self.OPTS, record=record)
             expected = per_step(monkeypatch, solve_normal, pair, x0, self.OPTS, record=record)
             if isinstance(expected, int):
                 assert got == expected, name
                 continue
-            assert_same_report(got, expected, name)
+            assert_same_report(got, expected, name, not landings.since(before))
+        # phase 1 never records in solve_normal, so both runs jump
+        assert landings.count > 0
 
     @pytest.mark.parametrize("max_iter", [1, 49, 50, 51, 99, 100, 137])
     @pytest.mark.parametrize("phase", [1, 2])
-    def test_budgets_across_block_seams(self, max_iter, phase):
+    def test_budgets_across_block_seams(self, landings, max_iter, phase):
         gen = rng(44 + max_iter)
         for name, pair in FUSED:
             x0 = gen.normal(scale=3.0, size=pair.dim)
             w = None if phase == 1 else gen.normal(size=pair.dim)
             for tol in (0.0, 1e-9, 1e-8, 1e-3):
                 for record in (False, True):
-                    args = (pair, x0, w, max_iter, tol)
-                    assert (orbit_outcome(_orbit, *args, record=record)
-                            == orbit_outcome(reference_orbit, *args, record=record)), \
-                        f"{name} tol={tol} record={record}"
+                    args, label = (pair, x0, w, max_iter, tol), f"{name} tol={tol} record={record}"
+                    before = landings.count
+                    got = outcome(_orbit, *args, record=record)
+                    expected = outcome(reference_orbit, *args, record=record)
+                    if isinstance(expected, int):
+                        assert got == expected, label
+                    else:
+                        assert_same_orbit(got, expected, label, not landings.since(before))
 
 
 def stop_statistics(pair, x0, w, rows: int) -> np.ndarray:
@@ -206,12 +272,19 @@ class TestBlockSeams:
         pair = lines_at_angle(3, 0.9, gap)
         x0 = np.array([3.0, -2.0, 0.0])
         w = None if phase == 1 else np.zeros(3)
-        tol = float(stop_statistics(pair, x0, w, 200)[stop_row])
+        stats = stop_statistics(pair, x0, w, 200)
+        tol = float(stats[stop_row])
+        jumped = phase == 2 and stop_row > 2 * _WINDOW and not record
+        if jumped:
+            # a jump lands at row 2 _WINDOW, and the rows after it agree with the
+            # per-step loop's to rounding: tol sits between two rows' statistics
+            tol = math.sqrt(stats[stop_row] * stats[stop_row - 1])
         expected = reference_orbit(pair, x0, w, 1000, tol, record=record)
         assert len(expected[0]) == stop_row + 1
         if phase == 2:
             assert expected[1] == CONVERGED
-        assert_same_orbit(_orbit(pair, x0, w, 1000, tol, record=record), expected, "seam")
+        got = _orbit(pair, x0, w, 1000, tol, record=record)
+        assert_same_orbit(got, expected, "seam", exact=not jumped)
 
     @pytest.mark.parametrize("phase", [1, 2])
     def test_a_handoff_row_that_does_not_stop_continues_per_step(self, phase):
@@ -238,7 +311,10 @@ class TestBlockSeams:
         assert hi - lo <= 1e-15 * hi
         CountingMatrix.calls = CountingMatrix.into = 0
         got = _orbit(pair, x0, w, 1000, lo)
-        per_step = CountingMatrix.calls - CountingMatrix.into - (w is not None)
+        # phase 2 tries a jump from row _WINDOW to 2 _WINDOW, refused: S t_w,
+        # x_{_WINDOW + 1}, the landing and the row after it
+        leap = 0 if phase == 1 else 4
+        per_step = CountingMatrix.calls - CountingMatrix.into - (w is not None) - leap
         assert (len(got[0]), per_step, CountingMatrix.into) == (row + 2, 2, 2 * _WINDOW)
         if phase == 2:
             assert got[1] == CONVERGED
@@ -298,6 +374,64 @@ class TestBlockSeams:
         assert status(_orbit, hi) == NO_FIXED_POINT
 
 
+class TestLandings:
+    """Stops and overflows on either side of a landing, against the per-step loop."""
+
+    @pytest.mark.parametrize("phase, stop_row, jumps", [
+        (1, 99, 0), (1, 100, 0), (1, 101, 0), (1, 149, 0), (1, 150, 0), (1, 151, 0),
+        (1, 160, 1), (1, 210, 2), (1, 1949, 35), (1, 1950, 35), (1, 1951, 35),
+        (2, 99, 0), (2, 100, 0), (2, 101, 0), (2, 149, 1), (2, 150, 1), (2, 151, 1),
+        (2, 160, 2), (2, 210, 3), (2, 1949, 37), (2, 1950, 37), (2, 1951, 37),
+    ])
+    def test_stop_on_either_side_of_a_landing(self, landings, phase, stop_row, jumps):
+        # two lines at the angle whose rate cos(angle) brings the statistic to
+        # about 1e-5 (phase 1, with a gap) or 1e-8 (phase 2, where the stop
+        # must also certify) at stop_row; tol sits between that row's
+        # statistic and the last's, since jumped rows agree to rounding
+        target = 1e-5 if phase == 1 else 1e-8
+        pair = lines_at_angle(3, math.acos((target / 3.0) ** (1.0 / stop_row)),
+                              10.0 if phase == 1 else 0.0)
+        x0 = np.array([3.0, -2.0, 0.0])
+        w = None if phase == 1 else np.zeros(3)
+        stats = stop_statistics(pair, x0, w, stop_row + 1)
+        tol = math.sqrt(stats[stop_row] * stats[stop_row - 1])
+        expected = reference_orbit(pair, x0, w, 5000, tol)
+        assert len(expected[0]) == stop_row + 1
+        assert expected[1] == (MAX_ITER if phase == 1 else CONVERGED)
+        got = _orbit(pair, x0, w, 5000, tol)
+        assert landings.count == jumps
+        assert_same_orbit(got, expected, "landing", exact=not jumps)
+
+    @pytest.mark.parametrize("overflow_row", [151, 175, 199, 200, 201, 230])
+    def test_overflow_past_a_landing_raises_at_the_per_step_row(self, landings, overflow_row):
+        # x_n = (-n c1, -1) is finite up to row overflow_row and not after it.
+        # The window statistic is 0 up to rounding, yet no landing is taken:
+        # |x_n| + _WINDOW |d_n| is above 1e166, so the rounding floor refuses
+        # it, and the blocks reach the overflow
+        c1 = np.finfo(float).max / (overflow_row + 0.5)
+        with pytest.raises(NonFiniteIterateError) as info:
+            _orbit(sliding_pair(c1), [0.0, 3.0], None, 1000, -1.0)
+        assert info.value.step == overflow_row
+        assert landings.count == 0
+        with pytest.raises(NonFiniteIterateError) as ref:
+            reference_orbit(sliding_pair(c1), [0.0, 3.0], None, 1000, -1.0)
+        assert ref.value.step == overflow_row
+
+    def test_a_statistic_at_the_rounding_floor_refuses_the_landing(self, landings):
+        # at tol 0 only an exact 0 stops, and this zoo pair's phase 2 reaches a
+        # fixed point exactly at row 58; the landing at row 100 computes
+        # rounding noise in its place, which must not pass for a statistic
+        gen = rng(44 + 137)  # test_budgets_across_block_seams' draws
+        for name, pair in FUSED:
+            x0, w = gen.normal(scale=3.0, size=pair.dim), gen.normal(size=pair.dim)
+            if name == "zoo2:cone_line|flip(inv(affine))":
+                break
+        expected = reference_orbit(pair, x0, w, 137, 0.0)
+        assert len(expected[0]) == 59
+        assert_same_orbit(_orbit(pair, x0, w, 137, 0.0), expected, name)
+        assert landings.count == 0
+
+
 class CountingMatrix(np.ndarray):
     """M_T that counts its matrix-vector products, those written with out= apart."""
 
@@ -317,33 +451,72 @@ def counting(pair: OperatorPair) -> OperatorPair:
     return pair
 
 
+def predicted_products(stats, phase: int, max_iter: int, tol: float, rows: int) -> tuple:
+    """(block products, other products) of an unrecorded fused orbit, from its statistics.
+
+    Blocks compute each row once up to the end of the block that holds the
+    handoff row h, the first whose squared statistic is not above 2 tol^2;
+    the per-step loop computes h and every row after it. From row 2 _WINDOW
+    in phase 1, _WINDOW in phase 2, the orbit jumps instead: landings
+    _WINDOW rows apart are taken while L <= max_iter - 2 (and drift_from in
+    phase 2) and row L's statistic passes the same screen, that is while
+    L < h, since the statistics never increase.
+    A jump costs two products, the landing and the row after it, and the
+    first one two more, S t_w and d_n; a refused landing costs two. Phase 1
+    steps the last jump's _WINDOW rows again, into the block. The orbits
+    here keep every landing's statistic far above _leap's rounding floor.
+    """
+    bound = math.copysign(2.0 * tol * tol, tol)
+    fails = [m for m, size in enumerate(stats) if not bound < size * size < math.inf]
+    handoff = min(fails + [max_iter - 1])
+    probe = _WINDOW if phase == 1 else 0
+    block_end = handoff + 1 if handoff == probe else (handoff // _WINDOW + 1) * _WINDOW
+    block_end = min(block_end, max_iter - 1)
+    leap_from = 2 * _WINDOW if phase == 1 else _WINDOW
+    drift_from = max_iter - 1 - min(1000, max_iter // 4) if max_iter >= 100 else max_iter
+    last_landing = max_iter - 2 if phase == 1 else min(drift_from, max_iter - 2)
+    if handoff < leap_from or leap_from + _WINDOW > last_landing:
+        return block_end, rows - handoff
+    landings = range(leap_from + _WINDOW, last_landing + 1, _WINDOW)
+    taken = next((k for k, row in enumerate(landings) if row >= handoff), len(landings))
+    tried = min(taken + 1, len(landings))
+    replay = _WINDOW if phase == 1 and taken else 0
+    return block_end - _WINDOW * taken + replay, rows - handoff + 2 + 2 * tried
+
+
 class TestWork:
-    """The fast-forward computes each row once, up to the end of the block that holds
-    the first row a stop rule might act on, its handoff row; the per-step loop
-    computes that row again and every row after it.
+    """Products per phase: predicted_products, and the few a jump leaves.
 
     Blocks end at multiples of _WINDOW, with a one-row probe at row _WINDOW in
-    phase 1 and row 0 in phase 2, and none passes row max_iter - 2. So a phase
-    computes at most _WINDOW products past its rows, and a stop at a probe one.
+    phase 1 and row 0 in phase 2, and none passes row max_iter - 2.
     """
 
     @pytest.mark.parametrize("phase", [1, 2])
     @pytest.mark.parametrize("angle, max_iter, tol", [
         (0.3, 1000, 1e-8), (0.3, 1000, 1e-3), (0.3, 137, 0.0), (0.05, 1000, 1e-6),
-        (1.2, 1000, 1e-9), (0.3, 51, 1e-12), (0.3, 1, 1e-8),
+        (1.2, 1000, 1e-9), (0.3, 51, 1e-12), (0.3, 1, 1e-8), (0.02, 2000, 1e-9),
+        (0.05, 1000, -1.0),
     ])
     def test_matrix_vector_products_per_phase(self, phase, angle, max_iter, tol):
         pair = counting(lines_at_angle(3, angle))
         x0 = np.array([3.0, -2.0, 1.0])
         w = None if phase == 1 else np.array([0.1, -0.2, 0.0])
+        stats = stop_statistics(pair, x0, w, max_iter)
+        CountingMatrix.calls = CountingMatrix.into = 0
         rows = len(_orbit(pair, x0, w, max_iter, tol)[0])
-        per_step = CountingMatrix.calls - CountingMatrix.into - (w is not None)  # t_w takes one
-        handoff = rows - per_step
-        probe = _WINDOW if phase == 1 else 0
-        block_end = handoff + 1 if handoff == probe else (handoff // _WINDOW + 1) * _WINDOW
-        assert per_step >= 1
-        assert CountingMatrix.into == min(block_end, max_iter - 1)
-        assert rows <= CountingMatrix.into + per_step <= rows + _WINDOW
+        other = CountingMatrix.calls - CountingMatrix.into - (w is not None)  # t_w takes one
+        assert (CountingMatrix.into, other) == predicted_products(stats, phase, max_iter, tol, rows)
+        assert rows == len(reference_orbit(pair, x0, w, max_iter, tol)[0])
+
+    def test_a_budget_spent_dim_100_phase_1_jumps(self):
+        # 2000 rows at angle 0.05 do not settle: 100 block rows, 37 jumps of two
+        # products and two more, the last jump's 50 rows again, and 49 block rows
+        # and one per-step row at the end, where the per-step loop alone took 2000
+        pair = counting(lines_at_angle(100, 0.05, 1.0))
+        x0 = np.linspace(-3.0, 3.0, 100)
+        v, end = estimate_v(pair, x0, 2000)
+        assert len(end) == 2000 and end.x_last is None
+        assert CountingMatrix.calls == 100 + 2 + 2 * 37 + 50 + 49 + 1 <= 300
 
     def test_a_probe_stop_takes_one_extra_step(self):
         pair = counting(lines_pair())
@@ -358,12 +531,12 @@ class TestWork:
         pair = lines_at_angle(100, 0.3)
         v, end = estimate_v(pair, np.linspace(-3.0, 3.0, 100), 1000)
         assert end.x_last is not None
-        m_t, t_w = splitting._fused_step(pair, v)
+        t_w = splitting._fused_step(pair, v)[1]
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             n, x, ring, path, x_from = splitting._fast_forward(
-                m_t, t_w, end.x_last, False, 1000, 1e-9, 749)
+                pair, t_w, end.x_last, False, 1000, 1e-9, 749)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -375,12 +548,16 @@ class TestWork:
 
     @pytest.mark.parametrize("phase", [1, 2])
     def test_a_negative_tol_fast_forwards_to_the_last_row(self, phase):
-        # no row stops at tol < 0, however small its statistic
-        pair = counting(lines_at_angle(3, 0.3))
+        # no row stops at tol < 0, however small its statistic. Phase 1 takes
+        # 100 block rows, 17 jumps to row 950, its 50 rows again and 49 more;
+        # phase 2 50 rows, 13 jumps to row 700, the last landing before
+        # drift_from = 749, and 299 rows
+        pair = counting(lines_at_angle(3, 0.05))
         w = None if phase == 1 else np.zeros(3)
         assert len(_orbit(pair, [3.0, -2.0, 1.0], w, 1000, -1.0)[0]) == 1000
-        assert CountingMatrix.into == 999
-        assert CountingMatrix.calls - CountingMatrix.into - (w is not None) == 1
+        jumps, into = (17, 100 + 50 + 49) if phase == 1 else (13, 50 + 299)
+        assert CountingMatrix.into == into
+        assert CountingMatrix.calls - CountingMatrix.into - (w is not None) == 2 + 2 * jumps + 1
 
     def test_a_recorded_fused_orbit_evaluates_one_shadow_per_row(self):
         # no row certifies in 300 steps at angle 0.01, so J_B evaluates only shadows

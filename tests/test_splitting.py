@@ -467,6 +467,31 @@ class TestTraceExport:
         assert self._cesaro_column(one, tmp_path / "one.csv") == [
             float(np.linalg.norm(dr_apply(pair, x0)))]
 
+    def test_norm_columns_of_rows_whose_squares_overflow(self, tmp_path):
+        # A = N of the unit ball at 0, B = N of the unit ball at (1e200, 0): the
+        # orbit drifts by about 1e200 a step, so |x_n| and |x_n / n| are finite
+        # while their squares overflow; each column is written finite and without
+        # a RuntimeWarning, and a row whose square is finite keeps its bits
+        pair = OperatorPair(NormalCone(Ball([0.0, 0.0], 1.0)), NormalCone(Ball([1e200, 0.0], 1.0)))
+        _, trace = estimate_v(pair, max_iter=200, tol_v=-1.0, record=True)
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        with open(path, newline="") as fh:
+            rows = [[float(cell) for cell in row] for row in list(csv.reader(fh))[1:]]
+        cesaros = np.array([row[-1] for row in rows])
+        assert np.isfinite(cesaros).all()
+        n = np.arange(1, 200)
+        np.testing.assert_allclose(cesaros[1:], np.hypot(*trace.xs[1:].T) / n, rtol=1e-15)
+        assert cesaros[-1] > 1e199
+        d_norms = np.array([row[-3] for row in rows])
+        np.testing.assert_array_equal(d_norms, [row[-2] for row in rows])
+        np.testing.assert_allclose(d_norms, np.hypot(*trace.displacements.T), rtol=1e-15)
+        plain = tmp_path / "plain.csv"
+        with np.errstate(over="ignore"):  # the cell-by-cell writer does not rescale
+            trace_csv(trace, plain)
+        with open(plain, newline="") as fh:
+            assert {row[-1] for row in list(csv.reader(fh))[1:]} == {"inf"}
+
     def test_csv_peak_memory_is_a_few_times_the_file(self, tmp_path):
         # small-integer floats, so that every cell is short and the file small
         # next to the Python lists a whole-table conversion would build; the
@@ -624,6 +649,7 @@ class TestStreamedOrbit:
         x0 = np.linspace(-1.0, 1.0, 100)
         dr_apply(pair, x0)  # compile both resolvents before measuring,
         assert pair.affine_step is not None  # and the pair's dim x dim step
+        assert len(pair._window_jump) == 2  # and its two dim x dim jump matrices
         peaks = {}
         tracemalloc.start()
         try:
