@@ -148,9 +148,8 @@ def run_scenario(scenario: Scenario, record: bool = False) -> tuple[bool, SolveR
 def cmd_scenario(args) -> int:
     try:
         scenario = get_scenario(args.name)
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except KeyError as exc:  # the message alone, without KeyError's quotes
+        raise PreconditionError(exc.args[0]) from None
     ok, report, lines = run_scenario(scenario, record=args.trace is not None)
     print("\n".join(lines))
     _write_files(args, report, {

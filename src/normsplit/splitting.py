@@ -210,7 +210,6 @@ class SolveReport:
     certificates: dict
     iterations_used: int
     trace: Optional[IterationTrace] = field(default=None, repr=False)
-    v_trace: Optional[OrbitEnd] = field(default=None, repr=False)
 
 
 # ---------------------------------------------------------------------------
@@ -600,15 +599,13 @@ def solve_normal(pair: OperatorPair, x0=None,
     orbit's drift verdict can say so, since the estimate's own problem always
     has the fixed point x_N.
     opts.max_iter budgets each phase separately; iterations_used totals both.
-    The report's v_trace is phase 1's OrbitEnd (its row count, last
-    displacement and x_N). With `record` its trace is phase 2's
-    IterationTrace, else None; a full phase-1 trace comes from
-    estimate_v(record=True).
+    With `record` the report's trace is phase 2's IterationTrace, else None.
+    Phase 1's row count and x_N, and with `record` its full trace, come from
+    estimate_v(pair, x0, opts.max_iter, opts.tol_v), which phase 1 runs.
     """
     opts = opts or SolveOptions()
     v, v_end = estimate_v(pair, x0, opts.max_iter, opts.tol_v)
     start = x0 if v_end.x_last is None else v_end.x_last
     report = solve_perturbed(pair, v, start, opts, record=record)
     report.iterations_used += len(v_end)
-    report.v_trace = v_end
     return report

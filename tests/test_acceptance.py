@@ -30,6 +30,7 @@ from normsplit.scenarios import (
 )
 
 from reference import SHIFT_CALCULUS
+from zoo import operator_pairs, rng, sample_points
 
 SEED = 24601
 
@@ -179,6 +180,10 @@ def test_criterion_8_nonexistence_detection(epigraph_report):
                      f"(v ~ {oracle.v.round(4).tolist()})")
 
 
+# criterion-9 DR identities run on the registry and on the zoo pairs of dims 2, 3
+REGISTRY_AND_ZOO = pytest.mark.parametrize("inputs", ["registry", "zoo"])
+
+
 class TestCriterion9PropertySuites:
     """Fixed-seed property suites over every scenario family; zero failures."""
 
@@ -191,20 +196,37 @@ class TestCriterion9PropertySuites:
     def _pairs():
         return [(name, get_scenario(name).pair) for name in build_registry()]
 
-    def test_firm_nonexpansiveness_of_resolvents_and_t(self):
-        for name, pair in self._pairs():
-            xs = self._points(pair.dim)
-            ys = np.random.default_rng(SEED + 91).uniform(-8.0, 8.0, xs.shape)
-            for op in (pair.A, pair.B):
-                for x, y in zip(xs, ys):
-                    jx, jy = resolvent(op, x), resolvent(op, y)
-                    lhs = np.sum((jx - jy) ** 2) + np.sum(((x - jx) - (y - jy)) ** 2)
-                    assert lhs <= np.sum((x - y) ** 2) + 1e-9, name
+    def _cases(self, inputs: str, zoo_seed: int, zoo_count: int):
+        """(name, pair, points): each registry pair with _points, or each zoo
+        pair with zoo_count normal points, drawn in turn from one stream."""
+        if inputs == "registry":
+            return [(name, pair, self._points(pair.dim)) for name, pair in self._pairs()]
+        gen = rng(zoo_seed)
+        return [(name, pair, sample_points(gen, dim, zoo_count))
+                for dim in (2, 3) for name, pair in operator_pairs(dim)]
+
+    @REGISTRY_AND_ZOO
+    def test_firm_nonexpansiveness_of_resolvents_and_t(self, inputs):
+        def check(apply, xs, ys, name):
             for x, y in zip(xs, ys):
-                tx, ty = dr_apply(pair, x), dr_apply(pair, y)
-                lhs = np.sum((tx - ty) ** 2) + np.sum(((x - tx) - (y - ty)) ** 2)
+                fx, fy = apply(x), apply(y)
+                lhs = np.sum((fx - fy) ** 2) + np.sum(((x - fx) - (y - fy)) ** 2)
                 assert lhs <= np.sum((x - y) ** 2) + 1e-9, name
-        _line(9, "PASS", "firm nonexpansiveness of J_A, J_B, T (slack 1e-9)")
+
+        if inputs == "registry":
+            for name, pair in self._pairs():
+                xs = self._points(pair.dim)
+                ys = np.random.default_rng(SEED + 91).uniform(-8.0, 8.0, xs.shape)
+                for op in (pair.A, pair.B):
+                    check(lambda x: resolvent(op, x), xs, ys, name)
+                check(lambda x: dr_apply(pair, x), xs, ys, name)
+        else:
+            # the zoo's resolvents: tests/test_operators.py::TestZooInvariants
+            gen = rng(4)
+            for name, pair in (*operator_pairs(2), *operator_pairs(3)):
+                xs, ys = sample_points(gen, pair.dim, 100), sample_points(gen, pair.dim, 100)
+                check(lambda x: dr_apply(pair, x), xs, ys, name)
+        _line(9, "PASS", f"firm nonexpansiveness of J_A, J_B, T (slack 1e-9, {inputs})")
 
     def test_inverse_resolvent_identity(self):
         for name, pair in self._pairs():
@@ -214,30 +236,33 @@ class TestCriterion9PropertySuites:
                     assert np.linalg.norm(gap) <= 1e-10, name
         _line(9, "PASS", "J + J_inverse = Id within 1e-10")
 
-    def test_half_averaged_form(self):
-        for name, pair in self._pairs():
-            for x in self._points(pair.dim):
+    @REGISTRY_AND_ZOO
+    def test_half_averaged_form(self, inputs):
+        for name, pair, xs in self._cases(inputs, 3, 20):
+            for x in xs:
                 rb = 2 * resolvent(pair.B, x) - x
                 rarb = 2 * resolvent(pair.A, rb) - rb
                 gap = dr_apply(pair, x) - 0.5 * (x + rarb)
                 assert np.linalg.norm(gap) <= 1e-11, name
-        _line(9, "PASS", "T = (Id + R_A R_B)/2 within 1e-11")
+        _line(9, "PASS", f"T = (Id + R_A R_B)/2 within 1e-11 ({inputs})")
 
-    def test_complement_identity(self):
-        for name, pair in self._pairs():
+    @REGISTRY_AND_ZOO
+    def test_complement_identity(self, inputs):
+        for name, pair, xs in self._cases(inputs, 10, 15):
             complement = OperatorPair(Inverse(pair.A), pair.B)
-            for x in self._points(pair.dim):
+            for x in xs:
                 gap = dr_apply(pair, x) + dr_apply(complement, x) - x
                 assert np.linalg.norm(gap) <= 1e-10, name
-        _line(9, "PASS", "Id - T(A,B) = T(A^-1,B) within 1e-10")
+        _line(9, "PASS", f"Id - T(A,B) = T(A^-1,B) within 1e-10 ({inputs})")
 
-    def test_eckstein_self_duality(self):
-        for name, pair in self._pairs():
+    @REGISTRY_AND_ZOO
+    def test_eckstein_self_duality(self, inputs):
+        for name, pair, xs in self._cases(inputs, 11, 15):
             dual = dual_pair(pair)
-            for x in self._points(pair.dim):
+            for x in xs:
                 gap = dr_apply(pair, x) - dr_apply(dual, x)
                 assert np.linalg.norm(gap) <= 1e-10, name
-        _line(9, "PASS", "T equals the dual pair's T within 1e-10")
+        _line(9, "PASS", f"T equals the dual pair's T within 1e-10 ({inputs})")
 
     def test_perturbation_calculus_identities(self):
         gen = np.random.default_rng(SEED + 5)
@@ -266,22 +291,32 @@ class TestCriterion9PropertySuites:
             assert np.linalg.norm(again.k - zk.k) <= 1e-9, name
         _line(9, "PASS", "psi_w roundtrips within 1e-9 on converging scenarios")
 
-    def test_displacement_norm_monotonicity(self):
-        gen = np.random.default_rng(SEED + 6)
-        for name, pair in self._pairs():
-            x0 = gen.uniform(-8.0, 8.0, size=pair.dim)
-            _, trace = estimate_v(pair, x0=x0, max_iter=250, tol_v=-1.0, record=True)
+    @pytest.mark.parametrize("inputs", ["random-starts", "start-3-2"])
+    def test_displacement_norm_monotonicity(self, inputs):
+        # (pair, x0, max_iter, tol_v); the random starts spend their budget
+        if inputs == "random-starts":
+            gen = np.random.default_rng(SEED + 6)
+            orbits = [(name, pair, gen.uniform(-8.0, 8.0, size=pair.dim), 250, -1.0)
+                      for name, pair in self._pairs()]
+        else:
+            orbits = [(name, get_scenario(name).pair, [3.0, -2.0], 400, 0.0)
+                      for name in ("disjoint-balls", "overlapping-balls", "rotators-default")]
+        for name, pair, x0, max_iter, tol_v in orbits:
+            _, trace = estimate_v(pair, x0=x0, max_iter=max_iter, tol_v=tol_v, record=True)
             norms = np.linalg.norm(trace.displacements, axis=1)
             assert np.all(np.diff(norms) <= 1e-12), name
-        _line(9, "PASS", "displacement norms non-increasing (slack 1e-12)")
+        _line(9, "PASS", f"displacement norms non-increasing (slack 1e-12, {inputs})")
 
-    def test_minimality_of_v(self, epigraph_report):
-        for name, pair in self._pairs():
-            if name == "epigraph":
-                v = epigraph_report.v_estimate
-            else:
-                v, _ = estimate_v(pair)
-            v_norm = np.linalg.norm(v)
-            for x in self._points(pair.dim):
-                assert v_norm <= np.linalg.norm(x - dr_apply(pair, x)) + 1e-8, name
-        _line(9, "PASS", "minimality |v| <= |x - Tx| + tol_v on sampled points")
+    @pytest.mark.parametrize("inputs", ["registry", "planar-normal"])
+    def test_minimality_of_v(self, inputs, epigraph_report):
+        if inputs == "registry":
+            cases = [(name, pair, self._points(pair.dim)) for name, pair in self._pairs()]
+        else:
+            gen = rng(12)
+            cases = [(name, get_scenario(name).pair, sample_points(gen, 2, 40))
+                     for name in ("disjoint-balls", "constants-default", "two-lines")]
+        for name, pair, xs in cases:
+            v = epigraph_report.v_estimate if name == "epigraph" else estimate_v(pair)[0]
+            for x in xs:
+                assert np.linalg.norm(v) <= np.linalg.norm(x - dr_apply(pair, x)) + 1e-8, name
+        _line(9, "PASS", f"minimality |v| <= |x - Tx| + tol_v on sampled points ({inputs})")

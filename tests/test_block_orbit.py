@@ -138,10 +138,14 @@ def assert_same_report(report, expected, label, exact=True):
             assert (value is None) == (value_ref is None), f"{label} {name}"
             if value_ref is not None:
                 assert_close(value, value_ref, f"{label} {name}")
-    for end, end_ref in ((report.trace, expected.trace), (report.v_trace, expected.v_trace)):
-        assert (end is None) == (end_ref is None), label
-        if end_ref is not None:
-            assert_same_end(end, end_ref, label, exact)
+    assert (report.trace is None) == (expected.trace is None), label
+    if expected.trace is not None:
+        assert_same_end(report.trace, expected.trace, label, exact)
+
+
+def assert_same_estimate(got, expected, label, exact=True):
+    (np.testing.assert_array_equal if exact else assert_close)(got[0], expected[0], err_msg=label)
+    assert_same_end(got[1], expected[1], label, exact)
 
 
 class TestParity:
@@ -165,10 +169,7 @@ class TestParity:
             if isinstance(expected, int):
                 assert got == expected, name
                 continue
-            exact = not landings.since(before)
-            (np.testing.assert_array_equal if exact else assert_close)(
-                got[0], expected[0], err_msg=name)
-            assert_same_end(got[1], expected[1], name, exact)
+            assert_same_estimate(got, expected, name, not landings.since(before))
         # recorded orbits never jump; some unrecorded ones do
         assert (landings.count > 0) is not record
 
@@ -192,17 +193,24 @@ class TestParity:
     @pytest.mark.parametrize("record", [False, True])
     def test_solve_normal(self, monkeypatch, landings, record):
         gen = rng(43)
+        solve_landings = 0
         for name, pair in FUSED:
             x0 = gen.normal(scale=3.0, size=pair.dim)
             before = landings.count
             got = outcome(solve_normal, pair, x0, self.OPTS, record=record)
             expected = per_step(monkeypatch, solve_normal, pair, x0, self.OPTS, record=record)
+            solve_landings += landings.count - before
             if isinstance(expected, int):
                 assert got == expected, name
                 continue
             assert_same_report(got, expected, name, not landings.since(before))
+            # phase 1 alone: the report keeps neither its row count nor x_N
+            before = landings.count
+            got = estimate_v(pair, x0, self.OPTS.max_iter)
+            expected = per_step(monkeypatch, estimate_v, pair, x0, self.OPTS.max_iter)
+            assert_same_estimate(got, expected, name, not landings.since(before))
         # phase 1 never records in solve_normal, so both runs jump
-        assert landings.count > 0
+        assert solve_landings > 0
 
     @pytest.mark.parametrize("max_iter", [1, 49, 50, 51, 99, 100, 137])
     @pytest.mark.parametrize("phase", [1, 2])

@@ -1,5 +1,7 @@
+import ast
 import csv
 import dataclasses
+import inspect
 import json
 import os
 import re
@@ -850,6 +852,18 @@ class TestErrorContract:
         assert lines[0].startswith("usage: normsplit")
         assert re.fullmatch(r"normsplit( [a-z-]+)?: error: .+", lines[-1])
         assert not any("error:" in line or "Traceback" in line for line in lines[:-1])
+
+    def test_only_main_prints_an_error_line(self):
+        # commands raise; main alone turns an error into its `error:` line
+        tree = ast.parse(inspect.getsource(cli))
+        owner = {}
+        for node in ast.walk(tree):  # outer defs first, so inner ones overwrite
+            if isinstance(node, ast.FunctionDef):
+                owner.update(dict.fromkeys(ast.walk(node), node.name))
+        printers = {owner.get(node, "<module>") for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.startswith("error:")}
+        assert printers == {"main"}
 
     def test_exit_codes_of_the_program(self):
         # the process's own status, as a shell sees it

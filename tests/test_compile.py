@@ -32,6 +32,7 @@ from normsplit import (
     SolveOptions,
     compile_resolvent,
     dr_apply,
+    estimate_v,
     project,
     resolvent,
     solve_normal,
@@ -330,12 +331,13 @@ def test_only_an_evaluated_form_builds_its_evaluator(monkeypatch):
     assert built == [form]
 
 
-# (iterations_used, len(v_trace)) of solve_normal from x0 = 0, recorded with
+# (iterations_used, phase-1 rows) of solve_normal from x0 = 0, recorded with
 # the per-phase loops that the shared loop replaced. Since then the feasible
 # pairs, affine-default and overlapping-balls, stop phase 1 on |d_n| <= tol_v
 # before its window fills, and a phase 1 that stops on its rule hands phase 2
 # its last iterate, which phase 2 certifies at its first row; the epigraph's
-# phase 1 spends its budget, so its phase 2 still starts at x0
+# phase 1 spends its budget, so its phase 2 still starts at x0. Phase 1's rows
+# are those of estimate_v run with solve_normal's arguments
 PINNED_COUNTS = {
     "affine-default": (28, 27),
     "box-halfspace": (52, 51),
@@ -358,4 +360,5 @@ def test_registry_iteration_counts_are_pinned(name):
     sc = get_scenario(name)
     opts = SolveOptions(max_iter=4000) if name == "epigraph" else sc.solve_opts
     report = solve_normal(sc.pair, opts=opts, record=True)
-    assert (report.iterations_used, len(report.v_trace)) == PINNED_COUNTS[name]
+    _, phase_1 = estimate_v(sc.pair, None, opts.max_iter, opts.tol_v)
+    assert (report.iterations_used, len(phase_1)) == PINNED_COUNTS[name]

@@ -6,9 +6,9 @@ constants (the benchmark reaches some attributes through getattr strings)
 in every module but __init__.py, in scripts/ and in perfbench/. Uses inside
 a name's own def or class do not count.
 
-Likewise every field of a public dataclass is accessed by that code, by
+Likewise every field of a public dataclass is read by that code, by
 attribute or through a getattr string: a field that is only passed at
-construction, or accessed only by tests, is a setting to delete. And every
+construction or assigned, or read only by tests, is a setting to delete. And every
 public method or property of a public class is used by that code outside
 its own class: a method that only its own class calls is a private helper.
 
@@ -57,13 +57,13 @@ def _uses(tree: ast.AST) -> set:
 
 
 def _accessed_fields(tree: ast.AST) -> set:
-    """Attribute names accessed anywhere, and getattr/hasattr string arguments.
+    """Attribute names read anywhere, and getattr/hasattr string arguments.
 
-    Keyword arguments at construction are not accesses.
+    Keyword arguments at construction and assignments are not reads.
     """
     accessed = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             accessed.add(node.attr)
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id in ("getattr", "hasattr") and len(node.args) >= 2
