@@ -45,7 +45,8 @@ _FIRST_ROWS = 256
 # above this dimension a dense dim x dim step costs more than two resolvents
 _FUSED_MAX_DIM = 200
 # a landing's statistic must exceed this times |x_n| + _WINDOW |d_n|; jumped and
-# stepped iterates differ by at most 1e-13 times that on the registry and zoo pairs
+# stepped iterates differ by at most 1e-13 times that on the fused registry and
+# zoo pairs (tests/test_block_orbit.py::TestLandings::test_a_jump_matches_window_fused_steps)
 _LANDING_FLOOR = 1e-12
 # to_csv formats this many rows at a time, so its peak stays near the file size
 _CSV_ROWS = 1024

@@ -30,7 +30,7 @@ from normsplit.scenarios import (
 )
 
 from reference import SHIFT_CALCULUS
-from zoo import operator_pairs, rng, sample_points
+from zoo import operator_pairs, operator_zoo, rng, sample_points
 
 SEED = 24601
 
@@ -180,7 +180,7 @@ def test_criterion_8_nonexistence_detection(epigraph_report):
                      f"(v ~ {oracle.v.round(4).tolist()})")
 
 
-# criterion-9 DR identities run on the registry and on the zoo pairs of dims 2, 3
+# criterion-9 identities run on the registry and on the zoo of dims 2, 3
 REGISTRY_AND_ZOO = pytest.mark.parametrize("inputs", ["registry", "zoo"])
 
 
@@ -188,9 +188,9 @@ class TestCriterion9PropertySuites:
     """Fixed-seed property suites over every scenario family; zero failures."""
 
     @staticmethod
-    def _points(dim: int, count: int = 100):
+    def _points(dim: int):
         gen = np.random.default_rng(SEED + dim)
-        return gen.uniform(-8.0, 8.0, size=(count, dim))
+        return gen.uniform(-8.0, 8.0, size=(100, dim))
 
     @staticmethod
     def _pairs():
@@ -221,20 +221,31 @@ class TestCriterion9PropertySuites:
                     check(lambda x: resolvent(op, x), xs, ys, name)
                 check(lambda x: dr_apply(pair, x), xs, ys, name)
         else:
-            # the zoo's resolvents: tests/test_operators.py::TestZooInvariants
+            gen = rng(101)
+            for dim in (2, 3):
+                for name, op in operator_zoo(dim):
+                    xs, ys = sample_points(gen, dim, 100), sample_points(gen, dim, 100)
+                    check(lambda x: resolvent(op, x), xs, ys, name)
             gen = rng(4)
             for name, pair in (*operator_pairs(2), *operator_pairs(3)):
                 xs, ys = sample_points(gen, pair.dim, 100), sample_points(gen, pair.dim, 100)
                 check(lambda x: dr_apply(pair, x), xs, ys, name)
         _line(9, "PASS", f"firm nonexpansiveness of J_A, J_B, T (slack 1e-9, {inputs})")
 
-    def test_inverse_resolvent_identity(self):
-        for name, pair in self._pairs():
-            for op in (pair.A, pair.B):
-                for x in self._points(pair.dim):
-                    gap = resolvent(op, x) + resolvent(Inverse(op), x) - x
-                    assert np.linalg.norm(gap) <= 1e-10, name
-        _line(9, "PASS", "J + J_inverse = Id within 1e-10")
+    @REGISTRY_AND_ZOO
+    def test_inverse_resolvent_identity(self, inputs):
+        if inputs == "registry":
+            cases = [(name, op, self._points(pair.dim))
+                     for name, pair in self._pairs() for op in (pair.A, pair.B)]
+        else:
+            gen = rng(102)
+            cases = [(name, op, sample_points(gen, dim, 20))
+                     for dim in (2, 3) for name, op in operator_zoo(dim)]
+        for name, op, xs in cases:
+            for x in xs:
+                gap = resolvent(op, x) + resolvent(Inverse(op), x) - x
+                assert np.linalg.norm(gap) <= 1e-10, name
+        _line(9, "PASS", f"J + J_inverse = Id within 1e-10 ({inputs})")
 
     @REGISTRY_AND_ZOO
     def test_half_averaged_form(self, inputs):
@@ -264,18 +275,28 @@ class TestCriterion9PropertySuites:
                 assert np.linalg.norm(gap) <= 1e-10, name
         _line(9, "PASS", f"T equals the dual pair's T within 1e-10 ({inputs})")
 
-    def test_perturbation_calculus_identities(self):
-        gen = np.random.default_rng(SEED + 5)
-        for name, pair in self._pairs():
-            xs = self._points(pair.dim, count=100)
-            for op in (pair.A, pair.B):
-                for index in range(1, 7):
-                    w = gen.uniform(-3.0, 3.0, size=pair.dim)
-                    lhs, rhs = SHIFT_CALCULUS[index](op, w)
-                    for x in xs:
-                        gap = resolvent(lhs, x) - resolvent(rhs, x)
-                        assert np.linalg.norm(gap) <= 1e-9, (name, index)
-        _line(9, "PASS", "all six shift-calculus identities within 1e-9")
+    @pytest.mark.parametrize("inputs", ["registry"] + [f"zoo-{k}" for k in range(1, 7)])
+    def test_perturbation_calculus_identities(self, inputs):
+        # (name, op, identity index, w, points); the registry case runs all six
+        # identities on one stream, and zoo-k runs identity k on its own stream,
+        # which draws w and then the points for each operator in turn
+        if inputs == "registry":
+            gen = np.random.default_rng(SEED + 5)
+            cases = [(name, op, index, gen.uniform(-3.0, 3.0, size=pair.dim),
+                      self._points(pair.dim))
+                     for name, pair in self._pairs() for op in (pair.A, pair.B)
+                     for index in range(1, 7)]
+        else:
+            index = int(inputs.removeprefix("zoo-"))
+            gen = rng(100 + index)
+            cases = [(name, op, index, gen.normal(size=dim), sample_points(gen, dim, 50))
+                     for dim in (2, 3) for name, op in operator_zoo(dim)]
+        for name, op, index, w, xs in cases:
+            lhs, rhs = SHIFT_CALCULUS[index](op, w)
+            for x in xs:
+                gap = resolvent(lhs, x) - resolvent(rhs, x)
+                assert np.linalg.norm(gap) <= 1e-9, (name, index)
+        _line(9, "PASS", f"shift-calculus identities within 1e-9 ({inputs})")
 
     def test_psi_roundtrips(self):
         for name in CONVERGING_SCENARIOS:

@@ -31,19 +31,11 @@ from normsplit import (
 )
 from normsplit import splitting
 from normsplit.errors import NonFiniteIterateError
-from normsplit.scenarios import build_registry, get_scenario
 from normsplit.splitting import (
     _WINDOW, CONVERGED, MAX_ITER, NO_FIXED_POINT, IterationTrace, _orbit)
 
 from reference import orbit_fingerprint, reference_orbit, same_report
-from zoo import lines_at_angle, lines_pair, operator_pairs, rng
-
-
-def fused_pairs():
-    pairs = [(name, get_scenario(name).pair) for name in sorted(build_registry())]
-    for dim in (2, 3, 5):
-        pairs += [(f"zoo{dim}:{name}", pair) for name, pair in operator_pairs(dim)]
-    return [(name, pair) for name, pair in pairs if pair.affine_step is not None]
+from zoo import fused_pairs, lines_at_angle, lines_pair, rng, seeded_points
 
 
 FUSED = fused_pairs()
@@ -384,6 +376,19 @@ class TestBlockSeams:
 
 class TestLandings:
     """Stops and overflows on either side of a landing, against the per-step loop."""
+
+    def test_a_jump_matches_window_fused_steps(self):
+        # M_T^_WINDOW x + (I + ... + M_T^(_WINDOW - 1)) t against _WINDOW steps
+        # x -> M_T x + t, within 1e-12 (1 + |x|) at 100 seeded points a pair
+        for name, pair in FUSED:
+            m_t, t = pair.affine_step
+            power, total = pair._window_jump
+            xs = seeded_points(pair.dim)
+            stepped = xs
+            for _ in range(_WINDOW):
+                stepped = stepped @ m_t.T + t
+            gaps = np.linalg.norm(xs @ power.T + total.dot(t) - stepped, axis=1)
+            assert np.all(gaps <= 1e-12 * (1.0 + np.linalg.norm(xs, axis=1))), name
 
     @pytest.mark.parametrize("phase, stop_row, jumps", [
         (1, 99, 0), (1, 100, 0), (1, 101, 0), (1, 149, 0), (1, 150, 0), (1, 151, 0),

@@ -1,13 +1,15 @@
 """Compiled resolvents against the recursive reference, their normal form
 against the set images it projects onto, block evaluation against the
 per-point one, the fused affine DR step against the two-resolvent step,
-and the shared loop's iteration counts pinned per registry scenario."""
+and the shared loop's iteration counts pinned per registry scenario.
+
+The reference, block and fused-step checks are each one function, run on
+hypothesis-drawn wrapper stacks and on every registry and zoo operator or
+fused pair at 100 seeded points."""
 
 import dataclasses
-import importlib.util
 import math
 import pickle
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +44,7 @@ from normsplit.splitting import _fused_step
 from normsplit.scenarios import build_registry, get_scenario
 
 from reference import reference_resolvent
-from zoo import leaf_operators, operator_zoo, rng, sample_sets
+from zoo import fused_pairs, leaf_operators, operator_zoo, rng, sample_sets, seeded_points
 
 # an affine leaf whose matrix is a multiple of the identity compiles as any other
 ZOO = [op for dim in (2, 3) for _, op in operator_zoo(dim)] + [
@@ -60,16 +62,55 @@ def wrapped(op, kind: str, shift: np.ndarray):
     return OuterShift(op, shift)
 
 
-@settings(max_examples=400)
-@given(data=st.data())
-def test_compiled_stack_matches_reference(data):
+def draw_stack(data):
+    """(op, vectors): a ZOO operator under up to six drawn wrappers, and the
+    strategy for its vectors."""
     op = data.draw(st.sampled_from(ZOO))
     vectors = arrays(np.float64, op.dim, elements=st.floats(-10.0, 10.0))
     for kind in data.draw(st.lists(st.sampled_from(WRAPPERS), max_size=6)):
         op = wrapped(op, kind, data.draw(vectors))
-    x = data.draw(vectors)
-    gap = np.linalg.norm(resolvent(op, x) - reference_resolvent(op, x))
-    assert gap <= 1e-12
+    return op, vectors
+
+
+def close_rows(rows: np.ndarray, xs: np.ndarray, one_point) -> bool:
+    """Each row within 1e-12 (1 + |x|) of one_point at its x."""
+    return all(np.linalg.norm(row - one_point(x)) <= 1e-12 * (1.0 + np.linalg.norm(x))
+               for x, row in zip(xs, rows))
+
+
+def assert_matches_reference(op, xs):
+    for x in xs:
+        assert np.linalg.norm(resolvent(op, x) - reference_resolvent(op, x)) <= 1e-12
+
+
+def assert_rows_match_points(op, xs):
+    form = compile_resolvent(op)
+    assert close_rows(form.apply_rows(xs), xs, form.apply)
+
+
+def assert_fused_step_matches(pair, w, xs):
+    m_t, t_w = _fused_step(pair, w)
+    steps = [m_t.dot(x) + t_w for x in xs]
+    assert close_rows(steps, xs, lambda x: dr_apply(pair, x if w is None else x + w))
+
+
+@settings(max_examples=400)
+@given(data=st.data())
+def test_compiled_stack_matches_reference(data):
+    op, vectors = draw_stack(data)
+    assert_matches_reference(op, [data.draw(vectors)])
+
+
+SEEDED = [op for name in sorted(build_registry())
+          for op in (get_scenario(name).pair.A, get_scenario(name).pair.B)] + ZOO
+
+
+def test_registry_and_zoo_operators_at_seeded_points():
+    # each operator at the same 100 points, one at a time and as one block
+    for op in SEEDED:
+        xs = seeded_points(op.dim)
+        assert_matches_reference(op, xs)
+        assert_rows_match_points(op, xs)
 
 
 IMAGE_SETS = [region for dim in (2, 3) for _, region in sample_sets(dim)
@@ -98,8 +139,8 @@ def test_image_rules_cover_every_set_but_the_epigraph():
 
 
 def test_sample_sets_cover_every_set_variant():
-    # the zoo, its hypothesis stacks and scripts/check_compile.py all draw
-    # their sets from sample_sets, so a variant missing there goes unchecked
+    # the zoo and its hypothesis stacks draw their sets from sample_sets, so
+    # a variant missing there goes unchecked
     sampled = {type(region) for dim in (2, 3) for _, region in sample_sets(dim)}
     assert sampled == set(SET_VARIANTS)
 
@@ -156,32 +197,13 @@ def test_the_bare_leaf_evaluates_as_its_projector():
         assert form.apply == region.project
 
 
-def test_check_compile_script_passes(capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "check_compile.py"
-    spec = importlib.util.spec_from_file_location("check_compile", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    assert script.main() == 0
-    assert "FAIL" not in capsys.readouterr().out
-
-
-def close_rows(rows: np.ndarray, xs: np.ndarray, one_point) -> bool:
-    """Each row within 1e-12 (1 + |x|) of one_point at its x."""
-    return all(np.linalg.norm(row - one_point(x)) <= 1e-12 * (1.0 + np.linalg.norm(x))
-               for x, row in zip(xs, rows))
-
-
 @settings(max_examples=400)
 @given(data=st.data())
 def test_block_rows_match_the_per_point_form(data):
-    op = data.draw(st.sampled_from(ZOO))
-    vectors = arrays(np.float64, op.dim, elements=st.floats(-10.0, 10.0))
-    for kind in data.draw(st.lists(st.sampled_from(WRAPPERS), max_size=6)):
-        op = wrapped(op, kind, data.draw(vectors))
+    op, _ = draw_stack(data)
     k = data.draw(st.integers(1, 8))
     xs = data.draw(arrays(np.float64, (k, op.dim), elements=st.floats(-1e3, 1e3)))
-    form = compile_resolvent(op)
-    assert close_rows(form.apply_rows(xs), xs, form.apply)
+    assert_rows_match_points(op, xs)
 
 
 BETA = 0.7
@@ -267,10 +289,12 @@ def test_fused_step_matches_the_two_resolvents(data):
         ops.append(op)
     pair = OperatorPair(*ops)
     w = data.draw(st.none() | vectors)
-    x = data.draw(vectors)
-    m_t, t_w = _fused_step(pair, w)
-    expected = dr_apply(pair, x if w is None else x + w)
-    assert np.linalg.norm(m_t.dot(x) + t_w - expected) <= 1e-12 * (1.0 + np.linalg.norm(x))
+    assert_fused_step_matches(pair, w, [data.draw(vectors)])
+
+
+def test_fused_registry_and_zoo_pairs_at_seeded_points():
+    for _, pair in fused_pairs():
+        assert_fused_step_matches(pair, None, seeded_points(pair.dim))
 
 
 def test_folds_cover_exactly_the_wrappers():

@@ -16,7 +16,6 @@ from normsplit import (
     psi,
     psi_inv,
     resolvent,
-    solve_normal,
     solve_perturbed,
 )
 from normsplit.errors import PreconditionError
@@ -24,18 +23,6 @@ from normsplit.splitting import certify
 from normsplit.scenarios import get_scenario
 
 from zoo import operator_pairs, rng, sample_points
-
-CONVERGING = [
-    "overlapping-balls",
-    "disjoint-balls",
-    "two-lines",
-    "box-halfspace",
-    "rotators-default",
-    "constants-default",
-    "least-squares-default",
-    "affine-default",
-]
-
 
 class TestDualPair:
     def test_double_dual_restores_resolvents(self):
@@ -147,19 +134,6 @@ class TestPsi:
         zk = psi_inv(pair, x, w)
         np.testing.assert_allclose(psi(zk), x, atol=1e-12)
         assert zk.z[1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_roundtrips_on_every_converging_scenario(self):
-        for name in CONVERGING:
-            sc = get_scenario(name)
-            report = solve_normal(sc.pair, opts=sc.solve_opts)
-            assert report.status == "converged", name
-            w = report.v_estimate
-            fixed = report.governing_point + w
-            zk = psi_inv(sc.pair, fixed, w, tol_fix=1e-7)
-            assert np.linalg.norm(psi(zk) - fixed) <= 1e-9, name
-            again = psi_inv(sc.pair, psi(zk), w, tol_fix=1e-7)
-            assert np.linalg.norm(again.z - zk.z) <= 1e-9, name
-            assert np.linalg.norm(again.k - zk.k) <= 1e-9, name
 
 
 class TestDualSolve:

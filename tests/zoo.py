@@ -17,7 +17,7 @@ from normsplit import (
     OuterShift,
     Zero,
 )
-from normsplit.scenarios import rotator_matrix
+from normsplit.scenarios import build_registry, get_scenario, rotator_matrix
 
 SEED = 20240901
 
@@ -29,6 +29,11 @@ def rng(seed: int = SEED) -> np.random.Generator:
 def sample_points(gen: np.random.Generator, dim: int, count: int,
                   scale: float = 4.0) -> np.ndarray:
     return gen.normal(scale=scale, size=(count, dim))
+
+
+def seeded_points(dim: int) -> np.ndarray:
+    """100 points in R^dim from a stream seeded by the dimension."""
+    return sample_points(rng(SEED + dim), dim, 100)
 
 
 def sample_sets(dim: int):
@@ -106,6 +111,14 @@ def operator_pairs(dim: int, count: int | None = None):
         name_b, b = ops[idx[i + 1]]
         pairs.append((f"{name_a}|{name_b}", OperatorPair(a, b)))
     return pairs[:count] if count is not None else pairs
+
+
+def fused_pairs():
+    """The registry and zoo pairs (dims 2, 3, 5) whose DR step is one affine map."""
+    pairs = [(name, get_scenario(name).pair) for name in sorted(build_registry())]
+    for dim in (2, 3, 5):
+        pairs += [(f"zoo{dim}:{name}", pair) for name, pair in operator_pairs(dim)]
+    return [(name, pair) for name, pair in pairs if pair.affine_step is not None]
 
 
 def lines_at_angle(dim: int, angle: float, gap: float = 0.0):
