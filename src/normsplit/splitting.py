@@ -44,8 +44,9 @@ _WINDOW = 50
 _FIRST_ROWS = 256
 # above this dimension a dense dim x dim step costs more than two resolvents
 _FUSED_MAX_DIM = 200
-# a landing's statistic must exceed this times |x_n| + _WINDOW |d_n|; jumped and
-# stepped iterates differ by at most 1e-13 times that on the fused registry and
+# a landing's statistic, and a one-product block row's, must exceed this times a
+# bound on the iterates its product spans (|x_n| + _WINDOW |d_n| for a landing);
+# jumped and stepped iterates differ by at most 1e-13 times it on the fused registry and
 # zoo pairs (tests/test_block_orbit.py::TestLandings::test_a_jump_matches_window_fused_steps)
 _LANDING_FLOOR = 1e-12
 # to_csv formats this many rows at a time, so its peak stays near the file size
@@ -273,13 +274,13 @@ def _fused_step(pair: OperatorPair, w: Optional[np.ndarray]):
     return (m_t, t_w) if np.isfinite(t_w).all() else None
 
 
-def _leap(pair: OperatorPair, t_w, x: np.ndarray, n: int, last_landing: int,
+def _leap(pair: OperatorPair, t_w, shift, x: np.ndarray, n: int, last_landing: int,
           estimating: bool, bound: float):
     """Jump from row n to row L = n + _WINDOW while no row in [n, L) can stop.
 
-    x_L = M_T^_WINDOW x_n + (I + ... + M_T^(_WINDOW - 1)) t_w is one product
-    (OperatorPair._window_jump), and row L's statistic one more, for x_{L+1}.
-    Along a fused orbit d_{m+1} = M_T d_m and |M_T y| <= |y|, since T is
+    x_L = M_T^_WINDOW x_n + shift, shift = (I + ... + M_T^(_WINDOW - 1)) t_w, is
+    one product (OperatorPair._window_jump), and row L's statistic one more,
+    for x_{L+1}. Along a fused orbit d_{m+1} = M_T d_m and |M_T y| <= |y|, since T is
     nonexpansive, so phase 2's statistic |d_m| never increases, nor from row
     _WINDOW on does phase 1's |d_m - d_{m-_WINDOW}|, here d_L - d_n. So when
     row L's squared statistic is above `bound`, the block screen's 2 tol^2,
@@ -292,9 +293,8 @@ def _leap(pair: OperatorPair, t_w, x: np.ndarray, n: int, last_landing: int,
     Returns (n, x_n, start): the row and iterate of the last landing taken,
     and the iterate it jumped from, or None when no landing was taken.
     """
-    power, total = pair._window_jump
+    power = pair._window_jump[0]
     dot, inf = pair.affine_step[0].dot, math.inf
-    shift = total.dot(t_w)
     d = x - (dot(x) + t_w)
     start = None
     while n + _WINDOW <= last_landing:
@@ -332,6 +332,16 @@ def _fast_forward(pair: OperatorPair, t_w, x0: np.ndarray, estimating: bool, max
     again to refill its window ring. Jumped iterates agree with stepped ones
     to rounding, not bit for bit; blocks resume at the first landing refused.
 
+    Once a landing is taken, a block that follows a whole one is one product,
+    x_{n+i} = M_T^_WINDOW x_{n+i-_WINDOW} + S t_w, through the window array.
+    Its squared statistics up to the handoff row must also be above the
+    rounding floor (_LANDING_FLOOR r)^2, r = |x_s| + 2 _WINDOW |d_s| at its
+    first source row s, a bound on every iterate the product spans; else it
+    and every later block are stepped. Phase 2 keeps a tail so computed only
+    if it reaches row max_iter - 1 and its drift verdict stands with the net
+    move and each path row off by e = 2 blocks _LANDING_FLOOR r_max (r_max the
+    largest r); else its blocks run again, stepped, from the last landing.
+
     Returns (n, x_n, ring, path, x_from) for the per-step loop to resume at
     row n; ring is a list of the last _WINDOW displacements in phase 1, else
     None.
@@ -349,8 +359,8 @@ def _fast_forward(pair: OperatorPair, t_w, x0: np.ndarray, estimating: bool, max
     block = np.empty((_WINDOW + 1, dim))
     block[0] = x0
     steps = list(zip(rows := list(block), rows[1:]))  # one view per row, in two steps
-    # per row: d_n = x_n - x_{n+1} (less d_{n-_WINDOW} in phase 1), its
-    # squared norm, and whether it is taken
+    # per row: d_n = x_n - x_{n+1} (less d_{n-_WINDOW} in phase 1; first a
+    # one-product block's rows), its squared norm, and whether it is taken
     window = np.empty((_WINDOW, dim))
     squares = np.empty(_WINDOW)
     taken, finite = np.empty(_WINDOW, dtype=bool), np.empty(_WINDOW, dtype=bool)
@@ -359,42 +369,70 @@ def _fast_forward(pair: OperatorPair, t_w, x0: np.ndarray, estimating: bool, max
     leap_from = 2 * _WINDOW if estimating else _WINDOW
     last_landing = max_iter - 2 if estimating else min(drift_from, max_iter - 2)
     path, x_from = 0.0, None
-    while n < max_iter - 1:
-        if n == leap_from and n + _WINDOW <= last_landing:
-            n, x, start = _leap(pair, t_w, block[0], n, last_landing, estimating, bound)
-            if start is not None and estimating:  # refill the ring from the last jump's rows
-                block[0] = start
-                for x, x_next in steps:
+    # the last landing (n, x_n); whether block[1:] holds x_{n-_WINDOW+1} .. x_n
+    # after one; the blocks computed by one product, and their largest r
+    landing, whole, blocks, r_max = None, False, 0, 0.0
+    for propagate in (True, False):  # a second pass steps phase 2's tail again
+        while n < max_iter - 1:
+            if n == leap_from and n + _WINDOW <= last_landing:
+                power, shift = pair._window_jump[0], pair._window_jump[1].dot(t_w)
+                n, x, start = _leap(pair, t_w, shift, block[0], n, last_landing, estimating, bound)
+                if start is not None:
+                    landing, whole = (n, x), estimating
+                if start is not None and estimating:  # refill the ring from the last jump's rows
+                    block[0] = start
+                    for x, x_next in steps:
+                        dot(x, out=x_next)
+                        x_next += t_w
+                    np.subtract(block[:_WINDOW], block[1:], out=ring)  # n is a multiple of _WINDOW
+                    x = block[_WINDOW]
+                block[0] = x
+            end = min(n + 1 if n == probe else (n // _WINDOW + 1) * _WINDOW, max_iter - 1)
+            count = end - n
+            propagated = propagate and whole
+            if propagated:  # one product for the block, from the _WINDOW rows before it
+                r = length(block[1]) + 2 * _WINDOW * length(block[1] - block[2])
+                np.dot(block[1:count + 1], power.T, out=window[:count])
+                np.add(window[:count], shift, out=block[1:count + 1])
+            else:
+                for x, x_next in steps[:count]:
                     dot(x, out=x_next)
                     x_next += t_w
-                np.subtract(block[:_WINDOW], block[1:], out=ring)  # n is a multiple of _WINDOW
-                x = block[_WINDOW]
-            block[0] = x
-        end = min(n + 1 if n == probe else (n // _WINDOW + 1) * _WINDOW, max_iter - 1)
-        count = end - n
-        for x, x_next in steps[:count]:
-            dot(x, out=x_next)
-            x_next += t_w
-        d = np.subtract(block[:count], block[1:count + 1], out=window[:count])
-        slot = n % _WINDOW
-        if estimating:
-            d -= ring[slot:slot + count]
-        # each row's d.dot(d), by the same BLAS dot
-        sq = np.vecdot(d, d, out=squares[:count])
-        ok = np.less(bound, sq, out=taken[:count])
-        ok &= np.isfinite(sq, out=finite[:count])
-        kept = count if ok.all() else int(ok.argmin())
-        if estimating:
-            np.subtract(block[:kept], block[1:kept + 1], out=ring[slot:slot + kept])
-        elif n + kept > drift_from:
-            if n <= drift_from:
-                x_from = block[drift_from - n].copy()
-            for size in np.sqrt(sq[max(drift_from - n, 0):kept]).tolist():
-                path += size
-        n += kept
-        block[0] = block[kept]
-        if kept < count:
+            d = np.subtract(block[:count], block[1:count + 1], out=window[:count])
+            slot = n % _WINDOW
+            if estimating:
+                d -= ring[slot:slot + count]
+            # each row's d.dot(d), by the same BLAS dot
+            sq = np.vecdot(d, d, out=squares[:count])
+            ok = np.less(bound, sq, out=taken[:count])
+            ok &= np.isfinite(sq, out=finite[:count])
+            kept = count if ok.all() else int(ok.argmin())
+            if propagated:  # a row up to the handoff at the rounding floor steps the block again
+                if not (sq[:kept + 1] > (_LANDING_FLOOR * r) ** 2).all():
+                    propagate = False  # and every later one
+                    continue
+                blocks, r_max = blocks + 1, max(r_max, r)
+            if estimating:
+                np.subtract(block[:kept], block[1:kept + 1], out=ring[slot:slot + kept])
+            elif n + kept > drift_from:
+                if n <= drift_from:
+                    x_from = block[drift_from - n].copy()
+                for size in np.sqrt(sq[max(drift_from - n, 0):kept]).tolist():
+                    path += size
+            n += kept
+            whole = landing is not None and kept == _WINDOW
+            block[0] = block[kept]
+            if kept < count:
+                break
+        if estimating or not blocks or x_from is None:
             break
+        if n == max_iter - 1:  # the per-step loop's drift verdict, if rounding cannot move it
+            net, e = length(block[0] - x_from), 2.0 * blocks * _LANDING_FLOOR * r_max
+            slack = (max_iter - 1 - drift_from) * e
+            if net + e < _DRIFT_RATIO * (path - slack) or net - e >= _DRIFT_RATIO * (path + slack):
+                break
+        (n, x), path, x_from, blocks = landing, 0.0, None, 0
+        block[0] = x
     return n, block[0].copy(), (list(ring) if estimating else None), path, x_from
 
 
@@ -431,11 +469,12 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     per call, one matrix-vector product, and the shadow J_B(x + w) is
     evaluated only for a recorded row or a certificate check. An unrecorded
     such orbit first fast-forwards (_fast_forward) through the rows that can
-    neither stop nor overflow, in blocks and in jumps of _WINDOW rows, and
-    the per-step loop takes over at the first row that might, recomputing
-    it. So the rows, status, certificates and any overflow row are those of
-    the per-step loop alone; so are the vectors, bit for bit, unless a jump
-    lands, after which they agree to rounding.
+    neither stop nor overflow, in blocks and in jumps of _WINDOW rows (after a
+    landing, a block is one product), and the per-step loop takes over at the
+    first row that might, recomputing it. So the rows, status, certificates
+    and any overflow row are those of the per-step loop alone; so are the
+    vectors, bit for bit, unless a jump lands, after which they agree to
+    rounding; phase 2 steps again a drift tail whose verdict that could move.
 
     Returns (end, status, certificates, solution). end is an OrbitEnd, the
     IterationTrace itself when recording; its x_last is x_N when phase 1's
