@@ -44,11 +44,13 @@ _WINDOW = 50
 _FIRST_ROWS = 256
 # above this dimension a dense dim x dim step costs more than two resolvents
 _FUSED_MAX_DIM = 200
-# a landing's statistic, and a one-product block row's, must exceed this times a
-# bound on the iterates its product spans (|x_n| + _WINDOW |d_n| for a landing);
-# jumped and stepped iterates differ by at most 1e-13 times it on the fused registry and
-# zoo pairs (tests/test_block_orbit.py::TestLandings::test_a_jump_matches_window_fused_steps)
+# a landing's statistic must exceed this times a bound on the iterates its product
+# spans, |x_n| + _WINDOW |d_n|; jumped and stepped iterates differ by at most 1e-13
+# times it on the fused registry and zoo pairs
+# (tests/test_block_orbit.py::TestLandings::test_a_jump_matches_window_fused_steps)
 _LANDING_FLOOR = 1e-12
+# singular values of I - M_T at or below this times the largest count as 0
+_RANK_CUTOFF = 1e-10
 # to_csv formats this many rows at a time, so its peak stays near the file size
 _CSV_ROWS = 1024
 
@@ -113,6 +115,18 @@ class OperatorPair:
                 if bit == "1":
                     power, total = power @ m_t, total + power  # k -> k + 1
         return power, total
+
+    @cached_property
+    def _range_complement(self) -> np.ndarray:
+        """Orthonormal columns N spanning R^perp, R = ran(I - M_T), of a pair with an affine_step.
+
+        The left singular vectors of I - M_T whose singular values are at or
+        below _RANK_CUTOFF times the largest, from one SVD built on first use.
+        Every displacement (I - M_T) x - t_w of x -> M_T x + t_w is at least
+        |N^T t_w| long, since (I - M_T) x lies in R.
+        """
+        u, s, _ = np.linalg.svd(np.eye(self.dim) - self.affine_step[0])
+        return u[:, int(np.sum(s > _RANK_CUTOFF * s[0])):]
 
 
 @dataclass(frozen=True)
@@ -274,7 +288,7 @@ def _fused_step(pair: OperatorPair, w: Optional[np.ndarray]):
     return (m_t, t_w) if np.isfinite(t_w).all() else None
 
 
-def _leap(pair: OperatorPair, t_w, shift, x: np.ndarray, n: int, last_landing: int,
+def _leap(pair: OperatorPair, t_w, x: np.ndarray, n: int, last_landing: int,
           estimating: bool, bound: float):
     """Jump from row n to row L = n + _WINDOW while no row in [n, L) can stop.
 
@@ -293,7 +307,8 @@ def _leap(pair: OperatorPair, t_w, shift, x: np.ndarray, n: int, last_landing: i
     Returns (n, x_n, start): the row and iterate of the last landing taken,
     and the iterate it jumped from, or None when no landing was taken.
     """
-    power = pair._window_jump[0]
+    power, total = pair._window_jump
+    shift = total.dot(t_w)
     dot, inf = pair.affine_step[0].dot, math.inf
     d = x - (dot(x) + t_w)
     start = None
@@ -310,7 +325,7 @@ def _leap(pair: OperatorPair, t_w, shift, x: np.ndarray, n: int, last_landing: i
 
 
 def _fast_forward(pair: OperatorPair, t_w, x0: np.ndarray, estimating: bool, max_iter: int,
-                  tol: float, drift_from: int):
+                  tol: float):
     """Step x -> M_T x + t_w in blocks and jumps, up to the first row a stop rule might act on.
 
     The rows go into one (_WINDOW + 1, dim) buffer, each by
@@ -320,120 +335,73 @@ def _fast_forward(pair: OperatorPair, t_w, x0: np.ndarray, estimating: bool, max
     the buffer is allocated, for a warm start that hands off there. Rows are
     taken in order while their squared stop-rule norm is finite and above
     2 tol^2, signed as tol, so that rounding cannot hide a stop and a
-    negative tol screens out no row. Taken rows update phase 1's window ring,
-    or phase 2's drift iterate x_from and path sum, as the per-step loop
-    would. The first other row, or row max_iter - 1, ends the fast-forward,
-    so the per-step loop runs that row and every stop rule.
+    negative tol screens out no row. Taken rows update phase 1's window ring
+    as the per-step loop would. The first other row, or row max_iter - 1,
+    ends the fast-forward, so the per-step loop runs that row and every stop
+    rule.
 
     At row 2 _WINDOW in phase 1 and row _WINDOW in phase 2 the orbit first
     jumps _WINDOW rows at a time (_leap), by landings no later than row
-    max_iter - 2 and, in phase 2, than drift_from, since the drift rows are
-    summed one by one. After a landing phase 1 steps the last jump's rows
-    again to refill its window ring. Jumped iterates agree with stepped ones
-    to rounding, not bit for bit; blocks resume at the first landing refused.
+    max_iter - 2. After a landing phase 1 steps the last jump's rows again to
+    refill its window ring. Jumped iterates agree with stepped ones to
+    rounding, not bit for bit; blocks resume at the first landing refused.
 
-    Once a landing is taken, a block that follows a whole one is one product,
-    x_{n+i} = M_T^_WINDOW x_{n+i-_WINDOW} + S t_w, through the window array.
-    Its squared statistics up to the handoff row must also be above the
-    rounding floor (_LANDING_FLOOR r)^2, r = |x_s| + 2 _WINDOW |d_s| at its
-    first source row s, a bound on every iterate the product spans; else it
-    and every later block are stepped. Phase 2 keeps a tail so computed only
-    if it reaches row max_iter - 1 and its drift verdict stands with the net
-    move and each path row off by e = 2 blocks _LANDING_FLOOR r_max (r_max the
-    largest r); else its blocks run again, stepped, from the last landing.
-
-    Returns (n, x_n, ring, path, x_from) for the per-step loop to resume at
-    row n; ring is a list of the last _WINDOW displacements in phase 1, else
-    None.
+    Returns (n, x_n, ring) for the per-step loop to resume at row n; ring is
+    a list of the last _WINDOW displacements in phase 1, else None.
     """
     bound = math.copysign(2.0 * tol * tol, tol)
     dot, n = pair.affine_step[0].dot, 0
-    if not estimating and max_iter > 1:  # drift_from >= 1, so row 0 adds to no drift sum
+    if not estimating and max_iter > 1:
         x1 = dot(x0, out=np.empty_like(x0))
         x1 += t_w
         d = x0 - x1
         if not bound < d.dot(d) < math.inf:
-            return 0, x0, None, 0.0, None
+            return 0, x0, None
         x0, n = x1, 1
     dim = x0.size
     block = np.empty((_WINDOW + 1, dim))
     block[0] = x0
     steps = list(zip(rows := list(block), rows[1:]))  # one view per row, in two steps
-    # per row: d_n = x_n - x_{n+1} (less d_{n-_WINDOW} in phase 1; first a
-    # one-product block's rows), its squared norm, and whether it is taken
+    # per row: d_n = x_n - x_{n+1} (less d_{n-_WINDOW} in phase 1), its
+    # squared norm, and whether it is taken
     window = np.empty((_WINDOW, dim))
     squares = np.empty(_WINDOW)
     taken, finite = np.empty(_WINDOW, dtype=bool), np.empty(_WINDOW, dtype=bool)
     ring = np.zeros((min(_WINDOW, max_iter), dim)) if estimating else None
     probe = _WINDOW if estimating else None  # phase 2's ran above
     leap_from = 2 * _WINDOW if estimating else _WINDOW
-    last_landing = max_iter - 2 if estimating else min(drift_from, max_iter - 2)
-    path, x_from = 0.0, None
-    # the last landing (n, x_n); whether block[1:] holds x_{n-_WINDOW+1} .. x_n
-    # after one; the blocks computed by one product, and their largest r
-    landing, whole, blocks, r_max = None, False, 0, 0.0
-    for propagate in (True, False):  # a second pass steps phase 2's tail again
-        while n < max_iter - 1:
-            if n == leap_from and n + _WINDOW <= last_landing:
-                power, shift = pair._window_jump[0], pair._window_jump[1].dot(t_w)
-                n, x, start = _leap(pair, t_w, shift, block[0], n, last_landing, estimating, bound)
-                if start is not None:
-                    landing, whole = (n, x), estimating
-                if start is not None and estimating:  # refill the ring from the last jump's rows
-                    block[0] = start
-                    for x, x_next in steps:
-                        dot(x, out=x_next)
-                        x_next += t_w
-                    np.subtract(block[:_WINDOW], block[1:], out=ring)  # n is a multiple of _WINDOW
-                    x = block[_WINDOW]
-                block[0] = x
-            end = min(n + 1 if n == probe else (n // _WINDOW + 1) * _WINDOW, max_iter - 1)
-            count = end - n
-            propagated = propagate and whole
-            if propagated:  # one product for the block, from the _WINDOW rows before it
-                r = length(block[1]) + 2 * _WINDOW * length(block[1] - block[2])
-                np.dot(block[1:count + 1], power.T, out=window[:count])
-                np.add(window[:count], shift, out=block[1:count + 1])
-            else:
-                for x, x_next in steps[:count]:
+    while n < max_iter - 1:
+        if n == leap_from and n + _WINDOW <= max_iter - 2:
+            n, x, start = _leap(pair, t_w, block[0], n, max_iter - 2, estimating, bound)
+            if start is not None and estimating:  # refill the ring from the last jump's rows
+                block[0] = start
+                for x, x_next in steps:
                     dot(x, out=x_next)
                     x_next += t_w
-            d = np.subtract(block[:count], block[1:count + 1], out=window[:count])
-            slot = n % _WINDOW
-            if estimating:
-                d -= ring[slot:slot + count]
-            # each row's d.dot(d), by the same BLAS dot
-            sq = np.vecdot(d, d, out=squares[:count])
-            ok = np.less(bound, sq, out=taken[:count])
-            ok &= np.isfinite(sq, out=finite[:count])
-            kept = count if ok.all() else int(ok.argmin())
-            if propagated:  # a row up to the handoff at the rounding floor steps the block again
-                if not (sq[:kept + 1] > (_LANDING_FLOOR * r) ** 2).all():
-                    propagate = False  # and every later one
-                    continue
-                blocks, r_max = blocks + 1, max(r_max, r)
-            if estimating:
-                np.subtract(block[:kept], block[1:kept + 1], out=ring[slot:slot + kept])
-            elif n + kept > drift_from:
-                if n <= drift_from:
-                    x_from = block[drift_from - n].copy()
-                for size in np.sqrt(sq[max(drift_from - n, 0):kept]).tolist():
-                    path += size
-            n += kept
-            whole = landing is not None and kept == _WINDOW
-            block[0] = block[kept]
-            if kept < count:
-                break
-        if estimating or not blocks or x_from is None:
+                np.subtract(block[:_WINDOW], block[1:], out=ring)  # n is a multiple of _WINDOW
+                x = block[_WINDOW]
+            block[0] = x
+        end = min(n + 1 if n == probe else (n // _WINDOW + 1) * _WINDOW, max_iter - 1)
+        count = end - n
+        for x, x_next in steps[:count]:
+            dot(x, out=x_next)
+            x_next += t_w
+        d = np.subtract(block[:count], block[1:count + 1], out=window[:count])
+        slot = n % _WINDOW
+        if estimating:
+            d -= ring[slot:slot + count]
+        # each row's d.dot(d), by the same BLAS dot
+        sq = np.vecdot(d, d, out=squares[:count])
+        ok = np.less(bound, sq, out=taken[:count])
+        ok &= np.isfinite(sq, out=finite[:count])
+        kept = count if ok.all() else int(ok.argmin())
+        if estimating:
+            np.subtract(block[:kept], block[1:kept + 1], out=ring[slot:slot + kept])
+        n += kept
+        block[0] = block[kept]
+        if kept < count:
             break
-        if n == max_iter - 1:  # the per-step loop's drift verdict, if rounding cannot move it
-            net, e = length(block[0] - x_from), 2.0 * blocks * _LANDING_FLOOR * r_max
-            slack = (max_iter - 1 - drift_from) * e
-            if net + e < _DRIFT_RATIO * (path - slack) or net - e >= _DRIFT_RATIO * (path + slack):
-                break
-        (n, x), path, x_from, blocks = landing, 0.0, None, 0
-        block[0] = x
-    return n, block[0].copy(), (list(ring) if estimating else None), path, x_from
+    return n, block[0].copy(), (list(ring) if estimating else None)
 
 
 # the loop reports a non-finite iterate itself, as NonFiniteIterateError
@@ -448,8 +416,12 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     it stops at the first certified fixed point, |x - T(x + w)| <= tol with
     both membership certificates (certify). No radius bounds the orbit: the
     orbit of a firmly nonexpansive T grows at most linearly, wherever its
-    fixed points lie. An orbit that spends the budget N = max_iter is
-    declared drifting when
+    fixed points lie. When phase 2 spends the budget N = max_iter, a pair
+    with an affine_step has no fixed point when rho, the length of t_w's
+    part normal to ran(I - M_T) (OperatorPair._range_complement) and a bound
+    under every displacement, exceeds max(tol, 0) + 1e-12 (1 + |t_w|): a
+    proof that no row can stop.
+    Any other pair is declared drifting when
     |x_{N-1} - x_{N-1-k}| is at least _DRIFT_RATIO times the path length
     |x_{N-1-k} - x_{N-k}| + ... + |x_{N-2} - x_{N-1}|, k = min(1000, N // 4),
     while |x_{N-1} - x_N| > tol; N < 100 steps are too few for that verdict.
@@ -459,9 +431,9 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     reads a non-finite x + w, shadow, k + w or z - w raises PreconditionError.
 
     Only what the stop rules read is kept: phase 1 a ring of the last
-    _WINDOW displacements, phase 2 the iterate x_{N-1-k} and a running sum
-    of displacement norms. With `record` every row also goes into an
-    IterationTrace.
+    _WINDOW displacements, phase 2 of a pair without an affine_step the
+    iterate x_{N-1-k} and a running sum of displacement norms. With
+    `record` every row also goes into an IterationTrace.
 
     One per-step loop runs the stop rules, after every step. A step
     evaluates J_B and J_A, as dr_apply does, unless the pair has an
@@ -469,19 +441,17 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     per call, one matrix-vector product, and the shadow J_B(x + w) is
     evaluated only for a recorded row or a certificate check. An unrecorded
     such orbit first fast-forwards (_fast_forward) through the rows that can
-    neither stop nor overflow, in blocks and in jumps of _WINDOW rows (after a
-    landing, a block is one product), and the per-step loop takes over at the
-    first row that might, recomputing it. So the rows, status, certificates
-    and any overflow row are those of the per-step loop alone; so are the
-    vectors, bit for bit, unless a jump lands, after which they agree to
-    rounding; phase 2 steps again a drift tail whose verdict that could move.
+    neither stop nor overflow, in blocks and in jumps of _WINDOW rows, and
+    the per-step loop takes over at the first row that might, recomputing
+    it. So the rows, status, certificates and any overflow row are those of
+    the per-step loop alone; so are the vectors, bit for bit, unless a jump
+    lands, after which they agree to rounding.
 
     Returns (end, status, certificates, solution). end is an OrbitEnd, the
     IterationTrace itself when recording; its x_last is x_N when phase 1's
-    stop rule fired, else None; status is CONVERGED or
-    NO_FIXED_POINT (drift) when phase 2 stops so, else MAX_ITER;
-    certificates are the last ones checked, and solution is the certified
-    (x, z, k) or None.
+    stop rule fired, else None; status is CONVERGED or NO_FIXED_POINT when
+    phase 2 stops or ends so, else MAX_ITER; certificates are the last ones
+    checked, and solution is the certified (x, z, k) or None.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -491,23 +461,22 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     apply_b = compile_resolvent(pair.B).apply
     x_next = np.zeros(dim) if x0 is None else as_vector(x0, dim=dim).copy()
     sqrt, inf = math.sqrt, math.inf
-    # the drift verdict reads x_{N-1-k} and the norms of rows N-1-k .. N-2
-    last = max_iter - 1
-    drift_from = last - min(1000, max_iter // 4) if max_iter >= 100 else max_iter
     if record:
         capacity = min(max_iter, _FIRST_ROWS)
         xs, shadows, disps = (np.empty((capacity, dim)) for _ in range(3))
     status, certificates, solution, x_last = MAX_ITER, {}, None, None
     # displacement n - _WINDOW sits at n % _WINDOW; n never reaches max_iter
     ring = [None] * min(_WINDOW, max_iter)
-    start, path, x_from = 0, 0.0, None
+    start, path = 0, 0.0
     step = _fused_step(pair, w)
+    # the drift verdict reads x_{N-1-k} and the norms of rows N-1-k .. N-2
+    last = max_iter - 1
+    drift_from = last - min(1000, max_iter // 4) if max_iter >= 100 and step is None else max_iter
     if step is not None:
         m_t, t_w = step
         dot = m_t.dot
         if not record:
-            start, x_next, ring, path, x_from = _fast_forward(
-                pair, t_w, x_next, estimating, max_iter, tol, drift_from)
+            start, x_next, ring = _fast_forward(pair, t_w, x_next, estimating, max_iter, tol)
     for n in range(start, max_iter):
         x = x_next
         if step is None:
@@ -554,9 +523,13 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
                     path += size
         if not size < inf and not np.isfinite(x_next).all():
             raise NonFiniteIterateError(n)
-    # the budget is spent: phase 2 takes the drift verdict (phase 1 has no path,
-    # and a converged phase 2 ends with size <= tol)
-    if path > 0.0 and size > tol:
+    # a spent phase 2 takes the closed-form verdict if its pair fuses, else the
+    # drift verdict (phase 1 has no path, and a converged phase 2 ends with size <= tol)
+    if step is not None and not estimating and status == MAX_ITER:
+        rho = length(t_w.dot(pair._range_complement))
+        if rho > max(tol, 0.0) + 1e-12 * (1.0 + length(t_w)):
+            status = NO_FIXED_POINT
+    elif path > 0.0 and size > tol:
         net = x - x_from
         if sqrt(net.dot(net)) / path >= _DRIFT_RATIO:
             status = NO_FIXED_POINT
@@ -602,9 +575,10 @@ def solve_perturbed(pair: OperatorPair, w: np.ndarray, x0=None,
 
     On convergence the report carries the governing fixed point x, the
     solution z = J_B(x + w), the dual vector k = x - z, and the two
-    membership certificates (k + w in Bz, -k in A(z - w)). Lack of a fixed
-    point is reported as evidence only: a straight-line drifting tail with
-    residual still above tol_fix at the iteration budget. v_estimate is a copy
+    membership certificates (k + w in Bz, -k in A(z - w)). At a spent budget
+    a pair with an affine_step reports lack of a fixed point only when it is
+    proved (_orbit), any other pair on evidence: a straight-line drifting
+    tail with residual still above tol_fix. v_estimate is a copy
     of the w solved for: in solve_normal, the phase-1 estimate. The report's
     trace is the IterationTrace with `record`, else None.
     """
@@ -636,7 +610,7 @@ def solve_normal(pair: OperatorPair, x0=None,
     it certifies at its first row unless that rounding exceeds opts.tol_fix.
     When phase 1 spends its budget, phase 2 starts cold at x0: there the
     estimate may approach a v that is never attained, and only the cold
-    orbit's drift verdict can say so, since the estimate's own problem always
+    orbit's verdict can say so, since the estimate's own problem always
     has the fixed point x_N.
     opts.max_iter budgets each phase separately; iterations_used totals both.
     With `record` the report's trace is phase 2's IterationTrace, else None.

@@ -17,7 +17,9 @@ beyond the leaf projections.
 of operators with equal resolvents.
 
 `drifting_tail` reads the drift verdict off a recorded trace, the way the
-solve loop takes it from the few rows it keeps, and `trace_csv` writes a
+solve loop takes it from the few rows it keeps, for a pair whose step does
+not fuse; `fixed_point_gap` and `proves_no_fixed_point` give the verdict of
+one whose step does, in closed form. `trace_csv` writes a
 trace cell by cell, the bytes that IterationTrace.to_csv must reproduce,
 with its Cesaro column derived from the iterates here.
 
@@ -25,7 +27,7 @@ with its Cesaro column derived from the iterates here.
 
 `reference_orbit` is the solve loop of an affine pair taken one step at a
 time: it steps by x -> M_T x + t_w, and every stop rule and the finiteness
-check run after each step. splitting._orbit fast-forwards unrecorded
+check run after each step; a spent phase 2 takes the closed-form verdict. splitting._orbit fast-forwards unrecorded
 affine orbits in blocks and 50-row jumps before its own per-step loop
 takes over, and must return the same rows, status, certificates and
 overflow row; where no jump lands, also the same solution and phase-1 end
@@ -131,6 +133,26 @@ def drifting_tail(trace, tol_fix: float) -> bool:
     return net / path >= _DRIFT_RATIO
 
 
+def fixed_point_gap(pair, w) -> float:
+    """rho = |(I - P_R) t_w|, R = ran(I - M_T), for a pair whose step fuses.
+
+    Every displacement (I - M_T) x - t_w of x -> M_T x + t_w is at least rho
+    long. P_R projects onto the left singular vectors of I - M_T whose
+    singular values are above 1e-10 times the largest.
+    """
+    m_t, t_w = _fused_step(pair, w)
+    u, s, _ = np.linalg.svd(np.eye(pair.dim) - m_t)
+    basis = u[:, : int(np.sum(s > 1e-10 * s[0]))]
+    return float(np.linalg.norm(t_w - basis @ (basis.T @ t_w)))
+
+
+def proves_no_fixed_point(pair, w, tol: float) -> bool:
+    """The closed-form verdict: rho above max(tol, 0) by more than 1e-12 (1 + |t_w|)."""
+    t_w = _fused_step(pair, w)[1]
+    margin = max(tol, 0.0) + 1e-12 * (1.0 + float(np.linalg.norm(t_w)))
+    return fixed_point_gap(pair, w) > margin
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def reference_orbit(pair, x0, w, max_iter: int, tol: float, record: bool = False):
     """splitting._orbit one step at a time, for a pair whose step fuses;
@@ -146,9 +168,6 @@ def reference_orbit(pair, x0, w, max_iter: int, tol: float, record: bool = False
     x_next = np.zeros(dim) if x0 is None else as_vector(x0, dim=dim).copy()
     sqrt, inf = math.sqrt, math.inf
     ring = [None] * min(_WINDOW, max_iter)
-    last = max_iter - 1
-    drift_from = last - min(1000, max_iter // 4) if max_iter >= 100 else max_iter
-    path = 0.0
     if record:
         capacity = min(max_iter, _FIRST_ROWS)
         xs, shadows, disps = (np.empty((capacity, dim)) for _ in range(3))
@@ -183,18 +202,11 @@ def reference_orbit(pair, x0, w, max_iter: int, tol: float, record: bool = False
                 if all(certificates.values()):
                     status, solution = CONVERGED, (x, jb, k)
                     break
-            if n >= drift_from:
-                if n == drift_from:
-                    x_from = x
-                if n < last:
-                    path += size
         if not size < inf and not np.isfinite(x_next).all():
             raise NonFiniteIterateError(n)
     else:
-        if path > 0.0 and size > tol:
-            net = x - x_from
-            if sqrt(net.dot(net)) / path >= _DRIFT_RATIO:
-                status = NO_FIXED_POINT
+        if not estimating and proves_no_fixed_point(pair, w, tol):
+            status = NO_FIXED_POINT
 
     rows = n + 1
     if not record:

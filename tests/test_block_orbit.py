@@ -3,10 +3,7 @@
 An unrecorded affine orbit steps x -> M_T x + t_w in blocks, screened once per
 block, and jumps _WINDOW rows per product with M_T^_WINDOW wherever no stop
 rule can act, up to the first row a stop rule might act on, and hands over to
-the per-step loop there. After a landing it computes a block by one product
-with M_T^_WINDOW from the block before it, and phase 2 steps such a drift tail
-again where their rounding might move its verdict. An orbit on which no jump
-lands must give what the per-step loop gives, bit for bit: row counts,
+the per-step loop there. An orbit on which no jump lands must give what the per-step loop gives, bit for bit: row counts,
 statuses, certificates, the v estimate, the solution and, when recorded, every
 trace column. An orbit on which a jump lands keeps its row counts, statuses,
 certificates, NonFiniteIterateError rows and whether x_last is None exactly,
@@ -73,8 +70,8 @@ class Landings:
         self.count = 0
         leap = splitting._leap
 
-        def counted(pair, t_w, shift, x, n, *rest):
-            result = leap(pair, t_w, shift, x, n, *rest)
+        def counted(pair, t_w, x, n, *rest):
+            result = leap(pair, t_w, x, n, *rest)
             self.count += (result[0] - n) // _WINDOW
             return result
 
@@ -209,9 +206,9 @@ class TestParity:
     @pytest.mark.parametrize("max_iter", [1, 49, 50, 51, 99, 100, 137, 202, 250, 251, 252])
     @pytest.mark.parametrize("phase", [1, 2])
     def test_budgets_across_block_seams(self, landings, max_iter, phase):
-        # budgets 202, 250, 251 and 252 end 1, 49, 50 and 51 rows into the blocks
-        # computed by one product after a landing. A recorded orbit steps every
-        # row in the per-step loop, so those budgets run unrecorded only
+        # budgets 202, 250, 251 and 252 end 1, 49, 50 and 51 rows past a landing
+        # at row 200. A recorded orbit steps every row in the per-step loop, so
+        # those budgets run unrecorded only
         gen = rng(44 + max_iter)
         for name, pair in FUSED:
             x0 = gen.normal(scale=3.0, size=pair.dim)
@@ -314,7 +311,7 @@ class TestBlockSeams:
             else:
                 lo = mid
         assert hi - lo <= 1e-15 * hi
-        CountingMatrix.calls = CountingMatrix.into = CountingMatrix.blocks = 0
+        CountingMatrix.calls = CountingMatrix.into = 0
         got = _orbit(pair, x0, w, 1000, lo)
         # phase 2 tries a jump from row _WINDOW to 2 _WINDOW, refused: S t_w,
         # x_{_WINDOW + 1}, the landing and the row after it
@@ -355,78 +352,22 @@ class TestBlockSeams:
                 got, reference_orbit(pair, [0.0, 3.0], None, 1000, 1e-8, record=record), "slide")
 
     def test_drift_verdict_at_its_edge(self):
-        # x_{n+1} = (rotate and shrink (x_1, x_2) by 0.05 rad, x_3 - c): the tail's
-        # net move over its path length grows with c and crosses _DRIFT_RATIO;
-        # at max_iter 437 the tail starts at row 327, inside a block. One more
-        # or one less row in the path sum moves the edge by about 1%.
-        skew = np.zeros((3, 3))
-        skew[0, 1], skew[1, 0] = 0.05, -0.05
-
-        def status(loop, c):
-            pair = OperatorPair(ConstantValued([0.0, 0.0, c]), AffineMonotone(skew, np.zeros(3)))
-            return loop(pair, [3.0, 0.0, 0.0], np.zeros(3), 437, 1e-9)[1]
-
-        lo, hi = 0.1, 0.4
-        assert status(reference_orbit, lo) != NO_FIXED_POINT == status(reference_orbit, hi)
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if status(reference_orbit, mid) == NO_FIXED_POINT:
-                hi = mid
-            else:
-                lo = mid
-        assert hi - lo < 1e-9
-        assert status(_orbit, lo) == status(reference_orbit, lo) != NO_FIXED_POINT
-        assert status(_orbit, hi) == NO_FIXED_POINT
-
-    def test_only_a_drift_verdict_at_its_edge_steps_its_tail_again(self):
-        # the edge test's orbit lands at rows 100 to 300, steps rows 300 to 350
-        # and computes rows 350 to 436 by two products. Far from the edge
-        # (c = 0.1 and 0.4) its verdict stands with their rounding; at the
-        # bisected edge it might not, so rows 300 to 436 are stepped again
-        def run(loop, c):
-            pair = counting(drift_pair(c))
-            return loop(pair, [3.0, 0.0, 0.0], np.zeros(3), 437, 1e-9)[1]
-
-        lo, hi = 0.1, 0.4
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if run(reference_orbit, mid) == NO_FIXED_POINT:
-                hi = mid
-            else:
-                lo = mid
-        for c, again in ((0.1, 0), (0.4, 0), (lo, 136), (hi, 136)):
-            status = run(_orbit, c)
-            assert (CountingMatrix.into, CountingMatrix.blocks) == (50 + 50 + again, 2), c
-            assert status == run(reference_orbit, c), c
-
-    def test_a_stop_in_a_drift_tail_of_one_product_blocks(self):
-        # lines at the angle whose statistic falls to about 2.5e-9 by row 901
-        # (w = 0, max_iter 1000, drift tail from row 749): the orbit lands at
-        # rows 100 to 700, steps rows 700 to 750 and computes later blocks by
-        # one product each. With tol between rows 900 and 901's statistics,
-        # row 885 is the first within sqrt(2) tol, and since it lies in the
-        # drift tail, every block from row 700 is stepped again. The per-step
-        # loop runs rows 885 to 901 and certifies 901. Below every statistic,
-        # the budget is spent
-        stop_row = 901
-        pair = counting(lines_at_angle(3, math.acos((1e-8 / 3.0) ** (1.0 / stop_row))))
-        x0, w = np.array([3.0, -2.0, 0.0]), np.zeros(3)
-        stats = stop_statistics(pair, x0, w, 1000)
-        tol = math.sqrt(stats[stop_row] * stats[stop_row - 1])
-        CountingMatrix.calls = CountingMatrix.into = CountingMatrix.blocks = 0
-        got = _orbit(pair, x0, w, 1000, tol)
-        products = (CountingMatrix.into, CountingMatrix.calls - CountingMatrix.into - 1,
-                    CountingMatrix.blocks)
-        assert products == predicted_products(stats, 2, 1000, tol, stop_row + 1)
-        assert products == (50 + 50 + 200, 17 + 2 + 2 * 13, 3)
-        expected = reference_orbit(pair, x0, w, 1000, tol)
-        assert len(expected[0]) == stop_row + 1 and expected[1] == CONVERGED
-        assert_same_orbit(got, expected, "tail stop", exact=False)
-        assert reference_orbit(pair, x0, w, 1000, 0.1 * stats[-1])[1] == MAX_ITER
+        # x_{n+1} = (rotate and shrink (x_1, x_2) by 0.05 rad, x_3 - c): R =
+        # ran(I - M_T) is the (x_1, x_2) plane and t_w = -c e_3, so rho = |c|.
+        # Every c with |c| above tol + 1e-12 (1 + |c|) is proved to have no
+        # fixed point, also near c = 0.2, where the tail's net move over its
+        # path length crosses the drift rule's 0.9 at max_iter 437; c = 0 is
+        # left unproven
+        for c in (-0.4, -2e-9, 2e-9, 1e-6, 0.1, 0.2, 0.25, 0.4, 1e3):
+            for loop in (_orbit, reference_orbit):
+                assert loop(drift_pair(c), [3.0, 0.0, 0.0], np.zeros(3), 437, 1e-9)[1] \
+                    == NO_FIXED_POINT, (c, loop)
+        for loop in (_orbit, reference_orbit):
+            assert loop(drift_pair(0.0), [3.0, 0.0, 0.0], np.zeros(3), 437, 1e-9)[1] == MAX_ITER
 
 
 def drift_pair(c: float) -> OperatorPair:
-    """The edge tests' pair: x -> (rotate and shrink (x_1, x_2) by 0.05 rad, x_3 - c)."""
+    """The edge test's pair: x -> (rotate and shrink (x_1, x_2) by 0.05 rad, x_3 - c)."""
     skew = np.zeros((3, 3))
     skew[0, 1], skew[1, 0] = 0.05, -0.05
     return OperatorPair(ConstantValued([0.0, 0.0, c]), AffineMonotone(skew, np.zeros(3)))
@@ -506,52 +447,40 @@ class TestLandings:
 class CountingMatrix(np.ndarray):
     """M_T that counts its matrix-vector products, those written with out= apart.
 
-    M_T^_WINDOW and S, built from it, count too; so does each np.dot of a
-    block of rows by the transpose of M_T^_WINDOW, the fast-forward's
-    one-product blocks.
+    M_T^_WINDOW and S, built from it, count too.
     """
 
     calls = 0
     into = 0  # products written into a buffer row: the fast-forward's
-    blocks = 0
 
     def dot(self, *args, **kwargs):
         CountingMatrix.calls += 1
         CountingMatrix.into += "out" in kwargs
         return np.asarray(self).dot(*args, **kwargs)
 
-    def __array_function__(self, func, types, args, kwargs):
-        CountingMatrix.blocks += func is np.dot
-        return super().__array_function__(func, types, args, kwargs)
-
 
 def counting(pair: OperatorPair) -> OperatorPair:
     m_t, t = pair.affine_step
     vars(pair)["affine_step"] = (m_t.view(CountingMatrix), t)
-    CountingMatrix.calls = CountingMatrix.into = CountingMatrix.blocks = 0
+    CountingMatrix.calls = CountingMatrix.into = 0
     return pair
 
 
 def predicted_products(stats, phase: int, max_iter: int, tol: float, rows: int) -> tuple:
-    """(block products, other products, one-product blocks) of an unrecorded fused orbit.
+    """(block products, other products) of an unrecorded fused orbit.
 
     Blocks compute each row once up to the end of the block that holds the
     handoff row h, the first whose squared statistic is not above 2 tol^2;
     the per-step loop computes h and every row after it. From row 2 _WINDOW
     in phase 1, _WINDOW in phase 2, the orbit jumps instead: landings
-    _WINDOW rows apart are taken while L <= max_iter - 2 (and drift_from in
-    phase 2) and row L's statistic passes the same screen, that is while
-    L < h, since the statistics never increase.
+    _WINDOW rows apart are taken while L <= max_iter - 2 and row L's
+    statistic passes the same screen, that is while L < h, since the
+    statistics never increase.
     A jump costs two products, the landing and the row after it, and the
     first one two more, S t_w and d_n; a refused landing costs two. Phase 1
-    steps the last jump's _WINDOW rows again, into the block.
-    After the last landing L every block that follows a whole block of
-    stepped or one-product rows is one product: in phase 1 from L on, after
-    the ring's refill, in phase 2 from L + _WINDOW on, the block holding h
-    included. A phase 2 that has kept a one-product block and hands off
-    inside its drift tail steps every block from L again. The orbits here keep every landing's
-    and every block row's statistic far above the rounding floor, and a
-    spent phase 2 decides its drift verdict far outside the rounding margin.
+    steps the last jump's _WINDOW rows again, into the block, and blocks
+    resume at the last landing. The orbits here keep every landing's
+    statistic far above the rounding floor.
     """
     bound = math.copysign(2.0 * tol * tol, tol)
     fails = [m for m, size in enumerate(stats) if not bound < size * size < math.inf]
@@ -560,22 +489,16 @@ def predicted_products(stats, phase: int, max_iter: int, tol: float, rows: int) 
     block_end = handoff + 1 if handoff == probe else (handoff // _WINDOW + 1) * _WINDOW
     block_end = min(block_end, max_iter - 1)
     leap_from = 2 * _WINDOW if phase == 1 else _WINDOW
-    drift_from = max_iter - 1 - min(1000, max_iter // 4) if max_iter >= 100 else max_iter
-    last_landing = max_iter - 2 if phase == 1 else min(drift_from, max_iter - 2)
-    if handoff < leap_from or leap_from + _WINDOW > last_landing:
-        return block_end, rows - handoff, 0
-    landings = range(leap_from + _WINDOW, last_landing + 1, _WINDOW)
+    if handoff < leap_from or leap_from + _WINDOW > max_iter - 2:
+        return block_end, rows - handoff
+    landings = range(leap_from + _WINDOW, max_iter - 1, _WINDOW)
     taken = next((k for k, row in enumerate(landings) if row >= handoff), len(landings))
     other = rows - handoff + 2 + 2 * min(taken + 1, len(landings))
     if not taken:
-        return block_end, other, 0
+        return block_end, other
     last = leap_from + _WINDOW * taken
-    products_from = last if phase == 1 else min(last + _WINDOW, block_end)
-    blocks = -(-(block_end - products_from) // _WINDOW)
-    into = leap_from + (_WINDOW if phase == 1 else products_from - last)
-    if phase == 2 and blocks and drift_from < handoff < max_iter - 1:
-        into += block_end - last
-    return into, other, blocks
+    refill = _WINDOW if phase == 1 else 0
+    return leap_from + refill + block_end - last, other
 
 
 class TestWork:
@@ -596,42 +519,22 @@ class TestWork:
         x0 = np.array([3.0, -2.0, 1.0])
         w = None if phase == 1 else np.array([0.1, -0.2, 0.0])
         stats = stop_statistics(pair, x0, w, max_iter)
-        CountingMatrix.calls = CountingMatrix.into = CountingMatrix.blocks = 0
+        CountingMatrix.calls = CountingMatrix.into = 0
         rows = len(_orbit(pair, x0, w, max_iter, tol)[0])
         other = CountingMatrix.calls - CountingMatrix.into - (w is not None)  # t_w takes one
-        assert ((CountingMatrix.into, other, CountingMatrix.blocks)
-                == predicted_products(stats, phase, max_iter, tol, rows))
+        assert (CountingMatrix.into, other) == predicted_products(stats, phase, max_iter, tol, rows)
         assert rows == len(reference_orbit(pair, x0, w, max_iter, tol)[0])
 
     def test_a_budget_spent_dim_100_phase_1_jumps(self):
         # 2000 rows at angle 0.05 do not settle: 100 block rows, 37 jumps of two
-        # products and two more, the last jump's 50 rows again, one product for
-        # the 49 rows after them and one per-step row at the end, where the
-        # per-step loop alone took 2000
+        # products and two more, the last jump's 50 rows again, the 49 rows
+        # after them and one per-step row at the end, where the per-step loop
+        # alone took 2000
         pair = counting(lines_at_angle(100, 0.05, 1.0))
         x0 = np.linspace(-3.0, 3.0, 100)
         v, end = estimate_v(pair, x0, 2000)
         assert len(end) == 2000 and end.x_last is None
-        assert CountingMatrix.calls == 100 + 2 + 2 * 37 + 50 + 1 <= 300
-        assert CountingMatrix.blocks == 1
-
-    def test_a_spent_dim_100_phase_2_computes_its_drift_tail_by_blocks(self):
-        # 2000 rows a phase at angle 0.05 do not settle, so phase 2 starts cold
-        # at x0: t_w, its row-0 probe and 49 block rows, 28 jumps of two products
-        # and two more to row 1450, 50 rows to the first drift row 1499 and one
-        # product for each later block, 10 of them, and one per-step row at the
-        # end. Its tail took 549 block rows, 659 products in all, when stepped
-        pair = counting(lines_at_angle(100, 0.05, 1.0))
-        x0 = np.linspace(-3.0, 3.0, 100)
-        v, end = estimate_v(pair, x0, 2000)
-        assert end.x_last is None
-        CountingMatrix.calls = CountingMatrix.into = CountingMatrix.blocks = 0
-        got = _orbit(pair, x0, v, 2000, SolveOptions.tol_fix)
-        assert CountingMatrix.calls == 1 + 1 + 49 + 2 + 2 * 28 + 50 + 1
-        assert CountingMatrix.blocks == 10
-        expected = reference_orbit(pair, x0, v, 2000, SolveOptions.tol_fix)
-        assert len(expected[0]) == 2000 and expected[1] == MAX_ITER
-        assert_same_orbit(got, expected, "dim 100", exact=False)
+        assert CountingMatrix.calls == 100 + 2 + 2 * 37 + 50 + 49 + 1 <= 300
 
     def test_a_probe_stop_takes_one_extra_step(self):
         pair = counting(lines_pair())
@@ -650,12 +553,11 @@ class TestWork:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            n, x, ring, path, x_from = splitting._fast_forward(
-                pair, t_w, end.x_last, False, 1000, 1e-9, 749)
+            n, x, ring = splitting._fast_forward(pair, t_w, end.x_last, False, 1000, 1e-9)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert (n, ring, path, x_from) == (0, None, 0.0, None)
+        assert (n, ring) == (0, None)
         np.testing.assert_array_equal(x, end.x_last)
         # the probe row and its displacement, where the (51, 100) block and the
         # (50, 100) window differences took 80 kB
@@ -664,15 +566,15 @@ class TestWork:
     @pytest.mark.parametrize("phase", [1, 2])
     def test_a_negative_tol_fast_forwards_to_the_last_row(self, phase):
         # no row stops at tol < 0, however small its statistic. Phase 1 takes
-        # 100 block rows, 17 jumps to row 950, its 50 rows again and one product
-        # for the 49 rows after; phase 2 50 rows, 13 jumps to row 700, the last
-        # landing before drift_from = 749, 50 rows and five one-product blocks
-        # for the 249 rows after
+        # 100 block rows, 17 jumps to row 950, its 50 rows again and the 49
+        # rows after; phase 2 50 rows, 18 jumps to row 950 and the 49 rows
+        # after. Lines through 0 have a fixed point, so phase 2 proves nothing
         pair = counting(lines_at_angle(3, 0.05))
         w = None if phase == 1 else np.zeros(3)
-        assert len(_orbit(pair, [3.0, -2.0, 1.0], w, 1000, -1.0)[0]) == 1000
-        jumps, into, blocks = (17, 100 + 50, 1) if phase == 1 else (13, 50 + 50, 5)
-        assert (CountingMatrix.into, CountingMatrix.blocks) == (into, blocks)
+        end, status = _orbit(pair, [3.0, -2.0, 1.0], w, 1000, -1.0)[:2]
+        assert len(end) == 1000 and status == MAX_ITER
+        jumps, into = (17, 100 + 50 + 49) if phase == 1 else (18, 50 + 49)
+        assert CountingMatrix.into == into
         assert CountingMatrix.calls - CountingMatrix.into - (w is not None) == 2 + 2 * jumps + 1
 
     def test_a_recorded_fused_orbit_evaluates_one_shadow_per_row(self):

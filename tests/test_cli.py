@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -135,6 +136,22 @@ class TestSolveCommand:
         assert report.status == "no_fixed_point_detected"
         assert report.normal_solution is None
         assert abs(np.linalg.norm(report.v_estimate) - 1.0) <= 0.1
+
+    def test_lines_through_zero_at_a_small_angle_exit_3(self, tmp_path):
+        # 0 solves the problem, so a spent budget proves nothing: exit 3, though
+        # the drift rule would read the slowly turning tail as drift
+        angle = 0.001
+        payload = {
+            "dim": 2,
+            "A": LINE_LOWER,
+            "B": {"type": "normal_cone", "set": {
+                "type": "affine_subspace", "anchor": [0.0, 0.0],
+                "basis": [[math.cos(angle), math.sin(angle)]]}},
+            "options": {"max_iter": 1000, "x0": [-2.0, 3.0]},
+        }
+        report_path = str(tmp_path / "report.json")
+        assert main(["solve", write_problem(tmp_path, payload), "--json", report_path]) == 3
+        assert read_report(report_path).status == "max_iter"
 
     def test_w_in_file_drives_perturbed_solve(self, tmp_path):
         payload = {"dim": 2, "A": LINE_LOWER, "B": LINE_UPPER, "w": [0.0, 1.0]}

@@ -30,10 +30,11 @@ from normsplit.errors import DimensionMismatchError
 from normsplit.scenarios import build_registry, get_scenario
 from normsplit.errors import NonFiniteIterateError
 from normsplit import splitting
-from normsplit.splitting import CONVERGED, NO_FIXED_POINT
+from normsplit.splitting import CONVERGED, MAX_ITER, NO_FIXED_POINT
 
-from reference import drifting_tail, same_report, trace_csv
-from zoo import lines_at_angle, lines_pair, operator_pairs, rng, sample_points
+from reference import (
+    drifting_tail, fixed_point_gap, proves_no_fixed_point, same_report, trace_csv)
+from zoo import fused_pairs, lines_at_angle, lines_pair, operator_pairs, rng, sample_points
 
 
 def test_a_pair_needs_one_dimension():
@@ -209,7 +210,8 @@ class TestSolvePerturbed:
             atol=1e-12,
         )
 
-    def test_unreachable_shift_detected_by_drift(self):
+    def test_unreachable_shift_proved_by_the_closed_form(self):
+        # T x = x - (4, 6): I - M_T = 0, so rho = |t_w| = |(4, 6)| proves it
         pair = OperatorPair(ConstantValued([1.0, 2.0]), ConstantValued([3.0, 4.0]))
         report = solve_perturbed(pair, np.zeros(2), opts=SolveOptions(max_iter=400))
         assert report.status == "no_fixed_point_detected"
@@ -223,7 +225,7 @@ class TestSolvePerturbed:
         assert report.status == "max_iter"
         assert report.iterations_used == 3
 
-    def test_blowup_detected(self):
+    def test_blowup_proved_by_the_closed_form(self):
         pair = OperatorPair(ConstantValued([1.0, 0.0]), ConstantValued([1.0, 0.0]))
         report = solve_perturbed(
             pair, np.zeros(2), opts=SolveOptions(max_iter=100_000)
@@ -574,12 +576,22 @@ class TestStreamedOrbit:
         # fused pairs whose tail starts and whose budget ends inside a block
         (constant_pair(), [0.0, 0.0], [0.5, -1.5], 1013),
         (lines_pair(), [0.0, 0.0], [3.0, -2.0], 137),
+        # a pair whose step does not fuse keeps the drift rule
+        (get_scenario("disjoint-balls").pair, [0.0, 0.0], None, 200),
+        (get_scenario("disjoint-balls").pair, [0.0, 0.0], None, 400),
+        (get_scenario("disjoint-balls").pair, [0.0, 0.0], None, 1000),
     ])
     def test_streamed_drift_verdict_matches_the_trace(self, pair, w, x0, max_iter):
+        # the drift rule serves pairs whose step does not fuse; a fused pair
+        # takes the closed form at any budget, 99 rows included
         opts = SolveOptions(max_iter=max_iter)
         report = solve_perturbed(pair, w, x0=x0, opts=opts, record=True)
         assert report.status != CONVERGED and len(report.trace) == max_iter
-        expected = drifting_tail(report.trace, opts.tol_fix)
+        if pair.affine_step is None:
+            expected = drifting_tail(report.trace, opts.tol_fix)
+            assert expected  # the epigraph and disjoint balls drift
+        else:
+            expected = proves_no_fixed_point(pair, np.asarray(w, dtype=float), opts.tol_fix)
         assert (report.status == NO_FIXED_POINT) == expected
         assert same_report(solve_perturbed(pair, w, x0=x0, opts=opts), report)
 
@@ -589,6 +601,7 @@ class TestStreamedOrbit:
         dr_apply(pair, x0)  # compile both resolvents before measuring,
         assert pair.affine_step is not None  # and the pair's dim x dim step
         assert len(pair._window_jump) == 2  # and its two dim x dim jump matrices
+        assert pair._range_complement.shape[0] == 100  # and the SVD of its verdict
         peaks = {}
         tracemalloc.start()
         try:
@@ -602,3 +615,71 @@ class TestStreamedOrbit:
             tracemalloc.stop()
         assert peaks[20_000] < 1.0
         assert abs(peaks[20_000] - peaks[2_000]) < 0.1
+
+
+class TestClosedFormVerdict:
+    """A fused phase 2 that spends its budget says NO_FIXED_POINT exactly when
+    rho = |(I - P_R) t_w|, R = ran(I - M_T), proves that no row can stop."""
+
+    @pytest.mark.parametrize("max_iter", [400, 1000, 4000])
+    @pytest.mark.parametrize("angle", [0.005, 0.002, 0.001, 0.0005])
+    @pytest.mark.parametrize("dim, gap", [(2, 0.0), (3, 0.0), (3, 1.0)])
+    def test_lines_at_a_small_angle_are_not_called_unsolvable(self, dim, gap, angle, max_iter):
+        # the normal problem has a solution, 0 without a gap. A tail of k rows
+        # turning by angle a row is an arc whose chord is at least 0.9 times
+        # its length while k angle <~ 1.57, so the drift rule would call 30 of
+        # these 36 cases unsolvable
+        x0 = [-2.0, 3.0, 0.0][:dim]
+        pair = lines_at_angle(dim, angle, gap)
+        report = solve_normal(pair, x0, SolveOptions(max_iter=max_iter))
+        assert report.status != NO_FIXED_POINT
+
+    def test_a_perturbed_solve_on_lines_through_zero_proves_nothing(self):
+        opts = SolveOptions(max_iter=1000)
+        report = solve_perturbed(lines_at_angle(2, 0.001), np.zeros(2), [-2.0, 3.0], opts)
+        assert report.status == MAX_ITER
+
+    @pytest.mark.parametrize("max_iter", [99, 300])
+    def test_the_proof_bounds_every_displacement(self, max_iter):
+        # three seeded w per fused registry and zoo pair, recorded: where rho
+        # passes the margin no displacement is shorter than rho, to rounding.
+        # 99 rows are too few for the drift rule, not for the proof
+        gen = rng(31)
+        opts = SolveOptions(max_iter=max_iter)
+        proofs = draws = 0
+        for name, pair in fused_pairs():
+            for _ in range(3):
+                w = gen.normal(size=pair.dim)
+                x0 = gen.normal(scale=3.0, size=pair.dim)
+                report = solve_perturbed(pair, w, x0, opts, record=True)
+                proved = proves_no_fixed_point(pair, w, opts.tol_fix)
+                assert (report.status == NO_FIXED_POINT) == proved, name
+                if proved:
+                    shortest = np.linalg.norm(report.trace.displacements, axis=1).min()
+                    assert shortest >= fixed_point_gap(pair, w) * (1.0 - 1e-12), name
+                proofs, draws = proofs + proved, draws + 1
+        assert 0 < proofs < draws
+
+    def test_singular_values_at_the_rank_cutoff(self):
+        # A = affine diag(l) and B = 0 give T x = (I + L)^-1 (x - a), so
+        # I - M_T = diag(l / (1 + l)) = diag(1/2, 1.01 c, 0.99 c) with the
+        # cutoff c = 1e-10 s_max. The rank counts the first two: a t_w along
+        # e_2 is reachable (its fixed point lies about 2e10 |t_w| out) and
+        # the orbit proves nothing, while one along e_3 counts as unreachable.
+        # There each step shrinks the displacement by 1 - 0.99 c, so the
+        # bound holds to max_iter c, the price of the cutoff
+        cutoff = 1e-10 * 0.5
+        sigma = np.array([0.5, 1.01 * cutoff, 0.99 * cutoff])
+        ell = sigma / (1.0 - sigma)
+        opts = SolveOptions(max_iter=300)
+        for axis, expected in ((1, MAX_ITER), (2, NO_FIXED_POINT)):
+            offset = np.zeros(3)
+            offset[axis] = -(1.0 + ell[axis])  # t = -(I + L)^-1 a = e_axis
+            pair = OperatorPair(AffineMonotone(np.diag(ell), offset), Zero(3))
+            assert pair._range_complement.shape == (3, 1)
+            w = np.zeros(3)
+            report = solve_perturbed(pair, w, np.zeros(3), opts, record=True)
+            assert report.status == expected, axis
+            assert proves_no_fixed_point(pair, w, opts.tol_fix) == (expected == NO_FIXED_POINT)
+            shortest = np.linalg.norm(report.trace.displacements, axis=1).min()
+            assert shortest >= fixed_point_gap(pair, w) * (1.0 - opts.max_iter * cutoff)
