@@ -297,12 +297,13 @@ def _leap(pair: OperatorPair, t_w, x: np.ndarray, n: int, last_landing: int,
     for x_{L+1}. Along a fused orbit d_{m+1} = M_T d_m and |M_T y| <= |y|, since T is
     nonexpansive, so phase 2's statistic |d_m| never increases, nor from row
     _WINDOW on does phase 1's |d_m - d_{m-_WINDOW}|, here d_L - d_n. So when
-    row L's squared statistic is above `bound`, the block screen's 2 tol^2,
-    every row before it is above tol. It must also be finite, which x_L and
-    x_{L+1} then are, and above (_LANDING_FLOOR r)^2, r = |x_n| + _WINDOW |d_n|:
-    no skipped iterate is longer than r, so r bounds the rounding by which
-    jumped iterates differ from stepped ones, and an r that overflows (or
-    passes about 1e166) refuses the landing. Landings stop at last_landing.
+    row L's squared statistic is above `bound`, 2 tol^2 signed as tol so
+    that rounding cannot hide a stop, every row before it is above tol. It
+    must also be finite, which x_L and x_{L+1} then are, and above
+    (_LANDING_FLOOR r)^2, r = |x_n| + _WINDOW |d_n|: no skipped iterate is
+    longer than r, so r bounds the rounding by which jumped iterates differ
+    from stepped ones, and an r that overflows (or passes about 1e166)
+    refuses the landing. Landings stop at last_landing.
 
     Returns (n, x_n, start): the row and iterate of the last landing taken,
     and the iterate it jumped from, or None when no landing was taken.
@@ -322,86 +323,6 @@ def _leap(pair: OperatorPair, t_w, x: np.ndarray, n: int, last_landing: int,
         start, x, d = x, x_land, d_land
         n += _WINDOW
     return n, x, start
-
-
-def _fast_forward(pair: OperatorPair, t_w, x0: np.ndarray, estimating: bool, max_iter: int,
-                  tol: float):
-    """Step x -> M_T x + t_w in blocks and jumps, up to the first row a stop rule might act on.
-
-    The rows go into one (_WINDOW + 1, dim) buffer, each by
-    `m_t.dot(x, out=row); row += t_w`. A block ends at the next multiple of
-    _WINDOW, or after one row at a probe: row _WINDOW in phase 1 (the first
-    with a real window partner) and row 0 in phase 2, computed alike before
-    the buffer is allocated, for a warm start that hands off there. Rows are
-    taken in order while their squared stop-rule norm is finite and above
-    2 tol^2, signed as tol, so that rounding cannot hide a stop and a
-    negative tol screens out no row. Taken rows update phase 1's window ring
-    as the per-step loop would. The first other row, or row max_iter - 1,
-    ends the fast-forward, so the per-step loop runs that row and every stop
-    rule.
-
-    At row 2 _WINDOW in phase 1 and row _WINDOW in phase 2 the orbit first
-    jumps _WINDOW rows at a time (_leap), by landings no later than row
-    max_iter - 2. After a landing phase 1 steps the last jump's rows again to
-    refill its window ring. Jumped iterates agree with stepped ones to
-    rounding, not bit for bit; blocks resume at the first landing refused.
-
-    Returns (n, x_n, ring) for the per-step loop to resume at row n; ring is
-    a list of the last _WINDOW displacements in phase 1, else None.
-    """
-    bound = math.copysign(2.0 * tol * tol, tol)
-    dot, n = pair.affine_step[0].dot, 0
-    if not estimating and max_iter > 1:
-        x1 = dot(x0, out=np.empty_like(x0))
-        x1 += t_w
-        d = x0 - x1
-        if not bound < d.dot(d) < math.inf:
-            return 0, x0, None
-        x0, n = x1, 1
-    dim = x0.size
-    block = np.empty((_WINDOW + 1, dim))
-    block[0] = x0
-    steps = list(zip(rows := list(block), rows[1:]))  # one view per row, in two steps
-    # per row: d_n = x_n - x_{n+1} (less d_{n-_WINDOW} in phase 1), its
-    # squared norm, and whether it is taken
-    window = np.empty((_WINDOW, dim))
-    squares = np.empty(_WINDOW)
-    taken, finite = np.empty(_WINDOW, dtype=bool), np.empty(_WINDOW, dtype=bool)
-    ring = np.zeros((min(_WINDOW, max_iter), dim)) if estimating else None
-    probe = _WINDOW if estimating else None  # phase 2's ran above
-    leap_from = 2 * _WINDOW if estimating else _WINDOW
-    while n < max_iter - 1:
-        if n == leap_from and n + _WINDOW <= max_iter - 2:
-            n, x, start = _leap(pair, t_w, block[0], n, max_iter - 2, estimating, bound)
-            if start is not None and estimating:  # refill the ring from the last jump's rows
-                block[0] = start
-                for x, x_next in steps:
-                    dot(x, out=x_next)
-                    x_next += t_w
-                np.subtract(block[:_WINDOW], block[1:], out=ring)  # n is a multiple of _WINDOW
-                x = block[_WINDOW]
-            block[0] = x
-        end = min(n + 1 if n == probe else (n // _WINDOW + 1) * _WINDOW, max_iter - 1)
-        count = end - n
-        for x, x_next in steps[:count]:
-            dot(x, out=x_next)
-            x_next += t_w
-        d = np.subtract(block[:count], block[1:count + 1], out=window[:count])
-        slot = n % _WINDOW
-        if estimating:
-            d -= ring[slot:slot + count]
-        # each row's d.dot(d), by the same BLAS dot
-        sq = np.vecdot(d, d, out=squares[:count])
-        ok = np.less(bound, sq, out=taken[:count])
-        ok &= np.isfinite(sq, out=finite[:count])
-        kept = count if ok.all() else int(ok.argmin())
-        if estimating:
-            np.subtract(block[:kept], block[1:kept + 1], out=ring[slot:slot + kept])
-        n += kept
-        block[0] = block[kept]
-        if kept < count:
-            break
-    return n, block[0].copy(), (list(ring) if estimating else None)
 
 
 # the loop reports a non-finite iterate itself, as NonFiniteIterateError
@@ -440,12 +361,15 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     affine_step: then T(x + w) = M_T x + t_w with t_w = M_T w + t folded once
     per call, one matrix-vector product, and the shadow J_B(x + w) is
     evaluated only for a recorded row or a certificate check. An unrecorded
-    such orbit first fast-forwards (_fast_forward) through the rows that can
-    neither stop nor overflow, in blocks and in jumps of _WINDOW rows, and
-    the per-step loop takes over at the first row that might, recomputing
-    it. So the rows, status, certificates and any overflow row are those of
-    the per-step loop alone; so are the vectors, bit for bit, unless a jump
-    lands, after which they agree to rounding.
+    such orbit tries one run of jumps of _WINDOW rows (_leap) per phase, at
+    row first + (max_iter - 2 - first) % _WINDOW, first = _WINDOW in phase 1
+    and 1 in phase 2: from row first on the stop statistic cannot grow, and
+    from there the landings end at row max_iter - 2. After a landing phase 1
+    steps the last jump's rows again from its origin to refill its ring;
+    their window partners read +inf, since the jump proved that none of
+    them stops. So the rows, status, certificates and any overflow row are
+    those of the per-step loop alone; so are the vectors, bit for bit,
+    unless a jump lands, after which they agree to rounding.
 
     Returns (end, status, certificates, solution). end is an OrbitEnd, the
     IterationTrace itself when recording; its x_last is x_N when phase 1's
@@ -467,17 +391,29 @@ def _orbit(pair: OperatorPair, x0, w: Optional[np.ndarray], max_iter: int,
     status, certificates, solution, x_last = MAX_ITER, {}, None, None
     # displacement n - _WINDOW sits at n % _WINDOW; n never reaches max_iter
     ring = [None] * min(_WINDOW, max_iter)
-    start, path = 0, 0.0
+    path = 0.0
     step = _fused_step(pair, w)
     # the drift verdict reads x_{N-1-k} and the norms of rows N-1-k .. N-2
     last = max_iter - 1
     drift_from = last - min(1000, max_iter // 4) if max_iter >= 100 and step is None else max_iter
+    leap_at = -1
     if step is not None:
         m_t, t_w = step
         dot = m_t.dot
-        if not record:
-            start, x_next, ring = _fast_forward(pair, t_w, x_next, estimating, max_iter, tol)
-    for n in range(start, max_iter):
+        first = _WINDOW if estimating else 1  # phase 2 runs row 0, where a warm start stops
+        if not record and max_iter - 2 - first >= _WINDOW:
+            leap_at = first + (max_iter - 2 - first) % _WINDOW
+            bound = math.copysign(2.0 * tol * tol, tol)
+    n = -1
+    while n < last:
+        n += 1
+        if n == leap_at:
+            n, x_next, origin = _leap(pair, t_w, x_next, n, max_iter - 2, estimating, bound)
+            if origin is not None and estimating:
+                # step the last jump's rows again; the ring's partners are rows
+                # before the jumps, so they read +inf, as no refilled row can stop
+                n, x_next = n - _WINDOW, origin
+                ring = [np.full(dim, inf)] * _WINDOW
         x = x_next
         if step is None:
             y = x if estimating else x + w

@@ -27,12 +27,13 @@ with its Cesaro column derived from the iterates here.
 
 `reference_orbit` is the solve loop of an affine pair taken one step at a
 time: it steps by x -> M_T x + t_w, and every stop rule and the finiteness
-check run after each step; a spent phase 2 takes the closed-form verdict. splitting._orbit fast-forwards unrecorded
-affine orbits in blocks and 50-row jumps before its own per-step loop
-takes over, and must return the same rows, status, certificates and
-overflow row; where no jump lands, also the same solution and phase-1 end
-point x_last, bit for bit, and `orbit_fingerprint` reduces a run of either
-loop to bytes for that comparison.
+check run after each step; a spent phase 2 takes the closed-form verdict.
+splitting._orbit runs the same loop, except that an unrecorded affine
+orbit jumps 50 rows per product where no stop rule can act, and must
+return the same rows, status, certificates and overflow row; where no
+jump lands, also the same solution and phase-1 end point x_last, bit for
+bit, and `orbit_fingerprint` reduces a run of either loop to bytes for
+that comparison.
 
 `operator_to_jsonable` writes an operator or set as the tagged record that
 normsplit.problemio decodes, from the decoder's own tables.

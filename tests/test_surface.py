@@ -16,6 +16,11 @@ And every parameter with a default, of a public function, of a public
 method of a public class or of a vecspace function, is passed by some call
 of that code, by position or by keyword: a default that no caller overrides
 is a constant, not an option. A call is matched to a function by its name.
+
+Last, every private def, class or constant at the top level of a module
+in src/ is read somewhere in src/ outside its own def: one that only the
+tests reach, or that nothing reaches since the path that read it was
+deleted, is dead code.
 """
 
 import ast
@@ -32,14 +37,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _uses(tree: ast.AST) -> set:
     """(name, owners) for every use of a name, owners being the names of the
-    defs and classes around it."""
+    defs and classes around it. Assigning a plain name is not a use."""
     uses = set()
 
     def walk(node, owners):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             owners = owners | {node.name}
         if isinstance(node, ast.Name):
-            names = [node.id]
+            names = [node.id] if isinstance(node.ctx, ast.Load) else []
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
         elif isinstance(node, ast.alias):
@@ -150,3 +155,25 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     unpassed = {f"{qualified}({param.name})" for qualified, name, index, param
                 in _defaulted_parameters() if not passed(name, index, param)}
     assert sorted(unpassed) == []
+
+
+def _private_top_level_names(tree: ast.Module) -> list:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                names += [elt.id for elt in elts if isinstance(elt, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_top_level_name_is_used_in_src():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((ROOT / "src" / "normsplit").glob("*.py"))}
+    used = {name for tree in trees.values() for name, _ in _uses(tree)}
+    unused = [f"{module}:{name}" for module, tree in trees.items()
+              for name in _private_top_level_names(tree) if name not in used]
+    assert unused == []
